@@ -10,36 +10,6 @@ import (
 	"ncast/internal/obs"
 )
 
-// codecObs carries optional instrumentation for a Decoder or Recoder:
-// Gaussian-elimination time per absorbed packet and first-packet-to-full-
-// rank latency per generation. A nil *codecObs is a single-branch no-op,
-// so uninstrumented codecs never read the clock.
-type codecObs struct {
-	m       *obs.CodecMetrics
-	firstAt time.Time
-	done    bool
-}
-
-// addObserved runs the basis add under o's timing, routing systematic
-// packets to the fast install path. o may be nil.
-func addObserved(b *basis, o *codecObs, sys bool, sysIdx uint16, coeff []uint16, payload []byte) (bool, error) {
-	if o == nil {
-		return b.addPacket(sys, sysIdx, coeff, payload)
-	}
-	if o.firstAt.IsZero() {
-		o.firstAt = time.Now()
-	}
-	start := time.Now()
-	innovative, err := b.addPacket(sys, sysIdx, coeff, payload)
-	o.m.GaussNanos.ObserveSince(start)
-	if err == nil && !o.done && b.complete() {
-		o.done = true
-		o.m.GenLatency.ObserveSince(o.firstAt)
-		o.m.GensComplete.Inc()
-	}
-	return innovative, err
-}
-
 // Encoder produces coded packets for one generation of source data. It is
 // the role of the broadcast server, which holds the original packets.
 type Encoder struct {
@@ -103,183 +73,129 @@ func (e *Encoder) Systematic(i int) (*Packet, error) {
 	return p, nil
 }
 
-// scratch holds a codec's reusable staging buffers for Add: the incoming
-// packet is copied here, eliminated in place, and the buffers are donated
-// to the basis only when the packet turns out innovative (at most h times
-// per generation). Redundant packets — the steady state of a flooded
-// overlay — are absorbed with zero allocations.
-type scratch struct {
-	coeff   []uint16
-	payload []byte
-}
-
-// stage copies the packet into the scratch buffers, reusing their capacity.
-// For systematic packets the coefficient vector is reconstructed as the
-// unit vector of SysIdx rather than copied, so the basis fast path's
-// precondition holds even for hand-built packets with stale Coeff.
-func (s *scratch) stage(p *Packet) ([]uint16, []byte) {
-	if cap(s.coeff) >= len(p.Coeff) {
-		s.coeff = s.coeff[:len(p.Coeff)]
-	} else {
-		s.coeff = make([]uint16, len(p.Coeff))
-	}
-	if p.Sys {
-		clear(s.coeff)
-		if int(p.SysIdx) < len(s.coeff) {
-			s.coeff[p.SysIdx] = 1
-		}
-	} else {
-		copy(s.coeff, p.Coeff)
-	}
-	if cap(s.payload) >= len(p.Payload) {
-		s.payload = s.payload[:len(p.Payload)]
-	} else {
-		s.payload = make([]byte, len(p.Payload))
-	}
-	copy(s.payload, p.Payload)
-	return s.coeff, s.payload
-}
-
-// donate relinquishes the buffers after the basis captured them.
-func (s *scratch) donate() { s.coeff, s.payload = nil, nil }
-
-// Decoder recovers one generation by progressive Gaussian elimination.
-// All methods are safe for concurrent use; the parallel file decoder
-// relies on that for cross-generation fan-out while keeping each
-// decoder's elimination single-threaded (packets for one generation are
-// always handled by one worker).
-type Decoder struct {
-	f   gf.Field
-	gen uint32
+// codec is one generation's elimination engine behind a mutex, with
+// optional instrumentation: the whole of Decoder and Recoder, and the
+// per-generation element of FileDecoder and ParallelFileDecoder. All
+// methods are safe for concurrent use; a node with several decode
+// workers adds, emits and reads rank on one recoder from different
+// goroutines.
+type codec struct {
 	mu  sync.Mutex
-	b   *basis
-	obs *codecObs
-	s   scratch
+	gen uint32
+	e   genDecoder
+	// m, when set, receives elimination time per absorbed packet and
+	// first-packet-to-full-rank latency; firstAt is that first arrival.
+	// An uninstrumented codec never reads the clock.
+	m       *obs.CodecMetrics
+	firstAt time.Time
 }
 
-// Instrument attaches obs metrics; a nil bundle leaves the decoder
-// uninstrumented. Not safe to call concurrently with Add.
-func (d *Decoder) Instrument(m *obs.CodecMetrics) {
-	if m == nil {
-		return
-	}
-	d.mu.Lock()
-	d.obs = &codecObs{m: m}
-	d.mu.Unlock()
+func (c *codec) init(p Params, gen uint32, m *obs.CodecMetrics) {
+	c.gen, c.m = gen, m
+	c.e = genDecoder{f: p.Field, h: p.GenSize, size: p.PacketSize}
 }
 
-// NewDecoder creates a decoder for generation gen with h source packets of
-// the given payload size.
-func NewDecoder(f gf.Field, gen uint32, h, size int) (*Decoder, error) {
-	b, err := newBasis(f, h, size)
-	if err != nil {
-		return nil, err
+// Instrument attaches obs metrics; a nil bundle leaves the codec
+// uninstrumented. Callers must serialise with Add (the protocol layer
+// instruments a recoder at creation, before any packet arrives).
+func (c *codec) Instrument(m *obs.CodecMetrics) {
+	c.mu.Lock()
+	c.m = m
+	c.mu.Unlock()
+}
+
+// add eliminates p in one locked section. closed reports that this
+// packet brought the generation to full rank; back-substitution has then
+// already run, so the source packets are readable when add returns.
+func (c *codec) add(p *Packet) (innovative, closed bool, err error) {
+	if p.Gen != c.gen {
+		return false, false, fmt.Errorf("rlnc: packet for generation %d, want %d", p.Gen, c.gen)
 	}
-	return &Decoder{f: f, gen: gen, b: b}, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var start time.Time
+	if c.m != nil {
+		start = time.Now()
+		if c.firstAt.IsZero() {
+			c.firstAt = start
+		}
+	}
+	innovative, err = c.e.add(p)
+	closed = innovative && c.e.complete()
+	if c.m != nil {
+		c.m.GaussNanos.ObserveSince(start)
+		if closed {
+			c.m.GenLatency.ObserveSince(c.firstAt)
+			c.m.GensComplete.Inc()
+		}
+	}
+	return innovative, closed, err
 }
 
 // Add absorbs a coded packet, reporting whether it was innovative
-// (increased the decoder's rank). Packets for other generations are
-// rejected with an error. The packet is copied; the caller keeps ownership.
-func (d *Decoder) Add(p *Packet) (innovative bool, err error) {
-	if p.Gen != d.gen {
-		return false, fmt.Errorf("rlnc: packet for generation %d, decoder expects %d", p.Gen, d.gen)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	coeff, payload := d.s.stage(p)
-	innovative, err = addObserved(d.b, d.obs, p.Sys, p.SysIdx, coeff, payload)
-	if innovative {
-		d.s.donate()
-	}
+// (raised the rank). Packets for other generations are rejected with an
+// error. The packet is only read; the caller keeps ownership.
+func (c *codec) Add(p *Packet) (innovative bool, err error) {
+	innovative, _, err = c.add(p)
 	return innovative, err
 }
 
 // Rank returns the number of linearly independent packets received.
-func (d *Decoder) Rank() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.b.rank()
+func (c *codec) Rank() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.e.rank
 }
 
-// Complete reports whether the generation can be decoded.
-func (d *Decoder) Complete() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.b.complete()
+// Complete reports whether the generation is decoded.
+func (c *codec) Complete() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.e.complete()
+}
+
+func (c *codec) source() ([][]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.e.source()
+}
+
+// Decoder recovers one generation by progressive Gaussian elimination.
+type Decoder struct{ codec }
+
+// NewDecoder creates a decoder for generation gen with h source packets of
+// the given payload size.
+func NewDecoder(f gf.Field, gen uint32, h, size int) (*Decoder, error) {
+	p := Params{Field: f, GenSize: h, PacketSize: size}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	d := new(Decoder)
+	d.init(p, gen, nil)
+	return d, nil
 }
 
 // Source returns the decoded source packets; it errors until Complete.
 // The returned slices alias decoder state; callers must not modify them.
-func (d *Decoder) Source() ([][]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.b.source()
-}
+func (d *Decoder) Source() ([][]byte, error) { return d.source() }
 
 // Recoder is the buffer-and-mix element run by every overlay node: it
-// stores the innovative packets seen so far (in reduced form) and emits
+// stores the innovative packets seen so far (in echelon form) and emits
 // fresh random combinations of them. A recoder never needs the source
 // data, only coded packets, and its output is statistically equivalent to
 // fresh encodings of the subspace it has received — the key property of
 // practical network coding.
-type Recoder struct {
-	f   gf.Field
-	gen uint32
-	mu  sync.Mutex
-	b   *basis
-	obs *codecObs
-	s   scratch
-}
-
-// Instrument attaches obs metrics; a nil bundle leaves the recoder
-// uninstrumented. Callers must serialise with Add (the protocol layer
-// instruments a recoder at creation, before any packet arrives).
-func (rc *Recoder) Instrument(m *obs.CodecMetrics) {
-	if m == nil {
-		return
-	}
-	rc.mu.Lock()
-	rc.obs = &codecObs{m: m}
-	rc.mu.Unlock()
-}
+type Recoder struct{ codec }
 
 // NewRecoder creates a recoder for generation gen.
 func NewRecoder(f gf.Field, gen uint32, h, size int) (*Recoder, error) {
-	b, err := newBasis(f, h, size)
-	if err != nil {
+	p := Params{Field: f, GenSize: h, PacketSize: size}
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Recoder{f: f, gen: gen, b: b}, nil
-}
-
-// Add buffers a received packet, reporting whether it was innovative.
-func (rc *Recoder) Add(p *Packet) (innovative bool, err error) {
-	if p.Gen != rc.gen {
-		return false, fmt.Errorf("rlnc: packet for generation %d, recoder expects %d", p.Gen, rc.gen)
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	coeff, payload := rc.s.stage(p)
-	innovative, err = addObserved(rc.b, rc.obs, p.Sys, p.SysIdx, coeff, payload)
-	if innovative {
-		rc.s.donate()
-	}
-	return innovative, err
-}
-
-// Rank returns the dimension of the received subspace.
-func (rc *Recoder) Rank() int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.b.rank()
-}
-
-// Complete reports whether the recoder holds the full generation.
-func (rc *Recoder) Complete() bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.b.complete()
+	rc := new(Recoder)
+	rc.init(p, gen, nil)
+	return rc, nil
 }
 
 // Packet emits a random combination of the buffered packets. It returns
@@ -288,26 +204,24 @@ func (rc *Recoder) Complete() bool {
 func (rc *Recoder) Packet(r *rand.Rand) (*Packet, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if rc.b.rank() == 0 {
+	e := &rc.e
+	if e.rank == 0 {
 		return nil, false
 	}
-	p := getPacket(rc.gen, rc.b.h, rc.b.size)
-	for i := range rc.b.rows {
-		row := &rc.b.rows[i]
-		c := rc.f.Rand(r)
+	// Any spanning set of the received subspace serves: echelon rows before
+	// full rank, the source packets themselves after.
+	p := getPacket(rc.gen, e.h, e.size)
+	for s := 0; s < e.rank; s++ {
+		c := e.f.Rand(r)
 		if c == 0 {
 			continue
 		}
-		rc.f.AddMulCoeff(p.Coeff, row.coeff, c)
-		rc.f.AddMulSlice(p.Payload, row.payload, c)
+		e.f.AddMulCoeff(p.Coeff, e.coeffRow(s), c)
+		e.f.AddMulSlice(p.Payload, e.arenaRow(s), c)
 	}
 	return p, true
 }
 
 // Decode returns the source packets once the recoder is complete; a node
 // that has gathered full rank can play out the content directly.
-func (rc *Recoder) Decode() ([][]byte, error) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.b.source()
-}
+func (rc *Recoder) Decode() ([][]byte, error) { return rc.source() }

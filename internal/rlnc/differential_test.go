@@ -3,19 +3,22 @@ package rlnc
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"ncast/internal/gf"
 )
 
-// The differential suite pins the one property the decode-engine overhaul
-// must not bend: for any packet schedule that completes, the parallel
+// The differential suite pins the one property the decode engine must
+// not bend: for any packet schedule that completes, the parallel
 // decoder's output is byte-identical to the serial FileDecoder's (and to
 // the original content). Schedules are seeded and deterministic, and span
 // loss, duplication, stale traffic for completed generations, systematic
-// and coded mixes, and every worker count the bench matrix uses. The
-// whole file also runs under -race via `make race`, which is what makes
-// the worker-pool handoff itself part of the contract.
+// and coded mixes, traffic re-mixed by two hops of recoders, and every
+// worker count the bench matrix uses. The whole file also runs under
+// -race via `make race`, which is what makes the worker-pool handoff and
+// the recoder's locking part of the contract.
 
 // diffSchedule builds one deterministic packet feed for the scenario.
 // Returned packets are owned by the caller.
@@ -121,6 +124,96 @@ func duplicatesAndStale(t *testing.T, fe *FileEncoder, params Params, gens int, 
 	return pkts
 }
 
+// twoHopRecoded relays every generation source -> Recoder -> Recoder and
+// returns what the second hop emits. The source sends a systematic round
+// and then coded repair, every link drops 5%, and each hop forwards one
+// packet out per packet in, as a node does. On the way the first hop is
+// held at every partial rank it passes through and checked to hand
+// exactly that rank downstream.
+func twoHopRecoded(t *testing.T, fe *FileEncoder, params Params, gens int, r *rand.Rand) []*Packet {
+	var pkts []*Packet
+	dropped := func() bool { return r.Intn(20) == 0 }
+	for g := 0; g < gens; g++ {
+		newRecoder := func() *Recoder {
+			rc, err := NewRecoder(params.Field, uint32(g), params.GenSize, params.PacketSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rc
+		}
+		hop1, hop2 := newRecoder(), newRecoder()
+		sink, err := NewDecoder(params.Field, uint32(g), params.GenSize, params.PacketSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relay := func(p *Packet, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dropped() {
+				return
+			}
+			innovative, err := hop1.Add(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if innovative {
+				checkForwardsExactRank(t, hop1, params, r)
+			}
+			if q, ok := hop1.Packet(r); ok && !dropped() {
+				if _, err := hop2.Add(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if out, ok := hop2.Packet(r); ok && !dropped() {
+				if _, err := sink.Add(out); err != nil {
+					t.Fatal(err)
+				}
+				pkts = append(pkts, out)
+			}
+		}
+		for i := 0; i < params.GenSize; i++ {
+			relay(fe.Systematic(g, i))
+		}
+		for n := 0; !sink.Complete(); n++ {
+			if n > 50*params.GenSize {
+				t.Fatalf("generation %d stuck: hop ranks %d, %d, sink %d", g, hop1.Rank(), hop2.Rank(), sink.Rank())
+			}
+			relay(fe.Packet(g, r))
+		}
+	}
+	return pkts
+}
+
+// checkForwardsExactRank drains rc, held at its current rank, into a
+// fresh decoder: the recoder's echelon rows must span exactly the
+// subspace it received, so the decoder reaches that rank and no packet
+// ever takes it beyond.
+func checkForwardsExactRank(t *testing.T, rc *Recoder, params Params, r *rand.Rand) {
+	t.Helper()
+	rank := rc.Rank()
+	dec, err := NewDecoder(params.Field, rc.gen, params.GenSize, params.PacketSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 20*params.GenSize; n++ {
+		p, ok := rc.Packet(r)
+		if !ok {
+			t.Fatalf("recoder at rank %d emitted nothing", rank)
+		}
+		if _, err := dec.Add(p); err != nil {
+			t.Fatal(err)
+		}
+		p.Release()
+		if dec.Rank() > rank {
+			t.Fatalf("decoder reached rank %d from a rank-%d recoder", dec.Rank(), rank)
+		}
+	}
+	if dec.Rank() != rank {
+		t.Fatalf("decoder extracted rank %d from a rank-%d recoder", dec.Rank(), rank)
+	}
+}
+
 func TestParallelMatchesSerialDifferential(t *testing.T) {
 	t.Parallel()
 	scenarios := []diffScenario{
@@ -131,6 +224,9 @@ func TestParallelMatchesSerialDifferential(t *testing.T) {
 		{"systematic-loss/GF256", gf.F256, 8, 128, systematicWithLoss},
 		{"systematic-loss/GF65536", gf.F65536, 8, 128, systematicWithLoss},
 		{"duplicates-stale/GF256", gf.F256, 8, 128, duplicatesAndStale},
+		{"two-hop-recoded/GF256", gf.F256, 8, 128, twoHopRecoded},
+		{"two-hop-recoded/GF65536", gf.F65536, 8, 128, twoHopRecoded},
+		{"two-hop-recoded/GF2", gf.F2, 16, 64, twoHopRecoded},
 	}
 	for _, sc := range scenarios {
 		sc := sc
@@ -189,92 +285,166 @@ func TestParallelMatchesSerialDifferential(t *testing.T) {
 	}
 }
 
-// TestDecodeHotPathAllocs pins the decode-side allocation budget: with
-// warm pools and settled engines, redundant packets — the flood steady
-// state — are absorbed by both decoders without allocating.
-func TestDecodeHotPathAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are distorted under -race")
-	}
-	r := rand.New(rand.NewSource(17))
-	params := Params{Field: gf.F256, GenSize: 16, PacketSize: 1024}
-	contentLen := 4 * params.genBytes()
-	content := make([]byte, contentLen)
-	r.Read(content)
-	fe, err := NewFileEncoder(params, content)
+// TestRecoderConcurrentUse runs what a node with several decode workers
+// does to one recoder — Add, Packet and Rank from different goroutines —
+// and checks that everything emitted meanwhile still decodes to the
+// source. Under -race it is the test of the codec's locking.
+func TestRecoderConcurrentUse(t *testing.T) {
+	t.Parallel()
+	const h, size = 16, 256
+	src := randSource(rand.New(rand.NewSource(41)), h, size)
+	enc, err := NewEncoder(gf.F256, 0, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Serial Decoder: complete a generation, then hammer it.
-	dec, err := NewDecoder(params.Field, 0, params.GenSize, params.PacketSize)
+	rc, err := NewRecoder(gf.F256, 0, h, size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for !dec.Complete() {
-		p, _ := fe.Packet(0, r)
+	dec, err := NewDecoder(gf.F256, 0, h, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // upstream: keeps adding, long past full rank
+		defer wg.Done()
+		r := rand.New(rand.NewSource(42))
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var p *Packet
+			if i < h/2 {
+				p, _ = enc.Systematic(2 * i)
+			} else {
+				p = enc.Packet(r)
+			}
+			if _, err := rc.Add(p); err != nil {
+				t.Error(err)
+				return
+			}
+			p.Release()
+		}
+	}()
+	go func() { // telemetry: reads rank while it moves
+		defer wg.Done()
+		last := 0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			complete, rank := rc.Complete(), rc.Rank()
+			if rank < last || rank > h || (complete && rank != h) {
+				t.Errorf("rank went %d -> %d (h=%d, complete=%v)", last, rank, h, complete)
+				return
+			}
+			last = rank
+		}
+	}()
+	r := rand.New(rand.NewSource(43))
+	for !dec.Complete() { // downstream: emits while rows are being installed
+		p, ok := rc.Packet(r)
+		if !ok {
+			runtime.Gosched()
+			continue
+		}
 		if _, err := dec.Add(p); err != nil {
 			t.Fatal(err)
 		}
 		p.Release()
 	}
-	redundant, _ := fe.Packet(0, r)
-	defer redundant.Release()
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := dec.Add(redundant); err != nil {
+	close(stop)
+	wg.Wait()
+	got, err := dec.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range src {
+		if !bytes.Equal(got[i], src[i]) {
+			t.Fatalf("source packet %d corrupted by concurrent recoding", i)
+		}
+	}
+}
+
+// TestDecodeHotPathAllocs pins the receive-side allocation budget of the
+// type every node runs: a recoder allocates its arenas on the
+// generation's first packet and nothing after that — not to install a
+// systematic packet, not to discard a redundant one at partial or full
+// rank, not to emit.
+func TestDecodeHotPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	r := rand.New(rand.NewSource(17))
+	const h, size = 16, 1024
+	enc, err := NewEncoder(gf.F256, 0, randSource(r, h, size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRecoder := func() *Recoder {
+		rc, err := NewRecoder(gf.F256, 0, h, size)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Errorf("redundant Decoder.Add: %v allocs/op, want 0", n)
+		return rc
+	}
+	add := func(rc *Recoder, p *Packet, wantInnovative bool) {
+		if innovative, err := rc.Add(p); err != nil || innovative != wantInnovative {
+			t.Fatalf("Add: innovative=%v err=%v, want innovative=%v", innovative, err, wantInnovative)
+		}
 	}
 
-	// Batch engine: same steady state, measured through the genDecoder
-	// the worker pool runs.
-	e := newGenDecoder(params.Field, params.GenSize, params.PacketSize)
-	for !e.complete() {
-		p, _ := fe.Packet(1, r)
-		if _, err := e.add(p); err != nil {
+	// Systematic installs, through the one that closes rank and
+	// back-substitutes. AllocsPerRun calls f runs+1 times.
+	full := newRecoder()
+	sys := make([]*Packet, h)
+	for i := range sys {
+		sys[i], _ = enc.Systematic(i)
+		defer sys[i].Release()
+	}
+	add(full, sys[0], true)
+	next := 1
+	if n := testing.AllocsPerRun(h-2, func() {
+		add(full, sys[next], true)
+		next++
+	}); n != 0 {
+		t.Errorf("systematic install: %v allocs/op, want 0", n)
+	}
+	if !full.Complete() {
+		t.Fatalf("rank %d after %d systematic packets", full.Rank(), h)
+	}
+
+	// Redundant at partial rank: eliminated on coefficients alone.
+	half := newRecoder()
+	for half.Rank() < h/2 {
+		p := enc.Packet(r)
+		if _, err := half.Add(p); err != nil {
 			t.Fatal(err)
 		}
 		p.Release()
 	}
-	stale, _ := fe.Packet(1, r)
-	defer stale.Release()
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := e.add(stale); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("redundant genDecoder.add: %v allocs/op, want 0", n)
+	inSpan, _ := half.Packet(r)
+	defer inSpan.Release()
+	if n := testing.AllocsPerRun(100, func() { add(half, inSpan, false) }); n != 0 {
+		t.Errorf("redundant Recoder.Add at partial rank: %v allocs/op, want 0", n)
 	}
 
-	// Systematic fast path on a fresh engine: install must cost only the
-	// arena copy, never an allocation.
-	sysPkts := make([]*Packet, params.GenSize)
-	for i := range sysPkts {
-		sysPkts[i], _ = fe.Systematic(2, i)
+	// Redundant at full rank, and the emit that follows every receive.
+	coded := enc.Packet(r)
+	defer coded.Release()
+	if n := testing.AllocsPerRun(100, func() { add(full, coded, false) }); n != 0 {
+		t.Errorf("redundant Recoder.Add at full rank: %v allocs/op, want 0", n)
 	}
-	defer func() {
-		for _, p := range sysPkts {
-			p.Release()
-		}
-	}()
-	engines := make([]*genDecoder, 0, 101)
-	engines = append(engines, newGenDecoder(params.Field, params.GenSize, params.PacketSize))
-	for range 100 {
-		engines = append(engines, newGenDecoder(params.Field, params.GenSize, params.PacketSize))
-	}
-	i := 0
 	if n := testing.AllocsPerRun(100, func() {
-		e := engines[i]
-		i++
-		for _, p := range sysPkts {
-			if _, err := e.add(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		e.reduce()
+		p, _ := full.Packet(r)
+		p.Release()
 	}); n != 0 {
-		t.Errorf("systematic generation decode: %v allocs/op, want 0", n)
+		t.Errorf("Recoder.Packet + Release: %v allocs/op, want 0", n)
 	}
 }

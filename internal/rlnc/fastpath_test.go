@@ -133,7 +133,7 @@ func TestEmitPathsZeroAlloc(t *testing.T) {
 		t.Errorf("Recoder.Packet: %v allocs/op, want 0", n)
 	}
 	// A full-rank recoder treats every further packet as redundant: the
-	// flood steady state. Scratch staging must absorb it without allocating.
+	// flood steady state. It must absorb it without allocating.
 	redundant, _ := rc.Packet(r)
 	defer redundant.Release()
 	if n := testing.AllocsPerRun(100, func() {

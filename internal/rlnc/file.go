@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"ncast/internal/gf"
+	"ncast/internal/obs"
 )
 
 // ErrIncomplete is returned when content is requested before every
@@ -117,86 +118,30 @@ func (fe *FileEncoder) Systematic(g, i int) (*Packet, error) {
 	return fe.gens[g].Systematic(i)
 }
 
-// FileDecoder reassembles a content blob from coded packets spanning
-// multiple generations.
-type FileDecoder struct {
-	params Params
-	length int
-	decs   []*Decoder
-	done   int
-}
-
-// NewFileDecoder prepares decoding of a blob of contentLen bytes coded
-// with params.
-func NewFileDecoder(params Params, contentLen int) (*FileDecoder, error) {
+// newCodecs builds one codec per generation of a contentLen-byte blob.
+// They are cheap until their first packet: an engine allocates its
+// arenas lazily, so a decoder for a large blob does not front-load
+// O(generations * GenSize * PacketSize) memory.
+func newCodecs(params Params, contentLen int, m *obs.CodecMetrics) ([]codec, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	if contentLen <= 0 {
 		return nil, fmt.Errorf("rlnc: invalid content length %d", contentLen)
 	}
-	n := params.Generations(contentLen)
-	fd := &FileDecoder{params: params, length: contentLen, decs: make([]*Decoder, n)}
-	for g := range fd.decs {
-		dec, err := NewDecoder(params.Field, uint32(g), params.GenSize, params.PacketSize)
-		if err != nil {
-			return nil, err
-		}
-		fd.decs[g] = dec
+	gens := make([]codec, params.Generations(contentLen))
+	for g := range gens {
+		gens[g].init(params, uint32(g), m)
 	}
-	return fd, nil
+	return gens, nil
 }
 
-// Add absorbs a coded packet for any generation of the blob.
-func (fd *FileDecoder) Add(p *Packet) (innovative bool, err error) {
-	if int(p.Gen) >= len(fd.decs) {
-		return false, fmt.Errorf("rlnc: packet generation %d out of range [0,%d)", p.Gen, len(fd.decs))
-	}
-	dec := fd.decs[p.Gen]
-	wasComplete := dec.Complete()
-	innovative, err = dec.Add(p)
-	if err != nil {
-		return false, err
-	}
-	if !wasComplete && dec.Complete() {
-		fd.done++
-	}
-	return innovative, nil
-}
-
-// NumGenerations returns the generation count.
-func (fd *FileDecoder) NumGenerations() int { return len(fd.decs) }
-
-// GenerationRank returns the current rank of generation g's decoder.
-func (fd *FileDecoder) GenerationRank(g int) int { return fd.decs[g].Rank() }
-
-// GenerationComplete reports whether generation g has been decoded.
-func (fd *FileDecoder) GenerationComplete(g int) bool { return fd.decs[g].Complete() }
-
-// Complete reports whether every generation has been decoded.
-func (fd *FileDecoder) Complete() bool { return fd.done == len(fd.decs) }
-
-// Progress returns the fraction of total rank gathered, in [0,1].
-func (fd *FileDecoder) Progress() float64 {
-	if len(fd.decs) == 0 {
-		return 1
-	}
-	total := 0
-	for _, d := range fd.decs {
-		total += d.Rank()
-	}
-	return float64(total) / float64(len(fd.decs)*fd.params.GenSize)
-}
-
-// Bytes reassembles and returns the original content. It errors with
-// ErrIncomplete until Complete() holds.
-func (fd *FileDecoder) Bytes() ([]byte, error) {
-	if !fd.Complete() {
-		return nil, fmt.Errorf("%w: %d of %d generations decoded", ErrIncomplete, fd.done, len(fd.decs))
-	}
-	out := make([]byte, 0, fd.length)
-	for _, d := range fd.decs {
-		src, err := d.Source()
+// assemble concatenates the decoded generations and trims the final
+// generation's zero padding.
+func assemble(gens []codec, params Params, length int) ([]byte, error) {
+	out := make([]byte, 0, len(gens)*params.genBytes())
+	for g := range gens {
+		src, err := gens[g].source()
 		if err != nil {
 			return nil, err
 		}
@@ -204,5 +149,67 @@ func (fd *FileDecoder) Bytes() ([]byte, error) {
 			out = append(out, pkt...)
 		}
 	}
-	return out[:fd.length], nil
+	return out[:length], nil
+}
+
+// FileDecoder reassembles a content blob from coded packets spanning
+// multiple generations.
+type FileDecoder struct {
+	params Params
+	length int
+	gens   []codec
+	done   int
+}
+
+// NewFileDecoder prepares decoding of a blob of contentLen bytes coded
+// with params.
+func NewFileDecoder(params Params, contentLen int) (*FileDecoder, error) {
+	gens, err := newCodecs(params, contentLen, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &FileDecoder{params: params, length: contentLen, gens: gens}, nil
+}
+
+// Add absorbs a coded packet for any generation of the blob. The packet
+// is only read; the caller keeps ownership.
+func (fd *FileDecoder) Add(p *Packet) (innovative bool, err error) {
+	if int(p.Gen) >= len(fd.gens) {
+		return false, fmt.Errorf("rlnc: packet generation %d out of range [0,%d)", p.Gen, len(fd.gens))
+	}
+	innovative, closed, err := fd.gens[p.Gen].add(p)
+	if closed {
+		fd.done++
+	}
+	return innovative, err
+}
+
+// NumGenerations returns the generation count.
+func (fd *FileDecoder) NumGenerations() int { return len(fd.gens) }
+
+// GenerationRank returns the current rank of generation g's decoder.
+func (fd *FileDecoder) GenerationRank(g int) int { return fd.gens[g].Rank() }
+
+// GenerationComplete reports whether generation g has been decoded.
+func (fd *FileDecoder) GenerationComplete(g int) bool { return fd.gens[g].Complete() }
+
+// Complete reports whether every generation has been decoded.
+func (fd *FileDecoder) Complete() bool { return fd.done == len(fd.gens) }
+
+// Progress returns the fraction of total rank gathered, in [0,1].
+func (fd *FileDecoder) Progress() float64 {
+	total := 0
+	for g := range fd.gens {
+		total += fd.gens[g].Rank()
+	}
+	return float64(total) / float64(len(fd.gens)*fd.params.GenSize)
+}
+
+// Bytes reassembles and returns the original content. It errors with
+// ErrIncomplete until Complete() holds.
+func (fd *FileDecoder) Bytes() ([]byte, error) {
+	if !fd.Complete() {
+		return nil, fmt.Errorf("%w: %d of %d generations decoded", ErrIncomplete, fd.done, len(fd.gens))
+	}
+	return assemble(fd.gens, fd.params, fd.length)
 }

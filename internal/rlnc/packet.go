@@ -16,7 +16,12 @@
 //     once h linearly independent packets have arrived.
 //   - Recoder: buffers innovative packets and emits fresh random
 //     combinations — the operation performed by every overlay node.
-//   - FileEncoder / FileDecoder: multi-generation framing for whole blobs.
+//   - FileEncoder / FileDecoder: multi-generation framing for whole blobs;
+//     ParallelFileDecoder shards the generations over a worker pool.
+//
+// Every type that absorbs packets runs the same elimination engine
+// (engine.go); Decoder and Recoder are that engine behind a mutex and
+// differ only in that a Recoder can also emit.
 package rlnc
 
 import (

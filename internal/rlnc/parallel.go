@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ncast/internal/obs"
 )
@@ -13,8 +12,8 @@ import (
 // worker pool. Generations are independent linear systems, so their
 // Gaussian eliminations parallelise perfectly: packets are sharded to
 // workers by generation id (gen % workers), which keeps every
-// generation's elimination on a single worker — no engine ever sees
-// concurrent adds — while distinct generations decode concurrently.
+// generation's elimination on a single worker — its codec's mutex is
+// never contended — while distinct generations decode concurrently.
 //
 // The pool is built for throughput rather than per-packet latency:
 //
@@ -22,13 +21,9 @@ import (
 //     per worker before one channel send, so the per-packet cost of the
 //     hand-off is a slice append, and a worker wakeup pays for a whole
 //     batch of eliminations.
-//   - Each generation runs a lock-free genDecoder (engine.go) with
-//     contiguous rows, coefficient-first elimination, and deferred
-//     back-substitution — see that file for why redundant packets are
-//     near-free.
-//   - Generation engines allocate lazily on the first packet that
-//     reaches them, so a decoder for a large blob does not front-load
-//     O(generations * GenSize * PacketSize) memory.
+//   - Each generation runs the same engine as the serial decoders
+//     (engine.go): contiguous rows, coefficient-first elimination,
+//     deferred back-substitution, arenas allocated on first packet.
 //
 // Add is asynchronous: it enqueues and returns immediately, applying
 // backpressure only when the owning worker's queue is full. Progress is
@@ -37,13 +32,12 @@ import (
 type ParallelFileDecoder struct {
 	params  Params
 	length  int
-	engines []*genDecoder
+	gens    []codec
 	queues  []chan *[]*Packet
 	pending []*[]*Packet
 	wg      sync.WaitGroup
 	done    atomic.Int64 // completed generations
 	closed  bool
-	obs     *obs.CodecMetrics
 	rankSum atomic.Int64
 }
 
@@ -68,13 +62,11 @@ var batchPool = sync.Pool{New: func() any { s := make([]*Packet, 0, batchSize); 
 // internally synchronized). Callers feed packets with Add from any
 // single goroutine, then Close before reading Bytes.
 func NewParallelFileDecoder(params Params, contentLen, workers int, m *obs.CodecMetrics) (*ParallelFileDecoder, error) {
-	if err := params.Validate(); err != nil {
+	gens, err := newCodecs(params, contentLen, m)
+	if err != nil {
 		return nil, err
 	}
-	if contentLen <= 0 {
-		return nil, fmt.Errorf("rlnc: invalid content length %d", contentLen)
-	}
-	n := params.Generations(contentLen)
+	n := len(gens)
 	if workers <= 0 {
 		workers = min(n, 4)
 	}
@@ -84,10 +76,9 @@ func NewParallelFileDecoder(params Params, contentLen, workers int, m *obs.Codec
 	pd := &ParallelFileDecoder{
 		params:  params,
 		length:  contentLen,
-		engines: make([]*genDecoder, n),
+		gens:    gens,
 		queues:  make([]chan *[]*Packet, workers),
 		pending: make([]*[]*Packet, workers),
-		obs:     m,
 	}
 	for w := range pd.queues {
 		pd.queues[w] = make(chan *[]*Packet, queueDepth)
@@ -97,57 +88,23 @@ func NewParallelFileDecoder(params Params, contentLen, workers int, m *obs.Codec
 	return pd, nil
 }
 
-// worker drains one shard's queue batch by batch. Because sharding is by
-// generation id, this worker is the only goroutine ever touching its
-// generations' engines — including their lazy construction.
+// worker drains one shard's queue batch by batch, releasing each packet
+// once absorbed. Malformed packets are dropped like lost ones.
 func (pd *ParallelFileDecoder) worker(queue <-chan *[]*Packet) {
 	defer pd.wg.Done()
 	for batch := range queue {
-		pd.runBatch(*batch)
+		for _, p := range *batch {
+			innovative, closed, _ := pd.gens[p.Gen].add(p)
+			p.Release()
+			if innovative {
+				pd.rankSum.Add(1)
+			}
+			if closed {
+				pd.done.Add(1)
+			}
+		}
 		*batch = (*batch)[:0]
 		batchPool.Put(batch)
-	}
-}
-
-// runBatch eliminates a batch of packets. When instrumented, elimination
-// time is observed once per batch (per-packet clock reads are exactly the
-// kind of orchestration overhead the batch path exists to remove).
-func (pd *ParallelFileDecoder) runBatch(batch []*Packet) {
-	var start time.Time
-	if pd.obs != nil {
-		start = time.Now()
-	}
-	for _, p := range batch {
-		g := int(p.Gen)
-		e := pd.engines[g]
-		if e == nil {
-			e = newGenDecoder(pd.params.Field, pd.params.GenSize, pd.params.PacketSize)
-			if pd.obs != nil {
-				e.firstAt = time.Now()
-			}
-			pd.engines[g] = e
-		}
-		if e.reduced {
-			p.Release() // generation already decoded: drop without field work
-			continue
-		}
-		innovative, err := e.add(p)
-		p.Release()
-		if err != nil || !innovative {
-			continue
-		}
-		pd.rankSum.Add(1)
-		if e.complete() {
-			e.reduce()
-			pd.done.Add(1)
-			if pd.obs != nil {
-				pd.obs.GenLatency.ObserveSince(e.firstAt)
-				pd.obs.GensComplete.Inc()
-			}
-		}
-	}
-	if pd.obs != nil {
-		pd.obs.GaussNanos.ObserveSince(start)
 	}
 }
 
@@ -159,8 +116,8 @@ func (pd *ParallelFileDecoder) runBatch(batch []*Packet) {
 // the target worker's queue is full and errors only on out-of-range
 // generations or after Close.
 func (pd *ParallelFileDecoder) Add(p *Packet) error {
-	if int(p.Gen) >= len(pd.engines) {
-		return fmt.Errorf("rlnc: packet generation %d out of range [0,%d)", p.Gen, len(pd.engines))
+	if int(p.Gen) >= len(pd.gens) {
+		return fmt.Errorf("rlnc: packet generation %d out of range [0,%d)", p.Gen, len(pd.gens))
 	}
 	if pd.closed {
 		return fmt.Errorf("rlnc: add after close")
@@ -195,7 +152,7 @@ func (pd *ParallelFileDecoder) Flush() {
 }
 
 // NumGenerations returns the generation count.
-func (pd *ParallelFileDecoder) NumGenerations() int { return len(pd.engines) }
+func (pd *ParallelFileDecoder) NumGenerations() int { return len(pd.gens) }
 
 // Workers returns the pool size.
 func (pd *ParallelFileDecoder) Workers() int { return len(pd.queues) }
@@ -206,12 +163,12 @@ func (pd *ParallelFileDecoder) Done() int { return int(pd.done.Load()) }
 // Complete reports whether every generation has been decoded. It may
 // trail in-flight and batched Adds; poll it between feeds.
 func (pd *ParallelFileDecoder) Complete() bool {
-	return int(pd.done.Load()) == len(pd.engines)
+	return int(pd.done.Load()) == len(pd.gens)
 }
 
 // Progress returns the fraction of total rank gathered, in [0,1].
 func (pd *ParallelFileDecoder) Progress() float64 {
-	return float64(pd.rankSum.Load()) / float64(len(pd.engines)*pd.params.GenSize)
+	return float64(pd.rankSum.Load()) / float64(len(pd.gens)*pd.params.GenSize)
 }
 
 // Close flushes pending batches, stops the workers, and waits for queued
@@ -236,17 +193,7 @@ func (pd *ParallelFileDecoder) Bytes() ([]byte, error) {
 		return nil, fmt.Errorf("rlnc: Bytes before Close")
 	}
 	if !pd.Complete() {
-		return nil, fmt.Errorf("%w: %d of %d generations decoded", ErrIncomplete, pd.Done(), len(pd.engines))
+		return nil, fmt.Errorf("%w: %d of %d generations decoded", ErrIncomplete, pd.Done(), len(pd.gens))
 	}
-	out := make([]byte, 0, pd.length)
-	for _, e := range pd.engines {
-		src, err := e.source()
-		if err != nil {
-			return nil, err
-		}
-		for _, pkt := range src {
-			out = append(out, pkt...)
-		}
-	}
-	return out[:pd.length], nil
+	return assemble(pd.gens, pd.params, pd.length)
 }
