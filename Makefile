@@ -73,10 +73,12 @@ fuzz:
 # Allocation guards: with sampling off, the traced emit/receive hot path
 # must allocate nothing beyond the untraced baseline, and a recoder
 # must allocate nothing after a generation's first packet (systematic
-# installs, redundant packets, emits).
+# installs, redundant packets, emits), and the source's send path must
+# allocate only its per-send deadline context.
 allocguard:
 	$(GO) test ./internal/protocol -run TestTracedHotPathAllocs -count=1
 	$(GO) test ./internal/protocol -run TestLinkHotPathAllocs -count=1
+	$(GO) test ./internal/protocol -run TestSourceEmitAllocs -count=1
 	$(GO) test ./internal/rlnc -run TestDecodeHotPathAllocs -count=1
 
 # Perf regression gate: emit paths stay zero-alloc.

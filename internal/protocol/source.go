@@ -231,10 +231,15 @@ func (s *Source) Run(ctx context.Context) error {
 					s.seq[th] = (s.seq[th] + 1) % SeqMod
 				}
 			}
-			frame := EncodeDataSeq(s.params.Field, th, seq, s.emitStamp(p.Gen), tc, p)
+			// Send does not retain msg, so the frame buffer goes back to
+			// its pool as soon as Send returns.
+			buf := rlnc.GetFrameBuf()
+			*buf = AppendDataSeq(*buf, s.params.Field, th, seq, s.emitStamp(p.Gen), tc, p)
+			p.Release()
 			sendCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-			err = s.ep.Send(sendCtx, child, frame)
+			err = s.ep.Send(sendCtx, child, *buf)
 			cancel()
+			rlnc.PutFrameBuf(buf)
 			if err != nil {
 				if ctx.Err() != nil {
 					return ctx.Err()

@@ -1,0 +1,65 @@
+package protocol
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"ncast/internal/gf"
+	"ncast/internal/rlnc"
+)
+
+// emitCounter is an Endpoint that swallows the source's frames: it
+// counts sends and cancels the run once limit of them have gone out.
+type emitCounter struct {
+	sent, limit int
+	cancel      context.CancelFunc
+}
+
+func (e *emitCounter) Addr() string { return "source" }
+
+func (e *emitCounter) Send(ctx context.Context, to string, msg []byte) error {
+	e.sent++
+	if e.sent == e.limit {
+		e.cancel()
+	}
+	return nil
+}
+
+func (e *emitCounter) Recv(ctx context.Context) (string, []byte, error) {
+	<-ctx.Done()
+	return "", nil, ctx.Err()
+}
+
+func (e *emitCounter) Close() error { return nil }
+
+// TestSourceEmitAllocs pins the source's per-frame allocations: the
+// encoded packet and the frame buffer are pooled and recycled once Send
+// returns, so what remains is the per-send deadline context.
+func TestSourceEmitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates on instrumented paths")
+	}
+	const threads, frames = 8, 4096
+	params := rlnc.Params{Field: gf.F256, GenSize: 16, PacketSize: 1024}
+	ep := &emitCounter{limit: frames}
+	source, err := NewSource(ep, threads, params, randContent(4*16*1024), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	source.Systematic = true
+	source.LinkSeq = true
+	for th := 0; th < threads; th++ {
+		source.SetChild(th, fmt.Sprintf("child-%d", th))
+	}
+	run := func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		ep.sent, ep.cancel = 0, cancel
+		_ = source.Run(ctx) // returns the cancellation
+		cancel()
+	}
+	perFrame := testing.AllocsPerRun(1, run) / float64(ep.sent)
+	if perFrame > 4.5 {
+		t.Fatalf("source allocates %.2f objects per emitted frame, want <= 4.5", perFrame)
+	}
+}

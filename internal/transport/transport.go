@@ -77,7 +77,8 @@ type Endpoint interface {
 	Addr() string
 	// Send delivers msg to the named peer. It may fail fast (unknown
 	// peer, closed) or silently drop (lossy media), but never blocks
-	// beyond the context.
+	// beyond the context. It does not retain msg: the caller may reuse
+	// the buffer as soon as Send returns.
 	Send(ctx context.Context, to string, msg []byte) error
 	// Recv blocks for the next message, returning the sender's address.
 	Recv(ctx context.Context) (from string, msg []byte, err error)

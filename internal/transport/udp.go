@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,6 +208,12 @@ func (e *UDPEndpoint) dest(to string) (*udpDest, error) {
 // never blocks beyond the context, and treats a full pacing queue as a
 // congested link: the frame is dropped, counted, and Send reports
 // success.
+//
+// Once a full batch is queued, Send yields the processor after enqueuing.
+// This is the datagram form of the backpressure the in-memory and TCP
+// transports apply by blocking: a producer that outruns the flusher hands
+// it (and the receive loops) the CPU instead of encoding frames that the
+// kernel would only drop from a receiver's socket buffer.
 func (e *UDPEndpoint) Send(ctx context.Context, to string, msg []byte) error {
 	m := e.metrics.Load()
 	if err := ctx.Err(); err != nil {
@@ -232,6 +239,9 @@ func (e *UDPEndpoint) Send(ctx context.Context, to string, msg []byte) error {
 	*buf = wire
 	select {
 	case e.sendq <- outDatagram{buf: buf, b: wire, plen: len(msg), dest: d}:
+		if len(e.sendq) >= e.cfg.BatchSize {
+			runtime.Gosched()
+		}
 		return nil
 	case <-e.done:
 		e.bufPool.Put(buf)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -124,6 +125,32 @@ func TestUDPEndpointManyFramesBatched(t *testing.T) {
 	}
 	if mb.FramesRecv.Value() == 0 {
 		t.Fatal("recv frames counter never incremented")
+	}
+}
+
+// TestUDPSendYieldsToFlusher pins the datagram plane's backpressure: Send
+// never blocks, so on one P a producer that did not yield would queue its
+// whole burst before the flusher ever ran. Once a batch is queued Send
+// hands over the processor, so the flusher drains during the burst.
+func TestUDPSendYieldsToFlusher(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a, b := listenUDPPair(t, UDPConfig{})
+	reg := obs.NewRegistry()
+	m := obs.NewTransportMetricsKind(reg, "a", "udp")
+	Instrument(a, m)
+
+	burst := 4 * a.cfg.BatchSize
+	ctx := context.Background()
+	for i := 0; i < burst; i++ {
+		if err := a.Send(ctx, b.Addr(), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if queued := len(a.sendq); queued >= burst {
+		t.Fatalf("%d of %d frames still queued: the flusher never ran during the burst", queued, burst)
+	}
+	if d := m.Drops.Value(); d != 0 {
+		t.Fatalf("%d frames dropped at the send queue, want 0", d)
 	}
 }
 
