@@ -50,7 +50,8 @@ race:
 
 # Control-plane fault-tolerance suite under the race detector: lease
 # sweep of crashed leaves, outbox behavior behind stalled peers, churn
-# over the fault-injection transport, and the send-deadline regression.
+# over the fault-injection transport, malformed control frames, and the
+# send-deadline regression.
 churn:
 	$(GO) test -race -run 'Churn|Lease|Stalled|Faulty|Goodbye|SendDeadline|LeafCrash|Telemetry|Timeline|ClusterSnapshot|TraceLive' ./internal/protocol ./internal/transport .
 
@@ -73,12 +74,15 @@ fuzz:
 # Allocation guards: with sampling off, the traced emit/receive hot path
 # must allocate nothing beyond the untraced baseline, and a recoder
 # must allocate nothing after a generation's first packet (systematic
-# installs, redundant packets, emits), and the source's send path must
-# allocate only its per-send deadline context.
+# installs, redundant packets, emits), the source's send path must
+# allocate only its per-send deadline context, and a hello+welcome round
+# trip through the control codec must allocate only its two frames, the
+# address and the thread list.
 allocguard:
 	$(GO) test ./internal/protocol -run TestTracedHotPathAllocs -count=1
 	$(GO) test ./internal/protocol -run TestLinkHotPathAllocs -count=1
 	$(GO) test ./internal/protocol -run TestSourceEmitAllocs -count=1
+	$(GO) test ./internal/protocol -run TestControlCodecAllocs -count=1
 	$(GO) test ./internal/rlnc -run TestDecodeHotPathAllocs -count=1
 
 # Perf regression gate: emit paths stay zero-alloc.

@@ -429,14 +429,14 @@ func runTrackerPhase(pop, ops, k, d int, seed int64) (*TrackerReport, error) {
 				if err != nil {
 					return
 				}
-				typ, payload, err := protocol.DecodeControl(frame)
+				typ, body, err := protocol.SplitControl(frame)
 				if err != nil {
 					continue
 				}
 				switch typ {
 				case protocol.MsgWelcome:
 					var w protocol.Welcome
-					if json.Unmarshal(payload, &w) == nil {
+					if protocol.UnmarshalControl(typ, body, &w) == nil {
 						select {
 						case joinedCh <- joined{addr: addr, id: w.ID}:
 						case <-ctx.Done():

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -150,12 +149,12 @@ func TestHelloBurstSpansBatches(t *testing.T) {
 					t.Errorf("welcome for %s never arrived: %v", addr, err)
 					return
 				}
-				typ, payload, derr := DecodeControl(frame)
+				typ, body, derr := SplitControl(frame)
 				if derr != nil || typ != MsgWelcome {
 					continue
 				}
 				var w Welcome
-				if err := json.Unmarshal(payload, &w); err != nil {
+				if err := UnmarshalControl(typ, body, &w); err != nil {
 					t.Errorf("welcome payload for %s: %v", addr, err)
 					return
 				}

@@ -3,6 +3,7 @@ package protocol
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -316,5 +317,205 @@ func TestSpuriousGoodbyeAckIgnored(t *testing.T) {
 	case <-node.Left():
 	case <-time.After(5 * time.Second):
 		t.Fatal("genuine leave never acknowledged")
+	}
+}
+
+// TestMalformedControlChurn floods a live tracker with a seeded stream of
+// random, truncated, mistyped, hostile-length, legacy-JSON and
+// wrong-direction control frames from many addresses, interleaved with
+// real hellos. The tracker must stay up, admit every real joiner, create
+// no row for any garbage frame, and keep its invariants.
+func TestMalformedControlChurn(t *testing.T) {
+	t.Parallel()
+	const (
+		joiners   = 200
+		senders   = 32
+		perSender = 200
+	)
+	tr, net := newAdmissionTracker(t, 16, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan struct{})
+	go func() { defer close(runDone); _ = tr.Run(ctx) }()
+	var drains sync.WaitGroup
+	t.Cleanup(func() {
+		cancel()
+		<-runDone
+		drains.Wait()
+	})
+
+	// Messages a node sends the tracker, which it acts on when well formed.
+	// A well-formed one is not garbage, so the stream skips it; the other
+	// types travel tracker to node, and the tracker ignores them.
+	trackerBound := map[MsgType]bool{MsgHello: true, MsgGoodbye: true, MsgComplaint: true,
+		MsgComplete: true, MsgCongested: true, MsgUncongested: true, MsgLease: true, MsgStatsReport: true}
+	actedOn := func(frame []byte) bool {
+		typ, body, err := SplitControl(frame)
+		return err == nil && trackerBound[typ] && UnmarshalControl(typ, body, newControl(typ)) == nil
+	}
+	var fixtures, wrongWay [][]byte
+	for _, fx := range controlFixtures() {
+		frame, err := EncodeControl(fx.typ, fx.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixtures = append(fixtures, frame)
+		if !trackerBound[fx.typ] {
+			wrongWay = append(wrongWay, frame)
+		}
+	}
+	hostile := hostileControlFrames(t)
+	legacy := append([]byte{frameControl}, `{"t":1,"p":{"addr":"x"}}`...)
+	nextGarbage := func(rng *rand.Rand) (string, []byte) {
+		for {
+			var class string
+			var f []byte
+			switch rng.Intn(6) {
+			case 0:
+				class, f = "random", make([]byte, rng.Intn(48))
+				rng.Read(f)
+				if len(f) > 0 && rng.Intn(2) == 0 {
+					f[0] = frameControl
+				}
+			case 1:
+				fx := fixtures[rng.Intn(len(fixtures))]
+				class, f = "truncated", fx[:rng.Intn(len(fx))]
+			case 2:
+				class, f = "mistyped", append([]byte(nil), fixtures[rng.Intn(len(fixtures))]...)
+				f[1] = byte(rng.Intn(256))
+			case 3:
+				class, f = "hostile", hostile[rng.Intn(len(hostile))].frame
+			case 4:
+				class, f = "legacy", legacy
+			default:
+				class, f = "wrong-way", wrongWay[rng.Intn(len(wrongWay))]
+			}
+			if !actedOn(f) {
+				return class, f
+			}
+		}
+	}
+
+	// join sends one hello from ep and returns the id its welcome carries.
+	join := func(ep transport.Endpoint, addr string) uint64 {
+		hello, err := EncodeControl(MsgHello, Hello{Addr: addr})
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		if err := ep.Send(ctx, "tracker", hello); err != nil {
+			t.Errorf("hello from %s: %v", addr, err)
+			return 0
+		}
+		rctx, rcancel := context.WithTimeout(ctx, 30*time.Second)
+		defer rcancel()
+		for {
+			_, frame, err := ep.Recv(rctx)
+			if err != nil {
+				t.Errorf("no welcome for %s: %v", addr, err)
+				return 0
+			}
+			var w Welcome
+			if typ, body, err := SplitControl(frame); err == nil && typ == MsgWelcome &&
+				UnmarshalControl(typ, body, &w) == nil {
+				return w.ID
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	counts := make([]map[string]int, senders)
+	for i := 0; i < senders; i++ {
+		ep, err := net.Endpoint(fmt.Sprintf("g%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Garbage senders read and discard whatever the tracker answers
+		// (echoes, expulsions), so its sends to them never stall.
+		drains.Add(1)
+		go func() {
+			defer drains.Done()
+			for {
+				if _, _, err := ep.Recv(ctx); err != nil {
+					return
+				}
+			}
+		}()
+		counts[i] = make(map[string]int)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(1000 + i)))
+			for j := 0; j < perSender; j++ {
+				class, f := nextGarbage(rng)
+				counts[i][class]++
+				if err := ep.Send(ctx, "tracker", f); err != nil {
+					t.Errorf("garbage from g%d: %v", i, err)
+					return
+				}
+			}
+		}(i)
+	}
+	ids := make(chan uint64, joiners)
+	real := map[string]bool{"sentinel": true}
+	for i := 0; i < joiners; i++ {
+		addr := fmt.Sprintf("j%d", i)
+		real[addr] = true
+		ep, err := net.Endpoint(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids <- join(ep, addr)
+		}()
+	}
+	wg.Wait()
+	close(ids)
+
+	seen := make(map[uint64]bool, joiners)
+	for id := range ids {
+		if id == 0 || seen[id] {
+			t.Fatalf("joiner welcomed with id %d (seen before: %v)", id, seen[id])
+		}
+		seen[id] = true
+	}
+	// The fabric is FIFO, so once the sentinel is welcomed every garbage
+	// frame sent before it has been through the tracker.
+	sentinel, err := net.Endpoint("sentinel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id := join(sentinel, "sentinel"); id == 0 || seen[id] {
+		t.Fatalf("sentinel welcomed with id %d", id)
+	}
+	select {
+	case <-runDone:
+		t.Fatal("tracker stopped under malformed control traffic")
+	default:
+	}
+	if n := tr.NumNodes(); n != joiners+1 {
+		t.Fatalf("population = %d, want %d real joiners", n, joiners+1)
+	}
+	tr.mu.Lock()
+	for addr := range tr.idOf {
+		if !real[addr] {
+			t.Errorf("row for %q, which sent only garbage", addr)
+		}
+	}
+	tr.mu.Unlock()
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	total := make(map[string]int)
+	for _, c := range counts {
+		for class, n := range c {
+			total[class] += n
+		}
+	}
+	for _, class := range []string{"random", "truncated", "mistyped", "hostile", "legacy", "wrong-way"} {
+		if total[class] == 0 {
+			t.Errorf("no %s frames sent", class)
+		}
 	}
 }

@@ -1,111 +1,21 @@
 package protocol
 
-// Fuzzers for the two wire codecs every peer exposes to the network: the
-// JSON control envelope and the binary data frame. Both decoders sit
-// directly on attacker-reachable input (any peer can send any bytes), so
-// the properties fuzzed here are the security-relevant ones: no panic, no
-// unbounded allocation driven by header fields, and encode(decode(x))
-// fidelity for everything the decoder accepts.
+// Fuzzers for the data-frame and keepalive codecs every peer exposes to
+// the network (the control codec's fuzzer is in control_test.go). Both
+// decoders sit directly on attacker-reachable input (any peer can send any
+// bytes), so the properties fuzzed here are the security-relevant ones: no
+// panic, no unbounded allocation driven by header fields, and
+// encode(decode(x)) fidelity for everything the decoder accepts.
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"reflect"
 	"testing"
 
 	"ncast/internal/gf"
 	"ncast/internal/obs"
 	"ncast/internal/rlnc"
 )
-
-// controlSeeds returns one well-formed frame per control message type,
-// plus structural edge cases, so the fuzzer starts inside the grammar.
-func controlSeeds(t testing.TB) [][]byte {
-	t.Helper()
-	payloads := []struct {
-		typ MsgType
-		p   interface{}
-	}{
-		{MsgHello, Hello{Addr: "n1", Degree: 3}},
-		{MsgWelcome, Welcome{ID: 7, K: 32, Degree: 4, Threads: []int{1, 5, 9},
-			Session: SessionParams{FieldBits: 8, GenSize: 16, PacketSize: 512, ContentLen: 1 << 20}}},
-		{MsgGoodbye, Goodbye{ID: 7}},
-		{MsgGoodbyeAck, GoodbyeAck{}},
-		{MsgComplaint, Complaint{ID: 9, Thread: 2, ParentAddr: "n4"}},
-		{MsgRedirect, Redirect{Thread: 1, ChildAddr: "n8"}},
-		{MsgComplete, Complete{ID: 3}},
-		{MsgError, ErrorMsg{Reason: "full"}},
-		{MsgExpelled, Expelled{ID: 11}},
-		{MsgCongested, Congested{ID: 2}},
-		{MsgUncongested, Uncongested{ID: 2}},
-		{MsgThreadDropped, ThreadDropped{Thread: 6}},
-		{MsgThreadAdded, ThreadAdded{Thread: 6, ChildAddr: "n2"}},
-		{MsgLease, Lease{ID: 5}},
-		{MsgStatsReport, StatsReport{ID: 5, Rank: 12, MaxRank: 64,
-			GenRanks: []int{4, 4, 4}, Received: 100, DelayP50Nanos: 1000}},
-	}
-	seeds := make([][]byte, 0, len(payloads)+4)
-	for _, s := range payloads {
-		frame, err := EncodeControl(s.typ, s.p)
-		if err != nil {
-			t.Fatalf("seed encode %d: %v", s.typ, err)
-		}
-		seeds = append(seeds, frame)
-	}
-	seeds = append(seeds,
-		[]byte{},          // empty
-		[]byte{1},         // control kind byte, no body
-		[]byte(`{"t":1}`), // missing kind byte
-		append([]byte{1}, `{"t":255,"p":{"addr":"x"}}`...), // unknown type
-	)
-	return seeds
-}
-
-// FuzzDecodeControl hammers the control envelope decoder with arbitrary
-// bytes. Accepted frames must re-encode to a frame that decodes to the
-// same type and a semantically identical payload.
-func FuzzDecodeControl(f *testing.F) {
-	for _, s := range controlSeeds(f) {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, frame []byte) {
-		typ, payload, err := DecodeControl(frame)
-		if err != nil {
-			return
-		}
-		// Whatever the decoder accepts must be within the JSON grammar.
-		if payload != nil && !json.Valid(payload) {
-			t.Fatalf("accepted invalid payload %q", payload)
-		}
-		if payload == nil {
-			payload = json.RawMessage("null")
-		}
-		again, err := EncodeControl(typ, payload)
-		if err != nil {
-			t.Fatalf("re-encode of accepted frame failed: %v", err)
-		}
-		typ2, payload2, err := DecodeControl(again)
-		if err != nil {
-			t.Fatalf("decode of re-encoded frame failed: %v", err)
-		}
-		if typ2 != typ {
-			t.Fatalf("type changed across round trip: %d -> %d", typ, typ2)
-		}
-		// Compare semantically, not byte-wise: re-encoding HTML-escapes
-		// characters like "&" to "\u0026", which is the same JSON value.
-		var want, got interface{}
-		if err := json.Unmarshal(payload, &want); err != nil {
-			t.Fatalf("unmarshal original: %v", err)
-		}
-		if err := json.Unmarshal(payload2, &got); err != nil {
-			t.Fatalf("unmarshal round-tripped: %v", err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("payload changed across round trip: %s -> %s", payload, payload2)
-		}
-	})
-}
 
 // fuzzField maps the fuzzer's field selector onto the three coding fields.
 func fuzzField(sel uint8) gf.Field {
@@ -257,45 +167,6 @@ func FuzzDecodeKeepalive(f *testing.F) {
 			t.Fatalf("echo round trip: %+v -> %+v, err %v", ki, ki2, err)
 		}
 	})
-}
-
-// TestControlRoundTripAllTypes pins the non-fuzz property directly: every
-// concrete control message encodes, decodes, and unmarshals back to an
-// identical value.
-func TestControlRoundTripAllTypes(t *testing.T) {
-	t.Parallel()
-	check := func(typ MsgType, in, out interface{}) {
-		t.Helper()
-		frame, err := EncodeControl(typ, in)
-		if err != nil {
-			t.Fatalf("encode %d: %v", typ, err)
-		}
-		gotType, payload, err := DecodeControl(frame)
-		if err != nil {
-			t.Fatalf("decode %d: %v", typ, err)
-		}
-		if gotType != typ {
-			t.Fatalf("type %d decoded as %d", typ, gotType)
-		}
-		if err := json.Unmarshal(payload, out); err != nil {
-			t.Fatalf("unmarshal %d: %v", typ, err)
-		}
-		inJSON, _ := json.Marshal(in)
-		outJSON, _ := json.Marshal(out)
-		if !bytes.Equal(inJSON, outJSON) {
-			t.Fatalf("type %d round trip: %s -> %s", typ, inJSON, outJSON)
-		}
-	}
-	check(MsgHello, &Hello{Addr: "n1", Degree: 2}, &Hello{})
-	check(MsgWelcome, &Welcome{ID: 1, K: 8, Degree: 2, Threads: []int{0, 7},
-		Session:     SessionParams{FieldBits: 16, GenSize: 32, PacketSize: 1024, ContentLen: 1 << 16, LayerSizes: []int{4096, 60928}},
-		LeaseMillis: 500, StatsMillis: 1000}, &Welcome{})
-	check(MsgGoodbye, &Goodbye{ID: 4}, &Goodbye{})
-	check(MsgComplaint, &Complaint{ID: 4, Thread: 3, ParentAddr: "p"}, &Complaint{})
-	check(MsgRedirect, &Redirect{Thread: 3, ChildAddr: "c"}, &Redirect{})
-	check(MsgStatsReport, &StatsReport{ID: 2, Rank: 5, MaxRank: 10, GenRanks: []int{5},
-		GensDone: 0, TotalGens: 2, Received: 9, Innovative: 5, Redundant: 4,
-		DelayP50Nanos: 10, DelayP90Nanos: 20, DelayP99Nanos: 30, OverheadPermille: 1100}, &StatsReport{})
 }
 
 // TestDataRoundTripTraced pins the traced frame variant across the three

@@ -10,7 +10,6 @@ package protocol
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 
 	"ncast/internal/gf"
@@ -66,11 +65,12 @@ const (
 	MsgStatsReport
 )
 
-// frame kind bytes: a data frame, a JSON control envelope, a per-thread
-// keepalive, a data frame stamped with the source's first-emission time
-// for its generation (what makes end-to-end decode delay measurable at
-// every receiver), or a traced data frame carrying the stamp plus a
-// dissemination-trace context (64-bit trace ID, 8-bit hop count).
+// frame kind bytes: a data frame, a control message (layout in
+// control.go), a per-thread keepalive, a data frame stamped with the
+// source's first-emission time for its generation (what makes end-to-end
+// decode delay measurable at every receiver), or a traced data frame
+// carrying the stamp plus a dissemination-trace context (64-bit trace ID,
+// 8-bit hop count).
 const (
 	frameData       byte = 0
 	frameControl    byte = 1
@@ -284,37 +284,6 @@ type ThreadDropped struct {
 type ThreadAdded struct {
 	Thread    int    `json:"thread"`
 	ChildAddr string `json:"child_addr,omitempty"`
-}
-
-// envelope is the JSON control wrapper.
-type envelope struct {
-	Type    MsgType         `json:"t"`
-	Payload json.RawMessage `json:"p,omitempty"`
-}
-
-// EncodeControl marshals a control message of the given type.
-func EncodeControl(t MsgType, payload interface{}) ([]byte, error) {
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: marshal %d: %w", t, err)
-	}
-	env, err := json.Marshal(envelope{Type: t, Payload: raw})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: marshal envelope: %w", err)
-	}
-	return append([]byte{frameControl}, env...), nil
-}
-
-// DecodeControl splits a control frame into its type and raw payload.
-func DecodeControl(frame []byte) (MsgType, json.RawMessage, error) {
-	if len(frame) < 2 || frame[0] != frameControl {
-		return 0, nil, fmt.Errorf("protocol: not a control frame")
-	}
-	var env envelope
-	if err := json.Unmarshal(frame[1:], &env); err != nil {
-		return 0, nil, fmt.Errorf("protocol: unmarshal envelope: %w", err)
-	}
-	return env.Type, env.Payload, nil
 }
 
 // AppendData appends a data frame — one coded packet traveling on a

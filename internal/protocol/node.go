@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -445,11 +444,11 @@ func (n *Node) Run(ctx context.Context) error {
 			n.handleData(ctx, from, frame)
 			continue
 		}
-		typ, payload, err := DecodeControl(frame)
+		typ, body, err := SplitControl(frame)
 		if err != nil {
 			continue
 		}
-		done, err := n.handleControl(ctx, typ, payload)
+		done, err := n.handleControl(ctx, typ, body)
 		if err != nil {
 			return err
 		}
@@ -459,11 +458,11 @@ func (n *Node) Run(ctx context.Context) error {
 	}
 }
 
-func (n *Node) handleControl(ctx context.Context, typ MsgType, payload json.RawMessage) (done bool, err error) {
+func (n *Node) handleControl(ctx context.Context, typ MsgType, body []byte) (done bool, err error) {
 	switch typ {
 	case MsgWelcome:
 		var w Welcome
-		if err := json.Unmarshal(payload, &w); err != nil {
+		if err := UnmarshalControl(typ, body, &w); err != nil {
 			return false, nil
 		}
 		if err := n.applyWelcome(w); err != nil {
@@ -479,7 +478,7 @@ func (n *Node) handleControl(ctx context.Context, typ MsgType, payload json.RawM
 		}
 	case MsgRedirect:
 		var r Redirect
-		if err := json.Unmarshal(payload, &r); err != nil {
+		if err := UnmarshalControl(typ, body, &r); err != nil {
 			return false, nil
 		}
 		n.applyRedirect(ctx, r)
@@ -516,7 +515,7 @@ func (n *Node) handleControl(ctx context.Context, typ MsgType, payload json.RawM
 		}
 	case MsgThreadDropped:
 		var td ThreadDropped
-		if err := json.Unmarshal(payload, &td); err != nil {
+		if err := UnmarshalControl(typ, body, &td); err != nil {
 			return false, nil
 		}
 		n.mu.Lock()
@@ -532,7 +531,7 @@ func (n *Node) handleControl(ctx context.Context, typ MsgType, payload json.RawM
 		n.mu.Unlock()
 	case MsgThreadAdded:
 		var ta ThreadAdded
-		if err := json.Unmarshal(payload, &ta); err != nil {
+		if err := UnmarshalControl(typ, body, &ta); err != nil {
 			return false, nil
 		}
 		n.mu.Lock()
@@ -557,7 +556,7 @@ func (n *Node) handleControl(ctx context.Context, typ MsgType, payload json.RawM
 		}
 	case MsgError:
 		var e ErrorMsg
-		if err := json.Unmarshal(payload, &e); err != nil {
+		if err := UnmarshalControl(typ, body, &e); err != nil {
 			return false, nil
 		}
 		n.mu.Lock()

@@ -83,7 +83,7 @@ func TestDuplicateHelloGetsSameIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("welcome re-send never arrived: %v", err)
 		}
-		if typ, _, derr := DecodeControl(frame); derr == nil && typ == MsgWelcome {
+		if typ, _, derr := SplitControl(frame); derr == nil && typ == MsgWelcome {
 			break
 		}
 	}

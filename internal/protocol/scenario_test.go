@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -78,12 +77,12 @@ func recvWelcome(t *testing.T, ep transport.Endpoint, timeout time.Duration) Wel
 		if err != nil {
 			t.Fatalf("waiting for welcome: %v", err)
 		}
-		typ, payload, err := DecodeControl(msg)
+		typ, body, err := SplitControl(msg)
 		if err != nil || typ != MsgWelcome {
 			continue
 		}
 		var w Welcome
-		if err := json.Unmarshal(payload, &w); err != nil {
+		if err := UnmarshalControl(typ, body, &w); err != nil {
 			t.Fatalf("welcome payload: %v", err)
 		}
 		return w

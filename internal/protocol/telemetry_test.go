@@ -165,12 +165,12 @@ func TestStatsReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := DecodeControl(frame)
+	typ, body, err := SplitControl(frame)
 	if err != nil || typ != MsgStatsReport {
-		t.Fatalf("decode: %v type %d", err, typ)
+		t.Fatalf("split: %v type %d", err, typ)
 	}
 	var out StatsReport
-	if err := json.Unmarshal(payload, &out); err != nil {
+	if err := UnmarshalControl(typ, body, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.ID != 7 || out.Rank != 24 || len(out.GenRanks) != 4 || out.GenRanks[3] != 0 ||

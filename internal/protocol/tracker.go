@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -298,7 +297,7 @@ func (t *Tracker) ingest(ctx context.Context, from string, frame []byte, pending
 		t.echoProbe(ctx, from, frame)
 		return pending
 	}
-	typ, payload, err := DecodeControl(frame)
+	typ, body, err := SplitControl(frame)
 	if err != nil {
 		return pending // malformed frame: ignore, stay up
 	}
@@ -307,57 +306,57 @@ func (t *Tracker) ingest(ctx context.Context, from string, frame []byte, pending
 	t.touchLease(from)
 	if typ == MsgHello {
 		var h Hello
-		if err := json.Unmarshal(payload, &h); err != nil {
+		if err := UnmarshalControl(typ, body, &h); err != nil {
 			return pending
 		}
 		return append(pending, pendingHello{from: from, h: h})
 	}
 	pending = t.flushHellos(ctx, pending)
-	t.dispatch(ctx, from, typ, payload)
+	t.dispatch(ctx, from, typ, body)
 	return pending
 }
 
-func (t *Tracker) dispatch(ctx context.Context, from string, typ MsgType, payload json.RawMessage) {
+func (t *Tracker) dispatch(ctx context.Context, from string, typ MsgType, body []byte) {
 	switch typ {
 	case MsgGoodbye:
 		var g Goodbye
-		if err := json.Unmarshal(payload, &g); err != nil {
+		if err := UnmarshalControl(typ, body, &g); err != nil {
 			return
 		}
 		t.handleGoodbye(ctx, from, g)
 	case MsgComplaint:
 		var c Complaint
-		if err := json.Unmarshal(payload, &c); err != nil {
+		if err := UnmarshalControl(typ, body, &c); err != nil {
 			return
 		}
 		t.handleComplaint(ctx, c)
 	case MsgComplete:
 		var c Complete
-		if err := json.Unmarshal(payload, &c); err != nil {
+		if err := UnmarshalControl(typ, body, &c); err != nil {
 			return
 		}
 		t.handleComplete(c)
 	case MsgCongested:
 		var c Congested
-		if err := json.Unmarshal(payload, &c); err != nil {
+		if err := UnmarshalControl(typ, body, &c); err != nil {
 			return
 		}
 		t.handleCongested(ctx, c)
 	case MsgUncongested:
 		var u Uncongested
-		if err := json.Unmarshal(payload, &u); err != nil {
+		if err := UnmarshalControl(typ, body, &u); err != nil {
 			return
 		}
 		t.handleUncongested(ctx, u)
 	case MsgLease:
 		var l Lease
-		if err := json.Unmarshal(payload, &l); err != nil {
+		if err := UnmarshalControl(typ, body, &l); err != nil {
 			return
 		}
 		t.handleLease(ctx, from, l)
 	case MsgStatsReport:
 		var r StatsReport
-		if err := json.Unmarshal(payload, &r); err != nil {
+		if err := UnmarshalControl(typ, body, &r); err != nil {
 			return
 		}
 		t.handleStatsReport(r)

@@ -22,7 +22,6 @@ package swarm
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -559,14 +558,14 @@ func (sh *shard) handleFrame(ctx context.Context, f *inFrame) {
 	if v.state == StateCrashed {
 		return // a dead process reads nothing
 	}
-	typ, payload, err := protocol.DecodeControl(f.msg)
+	typ, body, err := protocol.SplitControl(f.msg)
 	if err != nil {
 		return
 	}
 	switch typ {
 	case protocol.MsgWelcome:
 		var w protocol.Welcome
-		if err := json.Unmarshal(payload, &w); err != nil {
+		if err := protocol.UnmarshalControl(typ, body, &w); err != nil {
 			return
 		}
 		sh.handleWelcome(v, w)
