@@ -50,10 +50,10 @@ race:
 
 # Control-plane fault-tolerance suite under the race detector: lease
 # sweep of crashed leaves, outbox behavior behind stalled peers, churn
-# over the fault-injection transport, malformed control frames, and the
-# send-deadline regression.
+# over the fault-injection transport, malformed control frames, the
+# send-deadline regression, and a rejection after a re-join.
 churn:
-	$(GO) test -race -run 'Churn|Lease|Stalled|Faulty|Goodbye|SendDeadline|LeafCrash|Telemetry|Timeline|ClusterSnapshot|TraceLive' ./internal/protocol ./internal/transport .
+	$(GO) test -race -run 'Churn|Lease|Stalled|Faulty|Goodbye|SendDeadline|LeafCrash|Telemetry|Timeline|ClusterSnapshot|TraceLive|Rejoin' ./internal/protocol ./internal/transport .
 
 # Datagram-plane suite under the race detector: the UDP endpoint and its
 # batched I/O, same-port dual-plane binding, the end-to-end broadcasts

@@ -66,61 +66,6 @@ func TestSwarmSurvivesSourceDeparture(t *testing.T) {
 	}
 }
 
-// TestEntropyAttackerThroughPublicAPI wires the Byzantine behavior through
-// the façade: a session where an entropy attacker joins between honest
-// peers must not stop honest peers that have other paths (k is large, so
-// the attacker owns few threads).
-func TestEntropyAttackerThroughPublicAPI(t *testing.T) {
-	t.Parallel()
-	content := testContent(1000)
-	cfg := testConfig() // k=8, d=2: attacker owns 2 of 8 threads
-	s, err := NewSession(content, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	first, err := s.AddClient(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddClient(ctx, WithBehavior(BehaviorEntropyAttacker)); err != nil {
-		t.Fatal(err)
-	}
-	victim, err := s.AddClient(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The attacker decodes (it is a consumer too) and honest peers with
-	// alternative thread paths complete despite the poisoned streams:
-	// with k=8 and d=2 the victim's two threads hit the attacker with
-	// probability well below 1, and the min-cut argument says any two
-	// honest paths suffice. If the victim happens to sit fully behind the
-	// attacker it will stall — accept either completion or visible
-	// starvation, but require the FIRST peer (joined before the attacker)
-	// to always finish.
-	if err := first.Wait(ctx); err != nil {
-		t.Fatalf("pre-attacker peer stalled: %v", err)
-	}
-	select {
-	case <-victim.Completed():
-		got, err := victim.Content()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, content) {
-			t.Fatal("victim decoded wrong bytes")
-		}
-	case <-time.After(10 * time.Second):
-		if victim.Progress() >= 1 {
-			t.Fatal("victim at full rank but not complete")
-		}
-		t.Logf("victim starved behind entropy attacker at %.2f (expected when both threads pass the attacker)", victim.Progress())
-	}
-}
-
 // TestLayeredBroadcastEndToEnd drives §5 priority layering through the full
 // stack: a layered source, recoding relays, and layer-aware clients.
 func TestLayeredBroadcastEndToEnd(t *testing.T) {

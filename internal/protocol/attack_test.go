@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -11,20 +12,108 @@ import (
 	"ncast/internal/transport"
 )
 
-// addNodeWithBehavior joins an extra node with the given behavior to a
-// running session.
-func addNodeWithBehavior(t *testing.T, s *session, ctx context.Context, addr string, b Behavior) *Node {
+// adversary wraps a node's endpoint to model a §5/§7 attacker on its
+// links. Control frames pass untouched, so the attacker stays alive to the
+// tracker; every outbound data-plane frame goes through rewrite, which
+// returns the frame to send or nil to drop it; every inbound frame is
+// shown to observe. The node inside runs the honest protocol and cannot
+// tell the wrapper from a real link.
+type adversary struct {
+	transport.Endpoint
+	rewrite func(frame []byte) []byte
+	observe func(frame []byte)
+}
+
+func (a *adversary) Send(ctx context.Context, to string, frame []byte) error {
+	if DataPlaneFrame(frame) {
+		if frame = a.rewrite(frame); frame == nil {
+			return nil // dropped, exactly like loss on a real link
+		}
+	}
+	return a.Endpoint.Send(ctx, to, frame)
+}
+
+func (a *adversary) Recv(ctx context.Context) (string, []byte, error) {
+	from, frame, err := a.Endpoint.Recv(ctx)
+	if err == nil && a.observe != nil {
+		a.observe(frame)
+	}
+	return from, frame, err
+}
+
+// freeloader is the §5 failure attack: the node receives and decodes but
+// goes silent on its output threads — no data, no liveness — while its
+// control plane stays alive. Children detect it by timeout and the repair
+// protocol splices it out.
+func freeloader(ep transport.Endpoint) transport.Endpoint {
+	return &adversary{Endpoint: ep, rewrite: func([]byte) []byte { return nil }}
+}
+
+// entropyAttacker is the §7 entropy-destruction attack over field f: the
+// node decodes for itself, but every coded frame it forwards carries the
+// first packet it received of that generation instead of a fresh mix. The
+// frame keeps its own thread, seq, stamp and trace context, and
+// keepalives pass, so the victim's threads look alive and complaints never
+// fire while it receives no new information.
+func entropyAttacker(f gf.Field) func(transport.Endpoint) transport.Endpoint {
+	return func(ep transport.Endpoint) transport.Endpoint {
+		var mu sync.Mutex
+		first := make(map[uint32]*rlnc.Packet)
+		return &adversary{
+			Endpoint: ep,
+			observe: func(frame []byte) {
+				if !IsData(frame) {
+					return
+				}
+				_, _, _, _, p, err := DecodeDataSeq(f, frame)
+				if err != nil {
+					return
+				}
+				mu.Lock()
+				if _, ok := first[p.Gen]; !ok {
+					first[p.Gen] = p.Clone()
+				}
+				mu.Unlock()
+				p.Release()
+			},
+			rewrite: func(frame []byte) []byte {
+				if !IsData(frame) {
+					return frame
+				}
+				th, seq, emit, tc, p, err := DecodeDataSeq(f, frame)
+				if err != nil {
+					return nil
+				}
+				mu.Lock()
+				replay := first[p.Gen]
+				mu.Unlock()
+				p.Release()
+				if replay == nil {
+					return nil
+				}
+				return EncodeDataSeq(f, th, seq, emit, tc, replay)
+			},
+		}
+	}
+}
+
+// addWrappedNode joins an extra node at addr to a running session; a
+// non-nil wrap stands between the node and its endpoint.
+func addWrappedNode(t *testing.T, s *session, ctx context.Context, addr string, wrap func(transport.Endpoint) transport.Endpoint) *Node {
 	t.Helper()
 	ep, err := s.net.Endpoint(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if wrap != nil {
+		ep = wrap(ep)
+	}
 	node := NewNode(ep, NodeConfig{
 		TrackerAddr:      "tracker",
 		ComplaintTimeout: 200 * time.Millisecond,
-		Behavior:         b,
-		Seed:             999,
+		Seed:             999 + int64(len(s.nodes)),
 	})
+	s.nodes = append(s.nodes, node)
 	s.wg.Add(1)
 	go func() { defer s.wg.Done(); _ = node.Run(ctx) }()
 	select {
@@ -40,27 +129,17 @@ func addNodeWithBehavior(t *testing.T, s *session, ctx context.Context, addr str
 
 // buildAttackChain builds a k=d=2 chain server -> attacker -> victim so the
 // victim's entire inflow passes through the attacker.
-func buildAttackChain(t *testing.T, b Behavior, opts ...transport.NetworkOption) (*session, *Node, *Node, context.Context) {
+func buildAttackChain(t *testing.T, attack func(transport.Endpoint) transport.Endpoint) (*session, *Node) {
 	t.Helper()
-	content := randContent(1200)
-	ctx, cancel := context.WithCancel(context.Background())
-	net := transport.NewNetwork(opts...)
-
-	trackerEP, err := net.Endpoint("tracker")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newBareSession(t, ctx, cancel, net, trackerEP, content, 2, 2)
-
-	attacker := addNodeWithBehavior(t, s, ctx, "attacker", b)
-	victim := addNodeWithBehavior(t, s, ctx, "victim", Honest)
-	return s, attacker, victim, ctx
+	s, ctx := newBareSession(t, randContent(1200), 2, 2)
+	addWrappedNode(t, s, ctx, "attacker", attack)
+	victim := addWrappedNode(t, s, ctx, "victim", nil)
+	return s, victim
 }
 
 func TestFreeloaderIsDetectedAndRepaired(t *testing.T) {
 	t.Parallel()
-	s, attacker, victim, ctx := buildAttackChain(t, Freeloader)
-	_ = ctx
+	s, victim := buildAttackChain(t, freeloader)
 	// The attacker's output threads are silent; the victim complains and
 	// the tracker splices the attacker out, putting the victim directly
 	// below the server — so the victim completes.
@@ -74,12 +153,11 @@ func TestFreeloaderIsDetectedAndRepaired(t *testing.T) {
 	waitEvent(t, s.tracker.Events(), 10*time.Second, "freeloader repair", func(ev TrackerEvent) bool {
 		return ev.Kind == "repair" && ev.Addr == "attacker"
 	})
-	_ = attacker
 }
 
 func TestEntropyAttackStarvesVictimUndetected(t *testing.T) {
 	t.Parallel()
-	s, attacker, victim, _ := buildAttackChain(t, EntropyAttacker)
+	s, victim := buildAttackChain(t, entropyAttacker(gf.F256))
 	// The attacker forwards bandwidth-shaped garbage, so the victim
 	// receives plenty of packets yet cannot gather rank beyond the
 	// replayed subspace. Wait for the traffic itself — a sustained inflow
@@ -112,13 +190,59 @@ func TestEntropyAttackStarvesVictimUndetected(t *testing.T) {
 			drained = false
 		}
 	}
-	_ = attacker
+}
+
+// TestEntropyAttackerAmongHonestPeers puts an entropy attacker between
+// honest peers at k=8, d=2, so it owns 2 of 8 threads. The attacker
+// decodes (it is a consumer too), and honest peers with alternative thread
+// paths complete despite the poisoned streams: the min-cut argument says
+// any two honest paths suffice. The peer that joined before the attacker
+// must always finish; the victim, which may sit fully behind the attacker,
+// either finishes or is visibly below full rank.
+func TestEntropyAttackerAmongHonestPeers(t *testing.T) {
+	t.Parallel()
+	content := randContent(1000)
+	s, ctx := newBareSession(t, content, 8, 2)
+	first := addWrappedNode(t, s, ctx, "first", nil)
+	addWrappedNode(t, s, ctx, "attacker", entropyAttacker(gf.F256))
+	victim := addWrappedNode(t, s, ctx, "victim", nil)
+
+	waitComplete(t, first, 60*time.Second)
+	got, err := first.Content()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, content) {
+		t.Fatal("pre-attacker peer decoded wrong bytes")
+	}
+	select {
+	case <-victim.Completed():
+		got, err := victim.Content()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, content) {
+			t.Fatal("victim decoded wrong bytes")
+		}
+	case <-time.After(10 * time.Second):
+		if victim.Progress() >= 1 {
+			t.Fatal("victim at full rank but not complete")
+		}
+		t.Logf("victim starved behind entropy attacker at %.2f (expected when both threads pass the attacker)", victim.Progress())
+	}
 }
 
 // newBareSession assembles a session like startSessionKD but without
-// pre-joining nodes, so callers control join order and behaviors.
-func newBareSession(t *testing.T, ctx context.Context, cancel context.CancelFunc, net *transport.Network, trackerEP transport.Endpoint, content []byte, k, d int) *session {
+// pre-joining nodes, so callers control join order and links. The
+// returned context lives until the test's cleanup.
+func newBareSession(t *testing.T, content []byte, k, d int) (*session, context.Context) {
 	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	net := transport.NewNetwork()
+	trackerEP, err := net.Endpoint("tracker")
+	if err != nil {
+		t.Fatal(err)
+	}
 	params := rlnc.Params{Field: gf.F256, GenSize: 8, PacketSize: 32}
 	source, err := NewSource(trackerEP, k, params, content, 42)
 	if err != nil {
@@ -144,5 +268,5 @@ func newBareSession(t *testing.T, ctx context.Context, cancel context.CancelFunc
 		net.Close()
 		s.wg.Wait()
 	})
-	return s
+	return s, ctx
 }

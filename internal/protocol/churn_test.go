@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -317,6 +318,80 @@ func TestSpuriousGoodbyeAckIgnored(t *testing.T) {
 	case <-node.Left():
 	case <-time.After(5 * time.Second):
 		t.Fatal("genuine leave never acknowledged")
+	}
+}
+
+// TestRejoinRejectionDoesNotWedgeRun scripts a tracker through join →
+// expelled → re-join welcome → expelled → error. The re-join welcome fills
+// the one-slot Joined channel that nobody reads any more, so the error's
+// rejection must not block on it: Run has to return the rejection, as it
+// does for a node rejected on its first hello.
+func TestRejoinRejectionDoesNotWedgeRun(t *testing.T) {
+	t.Parallel()
+	net := transport.NewNetwork()
+	defer net.Close()
+	tracker, err := net.Endpoint("tracker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := net.Endpoint("node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := NewNode(ep, NodeConfig{TrackerAddr: "tracker", Seed: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan error, 1)
+	go func() { runDone <- node.Run(ctx) }()
+
+	send := func(typ MsgType, msg any) {
+		t.Helper()
+		frame, err := EncodeControl(typ, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tracker.Send(ctx, "node", frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// welcomeNextHello answers the node's next hello; leases, stats and
+	// retried hellos in between are ignored.
+	welcomeNextHello := func() {
+		t.Helper()
+		rctx, rcancel := context.WithTimeout(ctx, 5*time.Second)
+		defer rcancel()
+		for {
+			_, frame, err := tracker.Recv(rctx)
+			if err != nil {
+				t.Fatalf("no hello: %v", err)
+			}
+			if typ, _, err := SplitControl(frame); err == nil && typ == MsgHello {
+				break
+			}
+		}
+		send(MsgWelcome, Welcome{ID: 1, K: 1, Degree: 1, Threads: []int{0},
+			Session: SessionParams{FieldBits: 8, GenSize: 4, PacketSize: 16, ContentLen: 64}})
+	}
+	joined := func() bool { return node.Health().Joined }
+
+	welcomeNextHello()
+	if err := <-node.Joined(); err != nil {
+		t.Fatal(err)
+	}
+	send(MsgExpelled, Expelled{ID: 1})
+	welcomeNextHello()
+	waitFor(t, 5*time.Second, "re-join", joined)
+	send(MsgExpelled, Expelled{ID: 1})
+	waitFor(t, 5*time.Second, "second expulsion", func() bool { return !joined() })
+	send(MsgError, ErrorMsg{Reason: "stale congest reply"})
+
+	select {
+	case err := <-runDone:
+		if err == nil || !strings.Contains(err.Error(), "join rejected") {
+			t.Fatalf("Run returned %v, want the join rejection", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run wedged on a rejection after a re-join")
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // its own fields inline. The type byte alone names the layout. Bytes after
 // the known layout are ignored — a newer peer may append fields, and
 // rejecting them would kill the session on any version skew, as for
-// DecodeKeepalive. An older peer's JSON envelope carries '{' where the
+// DecodeKeepaliveEcho. An older peer's JSON envelope carries '{' where the
 // type byte sits; that names no MsgType, so the frame is ignored as an
 // unknown type.
 

@@ -30,18 +30,19 @@ func fuzzField(sel uint8) gf.Field {
 }
 
 // FuzzDecodeData hammers the binary data-frame decoder over all three
-// fields and all three data-frame variants. Accepted frames must
-// round-trip exactly: thread, stamp, trace context, generation,
-// coefficients, and payload all survive re-encoding. A malformed trace
-// header must be rejected, never mis-routed to another variant.
+// fields and all data-frame variants, with and without a sequence number.
+// Accepted frames must round-trip exactly: thread, seq, stamp, trace
+// context, generation, coefficients, and payload all survive re-encoding.
+// A malformed trace header must be rejected, never mis-routed to another
+// variant.
 func FuzzDecodeData(f *testing.F) {
 	for sel := uint8(0); sel < 3; sel++ {
 		fld := fuzzField(sel)
 		p := &rlnc.Packet{Gen: 3, Coeff: []uint16{1, 0, 1}, Payload: []byte("abcd")}
-		f.Add(sel, EncodeData(fld, 9, 0, p))
-		f.Add(sel, EncodeData(fld, 9, 123456789, p))
-		f.Add(sel, EncodeDataTraced(fld, 9, 123456789, TraceContext{ID: 0xfeedface, Hop: 2}, p))
-		f.Add(sel, EncodeDataTraced(fld, 9, 0, TraceContext{ID: 1, Hop: 255}, p))
+		f.Add(sel, EncodeDataSeq(fld, 9, -1, 0, TraceContext{}, p))
+		f.Add(sel, EncodeDataSeq(fld, 9, -1, 123456789, TraceContext{}, p))
+		f.Add(sel, EncodeDataSeq(fld, 9, -1, 123456789, TraceContext{ID: 0xfeedface, Hop: 2}, p))
+		f.Add(sel, EncodeDataSeq(fld, 9, -1, 0, TraceContext{ID: 1, Hop: 255}, p))
 		f.Add(sel, EncodeDataSeq(fld, 9, 0, 0, TraceContext{}, p))
 		f.Add(sel, EncodeDataSeq(fld, 9, SeqMod-1, 123456789, TraceContext{}, p))
 		f.Add(sel, EncodeDataSeq(fld, 9, 7, 123456789, TraceContext{ID: 0xfeedface, Hop: 2}, p))
@@ -53,36 +54,13 @@ func FuzzDecodeData(f *testing.F) {
 	f.Add(uint8(1), []byte{0, 0x80, 1, 9})                        // seq flag, truncated seq
 	f.Fuzz(func(t *testing.T, sel uint8, frame []byte) {
 		fld := fuzzField(sel)
-		thread, stamp, tc, p, err := DecodeDataTraced(fld, frame)
+		thread, seq, stamp, tc, p, err := DecodeDataSeq(fld, frame)
 		if err != nil {
-			// The seq-aware decoder must agree that the frame is bad.
-			if _, _, _, _, _, err2 := DecodeDataSeq(fld, frame); err2 == nil {
-				t.Fatalf("DecodeDataSeq accepted a frame DecodeDataTraced rejects")
-			}
 			return
-		}
-		// The seq-aware decoder accepts everything the traced one does and
-		// agrees on every shared field; the seq itself round-trips through
-		// the seq-stamped encoder.
-		thS, seq, stampS, tcS, pS, err := DecodeDataSeq(fld, frame)
-		if err != nil {
-			t.Fatalf("DecodeDataSeq rejected a frame DecodeDataTraced accepts: %v", err)
-		}
-		if thS != thread || stampS != stamp || tcS != tc {
-			t.Fatalf("decoders disagree: thread %d/%d stamp %d/%d tc %+v/%+v",
-				thread, thS, stamp, stampS, tc, tcS)
 		}
 		if seq < -1 || seq >= SeqMod {
 			t.Fatalf("seq %d outside [-1, %d)", seq, SeqMod)
 		}
-		if seq >= 0 {
-			againSeq := EncodeDataSeq(fld, thS, seq, stampS, tcS, pS)
-			_, seq2, _, _, _, err := DecodeDataSeq(fld, againSeq)
-			if err != nil || seq2 != seq {
-				t.Fatalf("seq round trip: %d -> %d, err %v", seq, seq2, err)
-			}
-		}
-		pS.Release()
 		// Header fields must not have conjured state beyond the input:
 		// everything in the packet was carried by the frame itself.
 		if p.WireSize(fld) > len(frame) {
@@ -92,13 +70,16 @@ func FuzzDecodeData(f *testing.F) {
 		if len(frame) > 0 && frame[0] == 4 && !tc.Traced() {
 			t.Fatalf("traced frame accepted with zero trace id")
 		}
-		again := EncodeDataTraced(fld, thread, stamp, tc, p)
-		thread2, stamp2, tc2, p2, err := DecodeDataTraced(fld, again)
+		again := EncodeDataSeq(fld, thread, seq, stamp, tc, p)
+		thread2, seq2, stamp2, tc2, p2, err := DecodeDataSeq(fld, again)
 		if err != nil {
 			t.Fatalf("decode of re-encoded frame failed: %v", err)
 		}
 		if thread2 != thread {
 			t.Fatalf("thread changed across round trip: %d -> %d", thread, thread2)
+		}
+		if seq2 != seq {
+			t.Fatalf("seq changed across round trip: %d -> %d", seq, seq2)
 		}
 		// Traced frames carry the stamp verbatim; otherwise a non-positive
 		// stamp encodes as the unstamped variant.
@@ -130,10 +111,10 @@ func equalCoeff(a, b []uint16) bool {
 	return true
 }
 
-// FuzzDecodeKeepalive covers the third frame kind; it must never panic
-// and must round-trip the thread index for every frame it accepts. The
-// echo extension decoder must accept exactly the same frames and agree on
-// the thread, round-tripping the timestamp pair through the echo encoder.
+// FuzzDecodeKeepalive covers the third frame kind; it must never panic,
+// must round-trip the thread index through the legacy 3-byte encoder for
+// every frame it accepts, and must round-trip the timestamp pair through
+// the echo encoder.
 func FuzzDecodeKeepalive(f *testing.F) {
 	f.Add(EncodeKeepalive(0))
 	f.Add(EncodeKeepalive(65535))
@@ -144,22 +125,13 @@ func FuzzDecodeKeepalive(f *testing.F) {
 	f.Add(append(EncodeKeepaliveEcho(1, 1, 0, 0), 0xbe))        // over-long echo: tolerated
 	f.Add(EncodeKeepaliveEcho(9, 1, 0, 0)[:keepaliveEchoLen-1]) // truncated extension
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		thread, err := DecodeKeepalive(frame)
-		if err != nil {
-			if _, err2 := DecodeKeepaliveEcho(frame); err2 == nil {
-				t.Fatalf("echo decoder accepted a frame DecodeKeepalive rejects")
-			}
-			return
-		}
-		if got, err := DecodeKeepalive(EncodeKeepalive(thread)); err != nil || got != thread {
-			t.Fatalf("keepalive round trip: thread %d -> %d, err %v", thread, got, err)
-		}
 		ki, err := DecodeKeepaliveEcho(frame)
 		if err != nil {
-			t.Fatalf("echo decoder rejected a frame DecodeKeepalive accepts: %v", err)
+			return
 		}
-		if ki.Thread != thread {
-			t.Fatalf("decoders disagree on thread: %d vs %d", thread, ki.Thread)
+		legacy, err := DecodeKeepaliveEcho(EncodeKeepalive(ki.Thread))
+		if err != nil || legacy != (KeepaliveInfo{Thread: ki.Thread}) {
+			t.Fatalf("keepalive round trip: thread %d -> %+v, err %v", ki.Thread, legacy, err)
 		}
 		again := EncodeKeepaliveEcho(ki.Thread, ki.TxNanos, ki.EchoNanos, ki.HoldNanos)
 		ki2, err := DecodeKeepaliveEcho(again)
@@ -184,41 +156,27 @@ func TestDataRoundTripTraced(t *testing.T) {
 			{ID: 0xdeadbeefcafe, Hop: 0},
 		} {
 			for _, stamp := range []int64{0, 42} {
-				frame := EncodeDataTraced(fld, 3, stamp, tc, p)
-				thread, gotStamp, gotTC, q, err := DecodeDataTraced(fld, frame)
+				frame := EncodeDataSeq(fld, 3, -1, stamp, tc, p)
+				thread, seq, gotStamp, gotTC, q, err := DecodeDataSeq(fld, frame)
 				if err != nil {
 					t.Fatalf("field %d tc=%+v stamp=%d: %v", fld.Bits(), tc, stamp, err)
 				}
-				if thread != 3 || gotStamp != stamp || gotTC != tc {
-					t.Fatalf("field %d: got thread=%d stamp=%d tc=%+v, want 3/%d/%+v",
-						fld.Bits(), thread, gotStamp, gotTC, stamp, tc)
+				if thread != 3 || seq != -1 || gotStamp != stamp || gotTC != tc {
+					t.Fatalf("field %d: got thread=%d seq=%d stamp=%d tc=%+v, want 3/-1/%d/%+v",
+						fld.Bits(), thread, seq, gotStamp, gotTC, stamp, tc)
 				}
 				if q.Gen != p.Gen || !equalCoeff(q.Coeff, p.Coeff) || !bytes.Equal(q.Payload, p.Payload) {
 					t.Fatalf("field %d tc=%+v: packet mismatch", fld.Bits(), tc)
 				}
-				// The plain decoder must accept the traced frame too,
-				// dropping only the context.
-				thread, gotStamp, q2, err := DecodeData(fld, frame)
-				if err != nil || thread != 3 || gotStamp != stamp || q2.Gen != p.Gen {
-					t.Fatalf("field %d: DecodeData on traced frame: %v", fld.Bits(), err)
-				}
-			}
-		}
-		// An untraced context must produce the exact legacy encoding.
-		for _, stamp := range []int64{0, 99} {
-			traced := EncodeDataTraced(fld, 3, stamp, TraceContext{}, p)
-			plain := EncodeData(fld, 3, stamp, p)
-			if !bytes.Equal(traced, plain) {
-				t.Fatalf("field %d stamp=%d: untraced encoding diverged from legacy", fld.Bits(), stamp)
 			}
 		}
 		// Malformed traced frames: truncated context and zero trace ID.
-		if _, _, _, _, err := DecodeDataTraced(fld, []byte{4, 0, 3, 1, 2}); err == nil {
+		if _, _, _, _, _, err := DecodeDataSeq(fld, []byte{4, 0, 3, 1, 2}); err == nil {
 			t.Fatalf("field %d: truncated traced frame accepted", fld.Bits())
 		}
 		zero := append([]byte{4, 0, 3}, make([]byte, 17)...)
 		zero = p.AppendTo(zero, fld)
-		if _, _, _, _, err := DecodeDataTraced(fld, zero); err == nil {
+		if _, _, _, _, _, err := DecodeDataSeq(fld, zero); err == nil {
 			t.Fatalf("field %d: zero-trace-id frame accepted", fld.Bits())
 		}
 	}
@@ -234,11 +192,11 @@ func TestTracedHotPathAllocs(t *testing.T) {
 	}
 	fld := gf.F256
 	src := &rlnc.Packet{Gen: 1, Coeff: []uint16{3, 1, 4, 1}, Payload: make([]byte, 256)}
-	frame := EncodeDataTraced(fld, 2, 12345, TraceContext{}, src)
+	frame := EncodeDataSeq(fld, 2, -1, 12345, TraceContext{}, src)
 	hot := func() {
 		buf := rlnc.GetFrameBuf()
-		*buf = AppendDataTraced(*buf, fld, 2, 12345, TraceContext{}, src)
-		_, _, _, p, err := DecodeDataTraced(fld, frame)
+		*buf = AppendDataSeq(*buf, fld, 2, -1, 12345, TraceContext{}, src)
+		_, _, _, _, p, err := DecodeDataSeq(fld, frame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +215,7 @@ func TestTracedHotPathAllocs(t *testing.T) {
 // TestDataRoundTripSeq pins the seq-stamped variant across the three
 // fields and all three kind combinations (plain, stamped, traced): the
 // sequence number survives exactly, including the wrap-point extremes, and
-// seq < 0 delegates to the legacy encoder byte for byte.
+// seq < 0 writes no sequence bytes and leaves the flag bit clear.
 func TestDataRoundTripSeq(t *testing.T) {
 	t.Parallel()
 	for _, fld := range []gf.Field{gf.F2, gf.F256, gf.F65536} {
@@ -277,27 +235,15 @@ func TestDataRoundTripSeq(t *testing.T) {
 					if q.Gen != p.Gen || !equalCoeff(q.Coeff, p.Coeff) || !bytes.Equal(q.Payload, p.Payload) {
 						t.Fatalf("field %d seq=%d: packet mismatch", fld.Bits(), seq)
 					}
-					// The legacy decoders must accept the stamped frame too,
-					// dropping only the seq.
-					th2, stamp2, tc2, _, err := DecodeDataTraced(fld, frame)
-					if err != nil || th2 != 5 || stamp2 != stamp || tc2 != tc {
-						t.Fatalf("field %d: DecodeDataTraced on seq frame: th=%d stamp=%d tc=%+v err=%v",
-							fld.Bits(), th2, stamp2, tc2, err)
+					// The same frame without a seq is exactly 3 bytes
+					// shorter and decodes with seq -1.
+					seqless := EncodeDataSeq(fld, 5, -1, stamp, tc, p)
+					if len(seqless) != len(frame)-3 || seqless[1]&0x80 != 0 {
+						t.Fatalf("field %d stamp=%d tc=%+v: seqless frame %x vs %x", fld.Bits(), stamp, tc, seqless, frame)
 					}
-				}
-			}
-		}
-		// seq < 0 must produce the exact legacy encoding — the flag bit
-		// stays clear and not one byte differs.
-		for _, tc := range []TraceContext{{}, {ID: 9, Hop: 1}} {
-			for _, stamp := range []int64{0, 99} {
-				legacy := EncodeDataTraced(fld, 5, stamp, tc, p)
-				seqless := EncodeDataSeq(fld, 5, -1, stamp, tc, p)
-				if !bytes.Equal(legacy, seqless) {
-					t.Fatalf("field %d stamp=%d tc=%+v: seq<0 encoding diverged from legacy", fld.Bits(), stamp, tc)
-				}
-				if legacy[1]&0x80 != 0 {
-					t.Fatalf("field %d: legacy frame has the seq flag set", fld.Bits())
+					if _, gotSeq, _, _, _, err := DecodeDataSeq(fld, seqless); err != nil || gotSeq != -1 {
+						t.Fatalf("field %d: seqless frame decoded seq=%d err=%v", fld.Bits(), gotSeq, err)
+					}
 				}
 			}
 		}
@@ -335,9 +281,9 @@ func TestDataFrameGoldenLayout(t *testing.T) {
 		frame []byte
 		want  []byte
 	}{
-		{"plain", EncodeData(fld, 9, 0, p), join([]byte{0, 0, 9}, body)},
-		{"stamped", EncodeData(fld, 9, 99, p), join([]byte{3, 0, 9}, stamp8, body)},
-		{"traced", EncodeDataTraced(fld, 9, 99, TraceContext{ID: 0xabc, Hop: 2}, p),
+		{"plain", EncodeDataSeq(fld, 9, -1, 0, TraceContext{}, p), join([]byte{0, 0, 9}, body)},
+		{"stamped", EncodeDataSeq(fld, 9, -1, 99, TraceContext{}, p), join([]byte{3, 0, 9}, stamp8, body)},
+		{"traced", EncodeDataSeq(fld, 9, -1, 99, TraceContext{ID: 0xabc, Hop: 2}, p),
 			join([]byte{4, 0, 9}, stamp8, id8, []byte{2}, body)},
 		{"seq-plain", EncodeDataSeq(fld, 9, 0x010203, 0, TraceContext{}, p),
 			join([]byte{0, 0x80, 9, 1, 2, 3}, body)},
@@ -357,39 +303,32 @@ func TestDataFrameGoldenLayout(t *testing.T) {
 }
 
 // TestKeepaliveMixedVersions is the version-skew regression: an old node's
-// 3-byte keepalive and a new node's 27-byte echo keepalive must each be
-// accepted by the other side's decoder. Before this fix DecodeKeepalive
-// hard-failed on any frame != 3 bytes, so one extended keepalive from an
-// upgraded peer silently killed the link's liveness signal.
+// 3-byte keepalive and a new node's 27-byte echo keepalive must both be
+// accepted, as must frames with trailing bytes from a future extension.
+// A decoder that hard-failed on any frame != 3 bytes let one extended
+// keepalive from an upgraded peer silently kill the link's liveness
+// signal.
 func TestKeepaliveMixedVersions(t *testing.T) {
 	t.Parallel()
-	// New → old: the legacy decoder reads the thread and ignores the
-	// trailing timestamps.
-	probe := EncodeKeepaliveEcho(7, 123456789, 0, 0)
-	if th, err := DecodeKeepalive(probe); err != nil || th != 7 {
-		t.Fatalf("legacy decode of echo keepalive: th=%d err=%v", th, err)
-	}
-	// Old → new: the echo decoder reads a legacy frame as
-	// timestamp-free — neither a probe nor an echo, so no RTT math runs.
+	// A legacy frame reads as timestamp-free — neither a probe nor an
+	// echo, so no RTT math runs.
 	ki, err := DecodeKeepaliveEcho(EncodeKeepalive(7))
 	if err != nil || ki.Thread != 7 || ki.IsProbe() || ki.IsEcho() {
-		t.Fatalf("echo decode of legacy keepalive: %+v err=%v", ki, err)
+		t.Fatalf("decode of legacy keepalive: %+v err=%v", ki, err)
 	}
 	// Future extensions: trailing bytes beyond either layout are ignored.
 	long := append(EncodeKeepaliveEcho(7, 1, 2, 3), 0xff, 0xee)
-	if th, err := DecodeKeepalive(long); err != nil || th != 7 {
-		t.Fatalf("legacy decode of over-long keepalive: th=%d err=%v", th, err)
-	}
-	if ki, err := DecodeKeepaliveEcho(long); err != nil || ki.TxNanos != 1 || ki.EchoNanos != 2 || ki.HoldNanos != 3 {
-		t.Fatalf("echo decode of over-long keepalive: %+v err=%v", ki, err)
+	if ki, err := DecodeKeepaliveEcho(long); err != nil || ki.Thread != 7 || ki.TxNanos != 1 || ki.EchoNanos != 2 || ki.HoldNanos != 3 {
+		t.Fatalf("decode of over-long keepalive: %+v err=%v", ki, err)
 	}
 	// Truncated frames are still malformed.
-	if _, err := DecodeKeepalive([]byte{2, 0}); err == nil {
+	if _, err := DecodeKeepaliveEcho([]byte{2, 0}); err == nil {
 		t.Fatal("2-byte keepalive accepted")
 	}
 	// Probe/echo classification.
-	if ki, _ := DecodeKeepaliveEcho(probe); !ki.IsProbe() || ki.IsEcho() {
-		t.Fatalf("probe misclassified: %+v", ki)
+	probe := EncodeKeepaliveEcho(7, 123456789, 0, 0)
+	if ki, err := DecodeKeepaliveEcho(probe); err != nil || ki.Thread != 7 || !ki.IsProbe() || ki.IsEcho() {
+		t.Fatalf("probe misclassified: %+v err=%v", ki, err)
 	}
 	echo := EncodeKeepaliveEcho(7, 0, 123456789, 42)
 	if ki, _ := DecodeKeepaliveEcho(echo); ki.IsProbe() || !ki.IsEcho() {
@@ -450,8 +389,8 @@ func TestDataRoundTripAllFields(t *testing.T) {
 			}
 			p := &rlnc.Packet{Gen: uint32(n), Coeff: coeff, Payload: []byte("payload-bytes")}
 			for _, stamp := range []int64{0, 42} {
-				frame := EncodeData(fld, n, stamp, p)
-				thread, gotStamp, q, err := DecodeData(fld, frame)
+				frame := EncodeDataSeq(fld, n, -1, stamp, TraceContext{}, p)
+				thread, _, gotStamp, _, q, err := DecodeDataSeq(fld, frame)
 				if err != nil {
 					t.Fatalf("field %d n=%d stamp=%d: %v", fld.Bits(), n, stamp, err)
 				}

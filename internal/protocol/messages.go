@@ -286,62 +286,41 @@ type ThreadAdded struct {
 	ChildAddr string `json:"child_addr,omitempty"`
 }
 
-// AppendData appends a data frame — one coded packet traveling on a
-// thread — to buf and returns the extended slice. emitNanos, when
-// positive, is the source's first-emission time for the packet's
-// generation (unix nanoseconds); it travels in a stamped frame variant so
-// every receiver, however many overlay hops away, can measure true
-// end-to-end decode delay. Zero emits the compact unstamped frame. With a
-// buffer from rlnc.GetFrameBuf the steady-state send path encodes without
-// allocating: both transports copy the frame during Send, so the buffer
-// can go back to the pool as soon as Send returns.
-func AppendData(buf []byte, f gf.Field, thread int, emitNanos int64, p *rlnc.Packet) []byte {
-	if emitNanos > 0 {
-		buf = append(buf, frameDataTS, byte(thread>>8), byte(thread))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(emitNanos))
-	} else {
-		buf = append(buf, frameData, byte(thread>>8), byte(thread))
-	}
-	return p.AppendTo(buf, f)
-}
-
-// AppendDataTraced appends a data frame carrying a dissemination-trace
-// context. An untraced context (ID 0) delegates to AppendData, so the
-// non-sampled hot path emits exactly the frames it always did — same
-// bytes, zero extra allocations. A traced frame always carries the stamp
-// (a sampled generation without a stamp would make per-hop latency
-// unmeasurable), so emitNanos rides even when zero.
-func AppendDataTraced(buf []byte, f gf.Field, thread int, emitNanos int64, tc TraceContext, p *rlnc.Packet) []byte {
-	if !tc.Traced() {
-		return AppendData(buf, f, thread, emitNanos, p)
-	}
-	buf = append(buf, frameDataTraced, byte(thread>>8), byte(thread))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(emitNanos))
-	buf = binary.BigEndian.AppendUint64(buf, tc.ID)
-	buf = append(buf, tc.Hop)
-	return p.AppendTo(buf, f)
-}
-
-// AppendDataSeq appends a data frame stamped with a per-(sender, thread)
-// sequence number in [0, SeqMod), from which receivers estimate per-peer
-// loss, reordering, and duplication on the lossy datagram plane. A
-// negative seq delegates to AppendDataTraced, so senders on reliable
-// transports emit exactly the frames they always did — same bytes, zero
-// extra allocations. The sequence rides in 3 bytes between the thread
-// word (whose top bit flags its presence) and the variant's stamp/trace
-// fields, in every data-frame variant.
+// AppendDataSeq appends a data frame — one coded packet traveling on a
+// thread — to buf and returns the extended slice. The frame variant
+// follows from the arguments:
+//   - emitNanos, when positive, is the source's first-emission time for
+//     the packet's generation (unix nanoseconds); it travels in a stamped
+//     variant so every receiver, however many overlay hops away, can
+//     measure true end-to-end decode delay. Zero emits the compact
+//     unstamped frame.
+//   - A traced context selects the traced variant, which always carries
+//     the stamp (a sampled generation without one would make per-hop
+//     latency unmeasurable), so emitNanos rides even when zero.
+//   - seq in [0, SeqMod) is a per-(sender, thread) sequence number from
+//     which receivers estimate per-peer loss, reordering, and duplication
+//     on the lossy datagram plane. It rides in 3 bytes between the thread
+//     word (whose top bit flags its presence) and the variant's
+//     stamp/trace fields. A negative seq omits it.
+//
+// With a buffer from rlnc.GetFrameBuf the steady-state send path encodes
+// without allocating: both transports copy the frame during Send, so the
+// buffer can go back to the pool as soon as Send returns.
 func AppendDataSeq(buf []byte, f gf.Field, thread int, seq int32, emitNanos int64, tc TraceContext, p *rlnc.Packet) []byte {
-	if seq < 0 {
-		return AppendDataTraced(buf, f, thread, emitNanos, tc, p)
-	}
 	kind := frameData
 	if tc.Traced() {
 		kind = frameDataTraced
 	} else if emitNanos > 0 {
 		kind = frameDataTS
 	}
-	tw := uint16(thread) | seqFlag
-	buf = append(buf, kind, byte(tw>>8), byte(tw), byte(seq>>16), byte(seq>>8), byte(seq))
+	tw := uint16(thread)
+	if seq >= 0 {
+		tw |= seqFlag
+	}
+	buf = append(buf, kind, byte(tw>>8), byte(tw))
+	if seq >= 0 {
+		buf = append(buf, byte(seq>>16), byte(seq>>8), byte(seq))
+	}
 	if kind != frameData {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(emitNanos))
 	}
@@ -352,44 +331,16 @@ func AppendDataSeq(buf []byte, f gf.Field, thread int, seq int32, emitNanos int6
 	return p.AppendTo(buf, f)
 }
 
-// EncodeData marshals a data frame into a fresh buffer.
-func EncodeData(f gf.Field, thread int, emitNanos int64, p *rlnc.Packet) []byte {
-	return AppendData(make([]byte, 0, 11+p.WireSize(f)), f, thread, emitNanos, p)
-}
-
-// EncodeDataTraced marshals a (possibly traced) data frame into a fresh
+// EncodeDataSeq marshals a data frame (see AppendDataSeq) into a fresh
 // buffer.
-func EncodeDataTraced(f gf.Field, thread int, emitNanos int64, tc TraceContext, p *rlnc.Packet) []byte {
-	return AppendDataTraced(make([]byte, 0, 20+p.WireSize(f)), f, thread, emitNanos, tc, p)
-}
-
-// EncodeDataSeq marshals a (possibly sequence-stamped, possibly traced)
-// data frame into a fresh buffer.
 func EncodeDataSeq(f gf.Field, thread int, seq int32, emitNanos int64, tc TraceContext, p *rlnc.Packet) []byte {
 	return AppendDataSeq(make([]byte, 0, dataFrameHeaderMax+p.WireSize(f)), f, thread, seq, emitNanos, tc, p)
 }
 
-// DecodeData unmarshals a data frame of any variant; emitNanos is 0 for
-// unstamped frames. Trace context, if present, is dropped — receivers
-// that care use DecodeDataTraced.
-func DecodeData(f gf.Field, frame []byte) (thread int, emitNanos int64, p *rlnc.Packet, err error) {
-	thread, emitNanos, _, p, err = DecodeDataTraced(f, frame)
-	return thread, emitNanos, p, err
-}
-
-// DecodeDataTraced unmarshals a data frame of any variant, returning the
-// trace context for traced frames (zero otherwise). The sequence number,
-// if present, is dropped — receivers that account per-peer loss use
-// DecodeDataSeq.
-func DecodeDataTraced(f gf.Field, frame []byte) (thread int, emitNanos int64, tc TraceContext, p *rlnc.Packet, err error) {
-	thread, _, emitNanos, tc, p, err = DecodeDataSeq(f, frame)
-	return thread, emitNanos, tc, p, err
-}
-
 // DecodeDataSeq unmarshals a data frame of any variant, returning the
 // per-(sender, thread) sequence number for seq-stamped frames (-1
-// otherwise) and the trace context for traced frames (zero otherwise). A
-// malformed header is an error, never a silent fallback to another
+// otherwise), the emission stamp (0 for unstamped frames) and the trace
+// context for traced frames (zero otherwise). A malformed header is an error, never a silent fallback to another
 // variant.
 func DecodeDataSeq(f gf.Field, frame []byte) (thread int, seq int32, emitNanos int64, tc TraceContext, p *rlnc.Packet, err error) {
 	if len(frame) < 3 ||
@@ -451,17 +402,6 @@ func EncodeKeepalive(thread int) []byte {
 	return out[:]
 }
 
-// DecodeKeepalive unmarshals a keepalive frame. Trailing bytes beyond
-// the 3-byte core are ignored — they belong to extensions (the echo
-// timestamp pair) that a peer from a newer version may send; rejecting
-// them would kill the link on any version skew.
-func DecodeKeepalive(frame []byte) (thread int, err error) {
-	if len(frame) < 3 || frame[0] != frameKeepalive {
-		return 0, fmt.Errorf("protocol: not a keepalive frame")
-	}
-	return int(binary.BigEndian.Uint16(frame[1:3])), nil
-}
-
 // keepaliveEchoLen is the extended keepalive layout: the 3-byte core
 // plus the echo timestamp pair (transmit time, echoed time, hold time —
 // 8 bytes each).
@@ -503,13 +443,14 @@ func EncodeKeepaliveEcho(thread int, txNanos, echoNanos, holdNanos int64) []byte
 
 // DecodeKeepaliveEcho unmarshals a keepalive of either layout. Frames
 // shorter than the full echo extension (legacy peers) decode with zero
-// timestamps; trailing bytes beyond the known layout are ignored.
+// timestamps. Trailing bytes beyond the known layout are ignored — they
+// belong to extensions a peer from a newer version may send; rejecting
+// them would kill the link on any version skew.
 func DecodeKeepaliveEcho(frame []byte) (KeepaliveInfo, error) {
-	thread, err := DecodeKeepalive(frame)
-	if err != nil {
-		return KeepaliveInfo{}, err
+	if len(frame) < 3 || frame[0] != frameKeepalive {
+		return KeepaliveInfo{}, fmt.Errorf("protocol: not a keepalive frame")
 	}
-	ki := KeepaliveInfo{Thread: thread}
+	ki := KeepaliveInfo{Thread: int(binary.BigEndian.Uint16(frame[1:3]))}
 	if len(frame) >= keepaliveEchoLen {
 		ki.TxNanos = int64(binary.BigEndian.Uint64(frame[3:11]))
 		ki.EchoNanos = int64(binary.BigEndian.Uint64(frame[11:19]))

@@ -14,26 +14,6 @@ import (
 	"ncast/internal/transport"
 )
 
-// Behavior selects how a node participates in the data plane. The
-// non-honest behaviors implement the §5/§7 attack models.
-type Behavior int
-
-const (
-	// Honest nodes re-mix and forward fresh random combinations.
-	Honest Behavior = iota
-	// EntropyAttacker implements the §7 "entropy destruction attack":
-	// the node decodes for itself but forwards only trivial combinations
-	// (it replays one fixed packet per generation), passing
-	// bandwidth-shaped but information-free traffic. The paper notes this
-	// is worse than a failure attack in the long run because the victim's
-	// threads look alive — keepalives flow and complaints never fire.
-	EntropyAttacker
-	// Freeloader receives and decodes but forwards no data at all while
-	// keeping its control plane alive — an intentional §5 failure attack
-	// that does not even cost the attacker its power supply.
-	Freeloader
-)
-
 // NodeConfig parameterises a client node.
 type NodeConfig struct {
 	// TrackerAddr is the tracker's transport address.
@@ -44,8 +24,6 @@ type NodeConfig struct {
 	// node complains to the tracker (the §3 "eventually the children of
 	// the failed node complain"). Zero disables complaints.
 	ComplaintTimeout time.Duration
-	// Behavior selects honest or adversarial forwarding.
-	Behavior Behavior
 	// Seed drives recoding randomness.
 	Seed int64
 	// DecodeWorkers sets the size of the worker pool that absorbs data
@@ -133,9 +111,6 @@ type Node struct {
 	// ack must neither tear down Run nor double-close leftCh.
 	leaving bool
 	left    bool
-	// replay holds, per generation, the fixed packet an EntropyAttacker
-	// replays instead of re-mixing.
-	replay map[uint32]*rlnc.Packet
 
 	// decodeQ holds the per-worker packet queues when DecodeWorkers > 1;
 	// nil means inline decoding. Written once in Run before the receive
@@ -189,7 +164,6 @@ func NewNode(ep transport.Endpoint, cfg NodeConfig) *Node {
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		recoders:   make(map[uint32]*rlnc.Recoder),
 		traceOf:    make(map[uint32]traceState),
-		replay:     make(map[uint32]*rlnc.Packet),
 		childOf:    make(map[int]string),
 		parentOf:   make(map[int]string),
 		lastRecv:   make(map[int]time.Time),
@@ -564,7 +538,10 @@ func (n *Node) handleControl(ctx context.Context, typ MsgType, body []byte) (don
 		n.mu.Unlock()
 		if !joined {
 			rejection := fmt.Errorf("protocol: join rejected: %s", e.Reason)
-			n.joinedCh <- rejection
+			select {
+			case n.joinedCh <- rejection:
+			default: // an earlier welcome already filled the slot
+			}
 			return true, rejection
 		}
 	}
@@ -649,25 +626,22 @@ func (n *Node) applyRedirect(ctx context.Context, r Redirect) {
 	// Catch-up burst: one fresh combination per generation we already
 	// hold, so a late joiner is not starved until the round-robin source
 	// cycles back.
-	type burst struct {
-		frame []byte
-	}
-	var bursts []burst
+	var bursts [][]byte
 	for _, g := range n.genIDs {
 		rc, ok := n.recoders[g]
-		if !ok || rc.Rank() == 0 {
+		if !ok {
 			continue
 		}
-		if p := n.emitPacketLocked(g, rc); p != nil {
-			bursts = append(bursts, burst{frame: EncodeDataSeq(n.field, r.Thread,
-				n.nextSeqLocked(r.Thread), n.lifecycle.EmitStamp(g), n.forwardTraceLocked(g), p)})
+		if p, ok := rc.Packet(n.rng); ok {
+			bursts = append(bursts, EncodeDataSeq(n.field, r.Thread,
+				n.nextSeqLocked(r.Thread), n.lifecycle.EmitStamp(g), n.forwardTraceLocked(g), p))
 			p.Release()
 		}
 	}
 	child := r.ChildAddr
 	n.mu.Unlock()
-	for _, b := range bursts {
-		n.sendData(ctx, child, b.frame)
+	for _, frame := range bursts {
+		n.sendData(ctx, child, frame)
 	}
 }
 
@@ -787,19 +761,11 @@ func (n *Node) absorb(ctx context.Context, f gf.Field, th int, from string, emit
 			justCompleted = true
 		}
 	}
-	// Remember a replay packet for the entropy attack before any mixing
-	// decisions.
-	if n.cfg.Behavior == EntropyAttacker {
-		if _, ok := n.replay[p.Gen]; !ok {
-			n.replay[p.Gen] = p.Clone()
-		}
-	}
-	// What the forwarded packet contains depends on the node's behavior.
 	var out *rlnc.Packet
 	var child string
 	if c, ok := n.childOf[th]; ok {
-		if out = n.emitPacketLocked(p.Gen, rc); out != nil {
-			child = c
+		if q, ok := rc.Packet(n.rng); ok {
+			out, child = q, c
 		}
 	}
 	// Merge the trace context and record the hop span. First trace ID
@@ -893,27 +859,6 @@ func (n *Node) nextSeqLocked(th int) int32 {
 	return int32(s)
 }
 
-// emitPacketLocked produces the packet this node forwards for generation
-// gen, honoring its behavior: honest nodes re-mix, entropy attackers
-// replay a fixed packet (zero new information), freeloaders emit nothing.
-// Callers hold n.mu.
-func (n *Node) emitPacketLocked(gen uint32, rc *rlnc.Recoder) *rlnc.Packet {
-	switch n.cfg.Behavior {
-	case Freeloader:
-		return nil
-	case EntropyAttacker:
-		if p := n.replay[gen]; p != nil {
-			return p.Clone()
-		}
-		return nil
-	default:
-		if p, ok := rc.Packet(n.rng); ok {
-			return p
-		}
-		return nil
-	}
-}
-
 // sendData forwards a data frame with a bounded wait: when the child's
 // queue is full the frame is dropped, exactly as a congested link would
 // drop a datagram. RLNC makes drops harmless — no specific packet is ever
@@ -966,9 +911,7 @@ func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte) {
 // probeLoop measures RTT over the data path: it periodically sends an
 // echo probe to each current parent, on the same plane coded frames ride
 // (LinkSeq sessions only). The parent's echo closes the loop in
-// handleKeepalive. All behaviors probe — a probe reveals nothing about
-// the prober's output threads, and even an attacker's scorecards keep
-// the fleet matrix honest about link quality.
+// handleKeepalive.
 func (n *Node) probeLoop(ctx context.Context) {
 	interval := n.cfg.ComplaintTimeout / 4
 	if interval <= 0 {
@@ -1018,13 +961,6 @@ func (n *Node) heartbeatLoop(ctx context.Context) {
 			return
 		case <-ticker.C:
 		}
-		if n.cfg.Behavior == Freeloader {
-			// The §5 failure attacker goes silent on its output threads:
-			// no data, no liveness. Children detect it by timeout and
-			// the repair protocol splices it out — exactly the attack
-			// the paper proves the overlay absorbs.
-			continue
-		}
 		n.mu.Lock()
 		type hb struct {
 			th    int
@@ -1040,8 +976,8 @@ func (n *Node) heartbeatLoop(ctx context.Context) {
 			// idle (e.g. it decoded everything and upstream went quiet).
 			if len(n.genIDs) > 0 {
 				g := n.genIDs[(n.hbGen+th)%len(n.genIDs)]
-				if rc, ok := n.recoders[g]; ok && rc.Rank() > 0 {
-					if p := n.emitPacketLocked(g, rc); p != nil {
+				if rc, ok := n.recoders[g]; ok {
+					if p, ok := rc.Packet(n.rng); ok {
 						b.frame = EncodeDataSeq(n.field, th, n.nextSeqLocked(th),
 							n.lifecycle.EmitStamp(g), n.forwardTraceLocked(g), p)
 						p.Release()
@@ -1070,10 +1006,9 @@ func (n *Node) heartbeatLoop(ctx context.Context) {
 // interval the welcome announced. The complaint protocol only detects
 // failed nodes that have children; the lease is how a bottom clip (and
 // every other node) proves it is still alive, so a crash without a
-// good-bye is eventually swept from M. Attackers keep renewing — the §5/§7
-// adversaries keep their control plane alive by design, and leases must
-// not mask them from complaint-based repair (they don't: leases only
-// gate the tracker's own sweep).
+// good-bye is eventually swept from M. Leases only gate the tracker's own
+// sweep: a node that renews but forwards nothing is still repaired away
+// by its children's complaints.
 func (n *Node) leaseLoop(ctx context.Context) {
 	// Poll until joined (the interval arrives with the welcome), then
 	// tick at the announced rate.

@@ -43,18 +43,18 @@ func TestControlEncodeDecode(t *testing.T) {
 func TestDataEncodeDecode(t *testing.T) {
 	t.Parallel()
 	p := &rlnc.Packet{Gen: 3, Coeff: []uint16{1, 0, 2}, Payload: []byte{9, 8, 7, 6}}
-	frame := EncodeData(gf.F256, 5, 0, p)
+	frame := EncodeDataSeq(gf.F256, 5, -1, 0, TraceContext{}, p)
 	if !IsData(frame) {
 		t.Fatal("data frame not classified as data")
 	}
-	th, emit, q, err := DecodeData(gf.F256, frame)
+	th, _, emit, _, q, err := DecodeDataSeq(gf.F256, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if th != 5 || emit != 0 || q.Gen != 3 || !bytes.Equal(q.Payload, p.Payload) {
 		t.Fatalf("decoded %d %d %+v", th, emit, q)
 	}
-	if _, _, _, err := DecodeData(gf.F256, []byte{frameControl, 'x'}); err == nil {
+	if _, _, _, _, _, err := DecodeDataSeq(gf.F256, []byte{frameControl, 'x'}); err == nil {
 		t.Fatal("control frame decoded as data")
 	}
 }
@@ -63,11 +63,11 @@ func TestStampedDataEncodeDecode(t *testing.T) {
 	t.Parallel()
 	p := &rlnc.Packet{Gen: 7, Coeff: []uint16{0, 1, 3}, Payload: []byte{1, 2, 3, 4}}
 	const stamp = int64(1_700_000_000_123_456_789)
-	frame := EncodeData(gf.F256, 9, stamp, p)
+	frame := EncodeDataSeq(gf.F256, 9, -1, stamp, TraceContext{}, p)
 	if !IsData(frame) {
 		t.Fatal("stamped data frame not classified as data")
 	}
-	th, emit, q, err := DecodeData(gf.F256, frame)
+	th, _, emit, _, q, err := DecodeDataSeq(gf.F256, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestStampedDataEncodeDecode(t *testing.T) {
 		t.Fatalf("decoded %d %d %+v", th, emit, q)
 	}
 	// A truncated stamped frame must fail loudly, not misparse the stamp.
-	if _, _, _, err := DecodeData(gf.F256, frame[:8]); err == nil {
+	if _, _, _, _, _, err := DecodeDataSeq(gf.F256, frame[:8]); err == nil {
 		t.Fatal("truncated stamped frame decoded")
 	}
 }
@@ -483,7 +483,7 @@ func TestSourceSystematicEmission(t *testing.T) {
 		if !IsData(frame) {
 			continue
 		}
-		_, _, p, err := DecodeData(params.Field, frame)
+		_, _, _, _, p, err := DecodeDataSeq(params.Field, frame)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -130,7 +130,7 @@ func TestLayeredSessionOverProtocol(t *testing.T) {
 		s.wg.Wait()
 	})
 
-	node := addNodeWithBehavior(t, s, ctx, "viewer", Honest)
+	node := addWrappedNode(t, s, ctx, "viewer", nil)
 	waitComplete(t, node, 30*time.Second)
 	got, err := node.Content()
 	if err != nil {

@@ -234,7 +234,6 @@ type ClientOption func(*clientSettings)
 type clientSettings struct {
 	degree    int
 	seed      int64
-	behavior  protocol.Behavior
 	genSink   GenSink
 	dataLoss  float64
 	dataDelay time.Duration
@@ -255,22 +254,6 @@ func WithDegree(d int) ClientOption {
 // WithClientSeed seeds the client's recoding randomness.
 func WithClientSeed(seed int64) ClientOption {
 	return func(c *clientSettings) { c.seed = seed }
-}
-
-// Byzantine behaviors for attack experiments (§5/§7): see the protocol
-// package for semantics.
-const (
-	// BehaviorHonest re-mixes and forwards (the default).
-	BehaviorHonest = protocol.Honest
-	// BehaviorEntropyAttacker forwards information-free replays.
-	BehaviorEntropyAttacker = protocol.EntropyAttacker
-	// BehaviorFreeloader forwards nothing and sends no liveness.
-	BehaviorFreeloader = protocol.Freeloader
-)
-
-// WithBehavior makes the client adversarial (attack experiments).
-func WithBehavior(b protocol.Behavior) ClientOption {
-	return func(c *clientSettings) { c.behavior = b }
 }
 
 // WithClientDataLoss drops each of this client's inbound data-plane frames
@@ -326,7 +309,6 @@ func (s *Session) AddClient(ctx context.Context, opts ...ClientOption) (*Client,
 		TrackerAddr:      "server",
 		Degree:           settings.degree,
 		ComplaintTimeout: s.cfg.ComplaintTimeout,
-		Behavior:         settings.behavior,
 		Seed:             settings.seed,
 		DecodeWorkers:    s.cfg.DecodeWorkers,
 		LinkSeq:          s.cfg.DatagramData,
