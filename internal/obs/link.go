@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Link telemetry: datagram data frames carry a per-(sender, thread)
-// 24-bit sequence number, keepalives carry an echo timestamp pair, and
+// Link telemetry: data frames carry a per-(sender, thread) 24-bit
+// sequence number, keepalives carry an echo timestamp pair, and
 // every node folds both into per-peer scorecards (LinkTracker): loss
 // estimated from sequence gaps, RTT/jitter EWMAs from keepalive echoes,
 // innovative-vs-redundant counts per parent. Scorecards ride the stats
@@ -15,7 +15,7 @@ import (
 // matrix served at /debug/links and digested into ClusterSnapshot.
 
 // SeqMod is the sequence-number space of the per-(sender, thread)
-// datagram counter: 24 bits, wrapping. Deltas are interpreted as signed
+// data-frame counter: 24 bits, wrapping. Deltas are interpreted as signed
 // 24-bit values, so reordering within ±2^23 frames is told apart from
 // wrap-around.
 const SeqMod = 1 << 24
@@ -68,12 +68,11 @@ type seqKey struct {
 }
 
 type seqState struct {
-	last    uint32
-	started bool
+	last uint32
 }
 
 // LinkTracker maintains one node's per-peer link scorecards. It is
-// called from the datagram receive path, so the steady state (known
+// called from the data-frame receive path, so the steady state (known
 // peer, known thread) must not allocate; all methods are no-ops on a nil
 // receiver.
 type LinkTracker struct {
@@ -112,9 +111,8 @@ func (t *LinkTracker) score(peer string) *linkScore {
 	return s
 }
 
-// ObserveFrame accounts one inbound data-plane frame from peer. seq < 0
-// means the frame carried no sequence number (legacy or TCP sender);
-// byte/frame counters still advance so goodput stays meaningful.
+// ObserveFrame accounts one inbound data-plane frame from peer, carrying
+// the sender's per-thread sequence number seq.
 func (t *LinkTracker) ObserveFrame(peer string, thread int, seq int32, frameBytes int, nowNanos int64) {
 	if t == nil {
 		return
@@ -128,32 +126,24 @@ func (t *LinkTracker) ObserveFrame(peer string, thread int, seq int32, frameByte
 	s.frames++
 	s.bytes += uint64(frameBytes)
 	s.lastRecvNanos = nowNanos
-	if seq >= 0 {
-		k := seqKey{peer: peer, thread: thread}
-		st, ok := t.seqs[k]
-		if !ok {
-			st = &seqState{}
-			t.seqs[k] = st
-		}
-		if !st.started {
-			st.started = true
-			st.last = uint32(seq)
-			s.expected++
+	k := seqKey{peer: peer, thread: thread}
+	if st, ok := t.seqs[k]; !ok {
+		t.seqs[k] = &seqState{last: uint32(seq)}
+		s.expected++
+		s.received++
+	} else {
+		switch d := seqDelta(uint32(seq), st.last); {
+		case d > 0:
+			// d-1 frames went missing (for now); a late arrival below
+			// fills its presumed hole back in.
+			s.expected += uint64(d)
 			s.received++
-		} else {
-			switch d := seqDelta(uint32(seq), st.last); {
-			case d > 0:
-				// d-1 frames went missing (for now); a late arrival
-				// below fills its presumed hole back in.
-				s.expected += uint64(d)
-				s.received++
-				st.last = uint32(seq)
-			case d == 0:
-				s.dup++
-			default:
-				s.reorders++
-				s.received++
-			}
+			st.last = uint32(seq)
+		case d == 0:
+			s.dup++
+		default:
+			s.reorders++
+			s.received++
 		}
 	}
 	t.mu.Unlock()

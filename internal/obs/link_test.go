@@ -93,19 +93,6 @@ func TestLinkTrackerThreadsIndependent(t *testing.T) {
 	}
 }
 
-func TestLinkTrackerUnstampedFrames(t *testing.T) {
-	lt := NewLinkTracker(0)
-	lt.ObserveFrame("p", 0, -1, 500, 1) // legacy frame: no seq
-	lt.ObserveFrame("p", 0, -1, 500, 2)
-	r := lt.Compact(0)[0]
-	if r.Frames != 2 || r.Bytes != 1000 {
-		t.Errorf("frames/bytes = %d/%d, want 2/1000", r.Frames, r.Bytes)
-	}
-	if r.Expected != 0 || r.LossPermille != 0 {
-		t.Errorf("unstamped frames grew the seq ledger: %d expected, %d‰", r.Expected, r.LossPermille)
-	}
-}
-
 func TestLinkTrackerRTTEwma(t *testing.T) {
 	lt := NewLinkTracker(0)
 	lt.ObserveRTT("p", 1000)
@@ -144,9 +131,9 @@ func TestLinkTrackerPeerCap(t *testing.T) {
 
 func TestLinkTrackerCompactOrderAndLimit(t *testing.T) {
 	lt := NewLinkTracker(0)
-	lt.ObserveFrame("quiet", 0, -1, 10, 1)
-	for i := 0; i < 3; i++ {
-		lt.ObserveFrame("busy", 0, -1, 10, 1)
+	lt.ObserveFrame("quiet", 0, 0, 10, 1)
+	for seq := int32(0); seq < 3; seq++ {
+		lt.ObserveFrame("busy", 0, seq, 10, 1)
 	}
 	lt.ObservePacket("busy", true)
 	lt.ObservePacket("busy", true)

@@ -30,36 +30,40 @@ func fuzzField(sel uint8) gf.Field {
 }
 
 // FuzzDecodeData hammers the binary data-frame decoder over all three
-// fields and all data-frame variants, with and without a sequence number.
-// Accepted frames must round-trip exactly: thread, seq, stamp, trace
-// context, generation, coefficients, and payload all survive re-encoding.
-// A malformed trace header must be rejected, never mis-routed to another
-// variant.
+// fields, untraced and traced. Accepted frames must round-trip exactly:
+// thread, seq, stamp, trace context, generation, coefficients, and payload
+// all survive re-encoding. A truncated header or a traced frame with a
+// zero trace ID must be rejected.
 func FuzzDecodeData(f *testing.F) {
 	for sel := uint8(0); sel < 3; sel++ {
 		fld := fuzzField(sel)
 		p := &rlnc.Packet{Gen: 3, Coeff: []uint16{1, 0, 1}, Payload: []byte("abcd")}
-		f.Add(sel, EncodeDataSeq(fld, 9, -1, 0, TraceContext{}, p))
-		f.Add(sel, EncodeDataSeq(fld, 9, -1, 123456789, TraceContext{}, p))
-		f.Add(sel, EncodeDataSeq(fld, 9, -1, 123456789, TraceContext{ID: 0xfeedface, Hop: 2}, p))
-		f.Add(sel, EncodeDataSeq(fld, 9, -1, 0, TraceContext{ID: 1, Hop: 255}, p))
 		f.Add(sel, EncodeDataSeq(fld, 9, 0, 0, TraceContext{}, p))
-		f.Add(sel, EncodeDataSeq(fld, 9, SeqMod-1, 123456789, TraceContext{}, p))
+		f.Add(sel, EncodeDataSeq(fld, 9, 0, 123456789, TraceContext{}, p))
 		f.Add(sel, EncodeDataSeq(fld, 9, 7, 123456789, TraceContext{ID: 0xfeedface, Hop: 2}, p))
+		f.Add(sel, EncodeDataSeq(fld, 9, 0, 0, TraceContext{ID: 1, Hop: 255}, p))
+		f.Add(sel, EncodeDataSeq(fld, 9, SeqMod-1, 123456789, TraceContext{}, p))
+		f.Add(sel, EncodeDataSeq(fld, 0x7fff, 1, 1, TraceContext{}, p))
+		f.Add(sel, EncodeDataSeq(fld, 0, SeqMod-1, 0, TraceContext{ID: ^uint64(0)}, p))
 	}
-	f.Add(uint8(1), []byte{0, 0, 1})                              // header only
-	f.Add(uint8(1), []byte{3, 0, 1, 1, 2, 3})                     // stamped, truncated stamp
-	f.Add(uint8(1), []byte{4, 0, 1, 1, 2, 3})                     // traced, truncated context
-	f.Add(uint8(1), append([]byte{4, 0, 1}, make([]byte, 17)...)) // traced, zero id
-	f.Add(uint8(1), []byte{0, 0x80, 1, 9})                        // seq flag, truncated seq
+	// Malformed frames over GF(256), in order: a truncated header, a
+	// truncated stamp, a truncated trace context, a zero trace ID, and a
+	// retired kind byte. header is a traced header with seq 5, stamp 42.
+	body := (&rlnc.Packet{Gen: 3, Coeff: []uint16{1, 0, 1}, Payload: []byte("abcd")}).AppendTo(nil, gf.F256)
+	header := []byte{0, 0x80, 1, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 42}
+	f.Add(uint8(1), []byte{0, 0, 1})
+	f.Add(uint8(1), header[:dataFrameHeaderLen-1])
+	f.Add(uint8(1), append(append([]byte(nil), header...), 1, 2, 3))
+	f.Add(uint8(1), append(append(append([]byte(nil), header...), make([]byte, traceContextLen)...), body...))
+	f.Add(uint8(1), append([]byte{3, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 42}, body...))
 	f.Fuzz(func(t *testing.T, sel uint8, frame []byte) {
 		fld := fuzzField(sel)
 		thread, seq, stamp, tc, p, err := DecodeDataSeq(fld, frame)
 		if err != nil {
 			return
 		}
-		if seq < -1 || seq >= SeqMod {
-			t.Fatalf("seq %d outside [-1, %d)", seq, SeqMod)
+		if seq < 0 || seq >= SeqMod {
+			t.Fatalf("seq %d outside [0, %d)", seq, SeqMod)
 		}
 		// Header fields must not have conjured state beyond the input:
 		// everything in the packet was carried by the frame itself.
@@ -67,7 +71,7 @@ func FuzzDecodeData(f *testing.F) {
 			t.Fatalf("decoded packet claims %d wire bytes from a %d-byte frame", p.WireSize(fld), len(frame))
 		}
 		// A frame the decoder calls traced must carry a usable context.
-		if len(frame) > 0 && frame[0] == 4 && !tc.Traced() {
+		if frame[1]&0x80 != 0 && !tc.Traced() {
 			t.Fatalf("traced frame accepted with zero trace id")
 		}
 		again := EncodeDataSeq(fld, thread, seq, stamp, tc, p)
@@ -81,13 +85,7 @@ func FuzzDecodeData(f *testing.F) {
 		if seq2 != seq {
 			t.Fatalf("seq changed across round trip: %d -> %d", seq, seq2)
 		}
-		// Traced frames carry the stamp verbatim; otherwise a non-positive
-		// stamp encodes as the unstamped variant.
-		wantStamp := stamp
-		if !tc.Traced() && wantStamp <= 0 {
-			wantStamp = 0
-		}
-		if stamp2 != wantStamp {
+		if stamp2 != stamp {
 			t.Fatalf("stamp changed across round trip: %d -> %d", stamp, stamp2)
 		}
 		if tc2 != tc {
@@ -111,27 +109,25 @@ func equalCoeff(a, b []uint16) bool {
 	return true
 }
 
-// FuzzDecodeKeepalive covers the third frame kind; it must never panic,
-// must round-trip the thread index through the legacy 3-byte encoder for
-// every frame it accepts, and must round-trip the timestamp pair through
-// the echo encoder.
+// FuzzDecodeKeepalive covers the keepalive frame kind; it must never
+// panic, must reject anything shorter than the 27-byte layout, and must
+// round-trip the thread and timestamps of every frame it accepts.
 func FuzzDecodeKeepalive(f *testing.F) {
-	f.Add(EncodeKeepalive(0))
-	f.Add(EncodeKeepalive(65535))
+	f.Add(EncodeKeepaliveEcho(0, 1, 0, 0))
+	f.Add(EncodeKeepaliveEcho(65535, 123456789, 0, 0))
 	f.Add([]byte{2})
-	f.Add(EncodeKeepaliveEcho(3, 123456789, 0, 0))              // probe
+	f.Add([]byte{2, 0, 7})                                      // 3-byte keepalive: rejected
 	f.Add(EncodeKeepaliveEcho(3, 0, 123456789, 42))             // echo
-	f.Add(append(EncodeKeepalive(1), 0xde, 0xad))               // trailing bytes: tolerated
-	f.Add(append(EncodeKeepaliveEcho(1, 1, 0, 0), 0xbe))        // over-long echo: tolerated
-	f.Add(EncodeKeepaliveEcho(9, 1, 0, 0)[:keepaliveEchoLen-1]) // truncated extension
+	f.Add(EncodeKeepaliveEcho(5, 0, 0, 0))                      // neither probe nor echo
+	f.Add(append(EncodeKeepaliveEcho(1, 1, 0, 0), 0xbe))        // over-long: tolerated
+	f.Add(EncodeKeepaliveEcho(9, 1, 0, 0)[:keepaliveEchoLen-1]) // truncated
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		ki, err := DecodeKeepaliveEcho(frame)
 		if err != nil {
 			return
 		}
-		legacy, err := DecodeKeepaliveEcho(EncodeKeepalive(ki.Thread))
-		if err != nil || legacy != (KeepaliveInfo{Thread: ki.Thread}) {
-			t.Fatalf("keepalive round trip: thread %d -> %+v, err %v", ki.Thread, legacy, err)
+		if len(frame) < keepaliveEchoLen {
+			t.Fatalf("accepted a %d-byte keepalive", len(frame))
 		}
 		again := EncodeKeepaliveEcho(ki.Thread, ki.TxNanos, ki.EchoNanos, ki.HoldNanos)
 		ki2, err := DecodeKeepaliveEcho(again)
@@ -141,11 +137,10 @@ func FuzzDecodeKeepalive(f *testing.F) {
 	})
 }
 
-// TestDataRoundTripTraced pins the traced frame variant across the three
-// fields: the context survives exactly (including hop saturation values
-// and a zero stamp, which the traced variant carries verbatim), and the
-// two malformed shapes — truncated context, zero trace ID — are rejected
-// as errors rather than mis-routed to another variant.
+// TestDataRoundTripTraced pins the traced frame across the three fields:
+// the context survives exactly (including hop saturation values and a
+// zero stamp), and the two malformed shapes — truncated context, zero
+// trace ID — are rejected as errors.
 func TestDataRoundTripTraced(t *testing.T) {
 	t.Parallel()
 	for _, fld := range []gf.Field{gf.F2, gf.F256, gf.F65536} {
@@ -156,13 +151,13 @@ func TestDataRoundTripTraced(t *testing.T) {
 			{ID: 0xdeadbeefcafe, Hop: 0},
 		} {
 			for _, stamp := range []int64{0, 42} {
-				frame := EncodeDataSeq(fld, 3, -1, stamp, tc, p)
+				frame := EncodeDataSeq(fld, 3, 11, stamp, tc, p)
 				thread, seq, gotStamp, gotTC, q, err := DecodeDataSeq(fld, frame)
 				if err != nil {
 					t.Fatalf("field %d tc=%+v stamp=%d: %v", fld.Bits(), tc, stamp, err)
 				}
-				if thread != 3 || seq != -1 || gotStamp != stamp || gotTC != tc {
-					t.Fatalf("field %d: got thread=%d seq=%d stamp=%d tc=%+v, want 3/-1/%d/%+v",
+				if thread != 3 || seq != 11 || gotStamp != stamp || gotTC != tc {
+					t.Fatalf("field %d: got thread=%d seq=%d stamp=%d tc=%+v, want 3/11/%d/%+v",
 						fld.Bits(), thread, seq, gotStamp, gotTC, stamp, tc)
 				}
 				if q.Gen != p.Gen || !equalCoeff(q.Coeff, p.Coeff) || !bytes.Equal(q.Payload, p.Payload) {
@@ -171,10 +166,12 @@ func TestDataRoundTripTraced(t *testing.T) {
 			}
 		}
 		// Malformed traced frames: truncated context and zero trace ID.
-		if _, _, _, _, _, err := DecodeDataSeq(fld, []byte{4, 0, 3, 1, 2}); err == nil {
+		header := EncodeDataSeq(fld, 3, 11, 42, TraceContext{ID: 1}, p)[:dataFrameHeaderLen]
+		truncated := append(append([]byte(nil), header...), 1, 2)
+		if _, _, _, _, _, err := DecodeDataSeq(fld, truncated); err == nil {
 			t.Fatalf("field %d: truncated traced frame accepted", fld.Bits())
 		}
-		zero := append([]byte{4, 0, 3}, make([]byte, 17)...)
+		zero := append(append([]byte(nil), header...), make([]byte, traceContextLen)...)
 		zero = p.AppendTo(zero, fld)
 		if _, _, _, _, _, err := DecodeDataSeq(fld, zero); err == nil {
 			t.Fatalf("field %d: zero-trace-id frame accepted", fld.Bits())
@@ -192,10 +189,10 @@ func TestTracedHotPathAllocs(t *testing.T) {
 	}
 	fld := gf.F256
 	src := &rlnc.Packet{Gen: 1, Coeff: []uint16{3, 1, 4, 1}, Payload: make([]byte, 256)}
-	frame := EncodeDataSeq(fld, 2, -1, 12345, TraceContext{}, src)
+	frame := EncodeDataSeq(fld, 2, 0, 12345, TraceContext{}, src)
 	hot := func() {
 		buf := rlnc.GetFrameBuf()
-		*buf = AppendDataSeq(*buf, fld, 2, -1, 12345, TraceContext{}, src)
+		*buf = AppendDataSeq(*buf, fld, 2, 0, 12345, TraceContext{}, src)
 		_, _, _, _, p, err := DecodeDataSeq(fld, frame)
 		if err != nil {
 			t.Fatal(err)
@@ -212,10 +209,10 @@ func TestTracedHotPathAllocs(t *testing.T) {
 	}
 }
 
-// TestDataRoundTripSeq pins the seq-stamped variant across the three
-// fields and all three kind combinations (plain, stamped, traced): the
-// sequence number survives exactly, including the wrap-point extremes, and
-// seq < 0 writes no sequence bytes and leaves the flag bit clear.
+// TestDataRoundTripSeq pins the sequence number across the three fields,
+// with and without a stamp and a trace context: it survives exactly,
+// including the wrap-point extremes, and a header cut short anywhere is
+// rejected.
 func TestDataRoundTripSeq(t *testing.T) {
 	t.Parallel()
 	for _, fld := range []gf.Field{gf.F2, gf.F256, gf.F65536} {
@@ -235,29 +232,21 @@ func TestDataRoundTripSeq(t *testing.T) {
 					if q.Gen != p.Gen || !equalCoeff(q.Coeff, p.Coeff) || !bytes.Equal(q.Payload, p.Payload) {
 						t.Fatalf("field %d seq=%d: packet mismatch", fld.Bits(), seq)
 					}
-					// The same frame without a seq is exactly 3 bytes
-					// shorter and decodes with seq -1.
-					seqless := EncodeDataSeq(fld, 5, -1, stamp, tc, p)
-					if len(seqless) != len(frame)-3 || seqless[1]&0x80 != 0 {
-						t.Fatalf("field %d stamp=%d tc=%+v: seqless frame %x vs %x", fld.Bits(), stamp, tc, seqless, frame)
-					}
-					if _, gotSeq, _, _, _, err := DecodeDataSeq(fld, seqless); err != nil || gotSeq != -1 {
-						t.Fatalf("field %d: seqless frame decoded seq=%d err=%v", fld.Bits(), gotSeq, err)
-					}
 				}
 			}
 		}
-		// A seq-flagged frame whose body ends before the 3 seq bytes is
-		// malformed, not mis-read as an unstamped frame.
-		if _, _, _, _, _, err := DecodeDataSeq(fld, []byte{0, 0x80, 5, 1, 2}); err == nil {
-			t.Fatalf("field %d: truncated seq frame accepted", fld.Bits())
+		frame := EncodeDataSeq(fld, 5, 1, 42, TraceContext{}, p)
+		for n := 0; n < dataFrameHeaderLen; n++ {
+			if _, _, _, _, _, err := DecodeDataSeq(fld, frame[:n]); err == nil {
+				t.Fatalf("field %d: %d-byte header accepted", fld.Bits(), n)
+			}
 		}
 	}
 }
 
-// TestDataFrameGoldenLayout pins the exact byte layout of every data-frame
-// header variant. These bytes are the wire protocol: a mixed-version fleet
-// only works if they never shift.
+// TestDataFrameGoldenLayout pins the exact bytes of the two data-frame
+// headers (untraced, 14 B; traced, 23 B) and the 27-byte keepalive. These
+// bytes are the wire protocol; they must never shift.
 func TestDataFrameGoldenLayout(t *testing.T) {
 	t.Parallel()
 	fld := gf.F256
@@ -281,18 +270,11 @@ func TestDataFrameGoldenLayout(t *testing.T) {
 		frame []byte
 		want  []byte
 	}{
-		{"plain", EncodeDataSeq(fld, 9, -1, 0, TraceContext{}, p), join([]byte{0, 0, 9}, body)},
-		{"stamped", EncodeDataSeq(fld, 9, -1, 99, TraceContext{}, p), join([]byte{3, 0, 9}, stamp8, body)},
-		{"traced", EncodeDataSeq(fld, 9, -1, 99, TraceContext{ID: 0xabc, Hop: 2}, p),
-			join([]byte{4, 0, 9}, stamp8, id8, []byte{2}, body)},
-		{"seq-plain", EncodeDataSeq(fld, 9, 0x010203, 0, TraceContext{}, p),
-			join([]byte{0, 0x80, 9, 1, 2, 3}, body)},
-		{"seq-stamped", EncodeDataSeq(fld, 9, 0x010203, 99, TraceContext{}, p),
-			join([]byte{3, 0x80, 9, 1, 2, 3}, stamp8, body)},
-		{"seq-traced", EncodeDataSeq(fld, 9, 0x010203, 99, TraceContext{ID: 0xabc, Hop: 2}, p),
-			join([]byte{4, 0x80, 9, 1, 2, 3}, stamp8, id8, []byte{2}, body)},
-		{"keepalive", EncodeKeepalive(0x1234), []byte{2, 0x12, 0x34}},
-		{"keepalive-echo", EncodeKeepaliveEcho(0x1234, 99, 0, 0),
+		{"data", EncodeDataSeq(fld, 9, 0x010203, 99, TraceContext{}, p),
+			join([]byte{0, 0, 9, 1, 2, 3}, stamp8, body)},
+		{"traced", EncodeDataSeq(fld, 9, 0x010203, 99, TraceContext{ID: 0xabc, Hop: 2}, p),
+			join([]byte{0, 0x80, 9, 1, 2, 3}, stamp8, id8, []byte{2}, body)},
+		{"keepalive", EncodeKeepaliveEcho(0x1234, 99, 0, 0),
 			join([]byte{2, 0x12, 0x34}, stamp8, make([]byte, 16))},
 	}
 	for _, c := range cases {
@@ -302,28 +284,22 @@ func TestDataFrameGoldenLayout(t *testing.T) {
 	}
 }
 
-// TestKeepaliveMixedVersions is the version-skew regression: an old node's
-// 3-byte keepalive and a new node's 27-byte echo keepalive must both be
-// accepted, as must frames with trailing bytes from a future extension.
-// A decoder that hard-failed on any frame != 3 bytes let one extended
-// keepalive from an upgraded peer silently kill the link's liveness
-// signal.
+// TestKeepaliveMixedVersions is the version-skew regression: frames with
+// trailing bytes from a future extension must be accepted, while the
+// retired 3-byte keepalive and any frame cut short of the 27-byte layout
+// are malformed.
 func TestKeepaliveMixedVersions(t *testing.T) {
 	t.Parallel()
-	// A legacy frame reads as timestamp-free — neither a probe nor an
-	// echo, so no RTT math runs.
-	ki, err := DecodeKeepaliveEcho(EncodeKeepalive(7))
-	if err != nil || ki.Thread != 7 || ki.IsProbe() || ki.IsEcho() {
-		t.Fatalf("decode of legacy keepalive: %+v err=%v", ki, err)
-	}
-	// Future extensions: trailing bytes beyond either layout are ignored.
+	// Future extensions: trailing bytes beyond the layout are ignored.
 	long := append(EncodeKeepaliveEcho(7, 1, 2, 3), 0xff, 0xee)
 	if ki, err := DecodeKeepaliveEcho(long); err != nil || ki.Thread != 7 || ki.TxNanos != 1 || ki.EchoNanos != 2 || ki.HoldNanos != 3 {
 		t.Fatalf("decode of over-long keepalive: %+v err=%v", ki, err)
 	}
-	// Truncated frames are still malformed.
-	if _, err := DecodeKeepaliveEcho([]byte{2, 0}); err == nil {
-		t.Fatal("2-byte keepalive accepted")
+	// Truncated frames, the retired 3-byte layout among them, are malformed.
+	for _, n := range []int{2, 3, keepaliveEchoLen - 1} {
+		if _, err := DecodeKeepaliveEcho(EncodeKeepaliveEcho(7, 1, 0, 0)[:n]); err == nil {
+			t.Fatalf("%d-byte keepalive accepted", n)
+		}
 	}
 	// Probe/echo classification.
 	probe := EncodeKeepaliveEcho(7, 123456789, 0, 0)
@@ -337,9 +313,9 @@ func TestKeepaliveMixedVersions(t *testing.T) {
 }
 
 // TestLinkHotPathAllocs is the link-telemetry overhead guard: the full
-// per-frame accounting path — pooled seq-stamped emit, decode, sequence
-// ledger, innovation verdict — must not allocate in the steady state, or
-// enabling telemetry would tax every datagram.
+// per-frame accounting path — pooled emit, decode, sequence ledger,
+// innovation verdict — must not allocate in the steady state, or the
+// telemetry would tax every data frame.
 func TestLinkHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates on instrumented paths")
@@ -371,7 +347,7 @@ func TestLinkHotPathAllocs(t *testing.T) {
 }
 
 // TestDataRoundTripAllFields pins the binary codec across the three
-// fields and both frame variants, including the GF(2) bit-packing edges
+// fields, stamped and unstamped, including the GF(2) bit-packing edges
 // (coefficient counts straddling byte boundaries).
 func TestDataRoundTripAllFields(t *testing.T) {
 	t.Parallel()
@@ -389,7 +365,7 @@ func TestDataRoundTripAllFields(t *testing.T) {
 			}
 			p := &rlnc.Packet{Gen: uint32(n), Coeff: coeff, Payload: []byte("payload-bytes")}
 			for _, stamp := range []int64{0, 42} {
-				frame := EncodeDataSeq(fld, n, -1, stamp, TraceContext{}, p)
+				frame := EncodeDataSeq(fld, n, 0, stamp, TraceContext{}, p)
 				thread, _, gotStamp, _, q, err := DecodeDataSeq(fld, frame)
 				if err != nil {
 					t.Fatalf("field %d n=%d stamp=%d: %v", fld.Bits(), n, stamp, err)

@@ -66,31 +66,30 @@ const (
 )
 
 // frame kind bytes: a data frame, a control message (layout in
-// control.go), a per-thread keepalive, a data frame stamped with the
-// source's first-emission time for its generation (what makes end-to-end
-// decode delay measurable at every receiver), or a traced data frame
-// carrying the stamp plus a dissemination-trace context (64-bit trace ID,
-// 8-bit hop count).
+// control.go), or a per-thread keepalive.
 const (
-	frameData       byte = 0
-	frameControl    byte = 1
-	frameKeepalive  byte = 2
-	frameDataTS     byte = 3
-	frameDataTraced byte = 4
+	frameData      byte = 0
+	frameControl   byte = 1
+	frameKeepalive byte = 2
 )
 
-// seqFlag marks a data frame whose header carries a per-(sender, thread)
-// 24-bit sequence number right after the thread word. It lives in the
-// top bit of the thread field — threads are bounded far below 2^15, so
-// the bit is always zero in legacy frames (the same spare-bit trick the
-// systematic flag uses in the rlnc length word), which keeps unstamped
-// encodings byte-identical.
-const seqFlag uint16 = 1 << 15
+// tracedFlag marks a data frame whose header carries a dissemination-trace
+// context after the emission stamp. It lives in the top bit of the thread
+// word; threads are bounded far below 2^15 (the same spare-bit trick the
+// systematic flag uses in the rlnc length word).
+const tracedFlag uint16 = 1 << 15
+
+// Data-frame header sizes: kind, thread word, 3-byte sequence number and
+// 8-byte emission stamp; a traced frame adds an 8-byte trace ID and the
+// hop count.
+const (
+	dataFrameHeaderLen = 1 + 2 + 3 + 8
+	traceContextLen    = 8 + 1
+)
 
 // SeqMod is the sequence-number space of the per-(sender, thread)
-// datagram counter: 24 bits, wrapping (mirrors obs.SeqMod, which owns
-// the gap-ledger arithmetic).
-const SeqMod = 1 << 24
+// counter every data frame carries.
+const SeqMod = obs.SeqMod
 
 // TraceContext is the dissemination-trace context a traced data frame
 // carries: the trace ID the source assigned to the sampled generation and
@@ -287,44 +286,31 @@ type ThreadAdded struct {
 }
 
 // AppendDataSeq appends a data frame — one coded packet traveling on a
-// thread — to buf and returns the extended slice. The frame variant
-// follows from the arguments:
-//   - emitNanos, when positive, is the source's first-emission time for
-//     the packet's generation (unix nanoseconds); it travels in a stamped
-//     variant so every receiver, however many overlay hops away, can
-//     measure true end-to-end decode delay. Zero emits the compact
-//     unstamped frame.
-//   - A traced context selects the traced variant, which always carries
-//     the stamp (a sampled generation without one would make per-hop
-//     latency unmeasurable), so emitNanos rides even when zero.
-//   - seq in [0, SeqMod) is a per-(sender, thread) sequence number from
-//     which receivers estimate per-peer loss, reordering, and duplication
-//     on the lossy datagram plane. It rides in 3 bytes between the thread
-//     word (whose top bit flags its presence) and the variant's
-//     stamp/trace fields. A negative seq omits it.
+// thread — to buf and returns the extended slice. Every data frame has
+// one layout:
+//
+//	[kind 0][thread u16, top bit = traced][seq u24][emit stamp u64]
+//	[trace id u64][hop u8]   (traced frames only)
+//	[coded packet]
+//
+// seq is the per-(sender, thread) sequence number (its low 24 bits), from
+// which receivers estimate per-peer loss, reordering and duplication.
+// emitNanos is the source's first-emission time for the packet's
+// generation (unix nanoseconds), so every receiver, however many overlay
+// hops away, can measure true end-to-end decode delay; 0 when unknown. A
+// traced context adds the trace ID and hop count.
 //
 // With a buffer from rlnc.GetFrameBuf the steady-state send path encodes
 // without allocating: both transports copy the frame during Send, so the
 // buffer can go back to the pool as soon as Send returns.
 func AppendDataSeq(buf []byte, f gf.Field, thread int, seq int32, emitNanos int64, tc TraceContext, p *rlnc.Packet) []byte {
-	kind := frameData
-	if tc.Traced() {
-		kind = frameDataTraced
-	} else if emitNanos > 0 {
-		kind = frameDataTS
-	}
 	tw := uint16(thread)
-	if seq >= 0 {
-		tw |= seqFlag
+	if tc.Traced() {
+		tw |= tracedFlag
 	}
-	buf = append(buf, kind, byte(tw>>8), byte(tw))
-	if seq >= 0 {
-		buf = append(buf, byte(seq>>16), byte(seq>>8), byte(seq))
-	}
-	if kind != frameData {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(emitNanos))
-	}
-	if kind == frameDataTraced {
+	buf = append(buf, frameData, byte(tw>>8), byte(tw), byte(seq>>16), byte(seq>>8), byte(seq))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(emitNanos))
+	if tc.Traced() {
 		buf = binary.BigEndian.AppendUint64(buf, tc.ID)
 		buf = append(buf, tc.Hop)
 	}
@@ -337,42 +323,28 @@ func EncodeDataSeq(f gf.Field, thread int, seq int32, emitNanos int64, tc TraceC
 	return AppendDataSeq(make([]byte, 0, dataFrameHeaderMax+p.WireSize(f)), f, thread, seq, emitNanos, tc, p)
 }
 
-// DecodeDataSeq unmarshals a data frame of any variant, returning the
-// per-(sender, thread) sequence number for seq-stamped frames (-1
-// otherwise), the emission stamp (0 for unstamped frames) and the trace
-// context for traced frames (zero otherwise). A malformed header is an error, never a silent fallback to another
-// variant.
+// DecodeDataSeq unmarshals a data frame (layout at AppendDataSeq),
+// returning the trace context for traced frames (zero otherwise). A
+// truncated header or a traced frame with a zero trace ID is an error.
 func DecodeDataSeq(f gf.Field, frame []byte) (thread int, seq int32, emitNanos int64, tc TraceContext, p *rlnc.Packet, err error) {
-	if len(frame) < 3 ||
-		(frame[0] != frameData && frame[0] != frameDataTS && frame[0] != frameDataTraced) {
+	if !IsData(frame) {
 		return 0, 0, 0, TraceContext{}, nil, fmt.Errorf("protocol: not a data frame")
 	}
-	tw := binary.BigEndian.Uint16(frame[1:3])
-	thread = int(tw &^ seqFlag)
-	body := frame[3:]
-	seq = -1
-	if tw&seqFlag != 0 {
-		if len(body) < 3 {
-			return 0, 0, 0, TraceContext{}, nil, fmt.Errorf("protocol: seq-stamped data frame truncated")
-		}
-		seq = int32(body[0])<<16 | int32(body[1])<<8 | int32(body[2])
-		body = body[3:]
+	if len(frame) < dataFrameHeaderLen {
+		return 0, 0, 0, TraceContext{}, nil, fmt.Errorf("protocol: data frame truncated")
 	}
-	switch frame[0] {
-	case frameDataTS:
-		if len(body) < 8 {
-			return 0, 0, 0, TraceContext{}, nil, fmt.Errorf("protocol: stamped data frame truncated")
-		}
-		emitNanos = int64(binary.BigEndian.Uint64(body[:8]))
-		body = body[8:]
-	case frameDataTraced:
-		if len(body) < 17 {
+	tw := binary.BigEndian.Uint16(frame[1:3])
+	thread = int(tw &^ tracedFlag)
+	seq = int32(frame[3])<<16 | int32(frame[4])<<8 | int32(frame[5])
+	emitNanos = int64(binary.BigEndian.Uint64(frame[6:dataFrameHeaderLen]))
+	body := frame[dataFrameHeaderLen:]
+	if tw&tracedFlag != 0 {
+		if len(body) < traceContextLen {
 			return 0, 0, 0, TraceContext{}, nil, fmt.Errorf("protocol: traced data frame truncated")
 		}
-		emitNanos = int64(binary.BigEndian.Uint64(body[:8]))
-		tc.ID = binary.BigEndian.Uint64(body[8:16])
-		tc.Hop = body[16]
-		body = body[17:]
+		tc.ID = binary.BigEndian.Uint64(body[:8])
+		tc.Hop = body[8]
+		body = body[traceContextLen:]
 		if !tc.Traced() {
 			return 0, 0, 0, TraceContext{}, nil, fmt.Errorf("protocol: traced data frame with zero trace id")
 		}
@@ -384,37 +356,28 @@ func DecodeDataSeq(f gf.Field, frame []byte) (thread int, seq int32, emitNanos i
 	return thread, seq, emitNanos, tc, p, nil
 }
 
-// IsData reports whether the frame is a data frame (any variant).
+// IsData reports whether the frame is a data frame.
 func IsData(frame []byte) bool {
-	return len(frame) > 0 &&
-		(frame[0] == frameData || frame[0] == frameDataTS || frame[0] == frameDataTraced)
+	return len(frame) > 0 && frame[0] == frameData
 }
 
-// EncodeKeepalive marshals a per-thread keepalive. A parent that has
-// nothing to forward on a thread still proves liveness with these, so that
-// downstream starvation (a failure further upstream) is never mistaken for
-// the parent's own death — without them, complaint storms would expel
-// innocent working ancestors one by one.
-func EncodeKeepalive(thread int) []byte {
-	var out [3]byte
-	out[0] = frameKeepalive
-	binary.BigEndian.PutUint16(out[1:], uint16(thread))
-	return out[:]
-}
-
-// keepaliveEchoLen is the extended keepalive layout: the 3-byte core
-// plus the echo timestamp pair (transmit time, echoed time, hold time —
-// 8 bytes each).
+// keepaliveEchoLen is the keepalive layout: the kind byte, the thread
+// word, and the echo timestamp triple (transmit time, echoed time, hold
+// time — 8 bytes each).
 const keepaliveEchoLen = 3 + 8 + 8 + 8
 
-// KeepaliveInfo is the decoded form of a keepalive frame, including the
-// echo extension when present. The exchange measures RTT over the path
-// data actually takes: a sender stamps TxNanos on its periodic
-// keepalives (a probe); the receiver answers with EchoNanos = the
-// received TxNanos and HoldNanos = its local processing delay; the
-// original sender computes RTT = now − EchoNanos − HoldNanos. An echo
-// carries TxNanos 0, so echoes are never themselves echoed. Legacy
-// 3-byte keepalives decode with all timestamps zero.
+// KeepaliveInfo is the decoded form of a per-thread keepalive. A parent
+// that has nothing to forward on a thread still proves liveness with
+// these, so that downstream starvation (a failure further upstream) is
+// never mistaken for the parent's own death — without them, complaint
+// storms would expel innocent working ancestors one by one.
+//
+// Keepalives also measure RTT over the path data actually takes: a
+// sender stamps TxNanos on its periodic keepalives (a probe); the
+// receiver answers with EchoNanos = the received TxNanos and HoldNanos =
+// its local processing delay; the original sender computes RTT = now −
+// EchoNanos − HoldNanos. An echo carries TxNanos 0, so echoes are never
+// themselves echoed.
 type KeepaliveInfo struct {
 	Thread    int
 	TxNanos   int64
@@ -428,9 +391,9 @@ func (k KeepaliveInfo) IsProbe() bool { return k.TxNanos > 0 && k.EchoNanos == 0
 // IsEcho reports whether the keepalive answers a probe.
 func (k KeepaliveInfo) IsEcho() bool { return k.EchoNanos > 0 }
 
-// EncodeKeepaliveEcho marshals a keepalive carrying the echo timestamp
-// pair: a probe (tx set, echo/hold zero) or an echo reply (tx zero, echo
-// = the probe's tx, hold = local processing delay).
+// EncodeKeepaliveEcho marshals a keepalive: a probe (tx set, echo/hold
+// zero) or an echo reply (tx zero, echo = the probe's tx, hold = local
+// processing delay).
 func EncodeKeepaliveEcho(thread int, txNanos, echoNanos, holdNanos int64) []byte {
 	var out [keepaliveEchoLen]byte
 	out[0] = frameKeepalive
@@ -441,22 +404,20 @@ func EncodeKeepaliveEcho(thread int, txNanos, echoNanos, holdNanos int64) []byte
 	return out[:]
 }
 
-// DecodeKeepaliveEcho unmarshals a keepalive of either layout. Frames
-// shorter than the full echo extension (legacy peers) decode with zero
-// timestamps. Trailing bytes beyond the known layout are ignored — they
-// belong to extensions a peer from a newer version may send; rejecting
-// them would kill the link on any version skew.
+// DecodeKeepaliveEcho unmarshals a keepalive. A frame shorter than the
+// layout is an error. Trailing bytes beyond it are ignored — they belong
+// to extensions a peer from a newer version may send; rejecting them
+// would kill the link on any version skew.
 func DecodeKeepaliveEcho(frame []byte) (KeepaliveInfo, error) {
-	if len(frame) < 3 || frame[0] != frameKeepalive {
+	if len(frame) < keepaliveEchoLen || frame[0] != frameKeepalive {
 		return KeepaliveInfo{}, fmt.Errorf("protocol: not a keepalive frame")
 	}
-	ki := KeepaliveInfo{Thread: int(binary.BigEndian.Uint16(frame[1:3]))}
-	if len(frame) >= keepaliveEchoLen {
-		ki.TxNanos = int64(binary.BigEndian.Uint64(frame[3:11]))
-		ki.EchoNanos = int64(binary.BigEndian.Uint64(frame[11:19]))
-		ki.HoldNanos = int64(binary.BigEndian.Uint64(frame[19:27]))
-	}
-	return ki, nil
+	return KeepaliveInfo{
+		Thread:    int(binary.BigEndian.Uint16(frame[1:3])),
+		TxNanos:   int64(binary.BigEndian.Uint64(frame[3:11])),
+		EchoNanos: int64(binary.BigEndian.Uint64(frame[11:19])),
+		HoldNanos: int64(binary.BigEndian.Uint64(frame[19:27])),
+	}, nil
 }
 
 // IsKeepalive reports whether the frame is a keepalive.
@@ -480,15 +441,13 @@ func DataPlaneFrame(frame []byte) bool {
 	return IsData(frame) || IsKeepalive(frame)
 }
 
-// dataFrameHeaderMax is the largest data-frame header any variant emits:
-// the traced layout's kind byte, 2-byte thread, 3-byte sequence number,
-// 8-byte emission stamp, 8-byte trace ID, and hop counter.
-const dataFrameHeaderMax = 1 + 2 + 3 + 8 + 8 + 1
+// dataFrameHeaderMax is the traced data-frame header.
+const dataFrameHeaderMax = dataFrameHeaderLen + traceContextLen
 
 // DataFrameOverhead returns the worst-case bytes a data frame adds on top
 // of the coded payload over field f with generation size h: the traced
 // frame header plus the rlnc packet header and coefficient vector. MTU
-// budgeting uses it to size payloads so every frame variant fits in one
+// budgeting uses it to size payloads so every data frame fits in one
 // datagram.
 func DataFrameOverhead(f gf.Field, h int) int {
 	return dataFrameHeaderMax + rlnc.OverheadBytes(f, h)

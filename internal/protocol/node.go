@@ -33,12 +33,6 @@ type NodeConfig struct {
 	// decode in parallel. 0 or 1 absorbs packets inline on the receive
 	// loop (the prior behavior).
 	DecodeWorkers int
-	// LinkSeq turns on link telemetry's wire stamping: outbound data
-	// frames carry per-(sender, thread) sequence numbers and keepalives
-	// become RTT echo probes. Off (the default) keeps every emitted frame
-	// byte-identical to the legacy encodings; inbound accounting is
-	// always on, so a node still scores peers that stamp.
-	LinkSeq bool
 	// Obs carries optional instrumentation; nil leaves the node (and its
 	// codecs) uninstrumented at zero cost.
 	Obs *obs.NodeMetrics
@@ -78,9 +72,9 @@ type Node struct {
 	innovative int
 	received   int
 	hbGen      int
-	// seqOf is the next outbound sequence number per thread (LinkSeq
-	// only); links scores every inbound peer — loss from sequence gaps,
-	// RTT from keepalive echoes, innovation per parent.
+	// seqOf is the next outbound sequence number per thread; links scores
+	// every inbound peer — loss from sequence gaps, RTT from keepalive
+	// echoes, innovation per parent.
 	seqOf map[int]uint32
 	links *obs.LinkTracker
 	// traceOf holds, per generation, the dissemination-trace context this
@@ -379,9 +373,7 @@ func (n *Node) Run(ctx context.Context) error {
 	if n.cfg.ComplaintTimeout > 0 {
 		go n.complaintLoop(ctx)
 		go n.heartbeatLoop(ctx)
-		if n.cfg.LinkSeq {
-			go n.probeLoop(ctx)
-		}
+		go n.probeLoop(ctx)
 	}
 	// The lease and stats loops idle until a welcome announces intervals.
 	go n.leaseLoop(ctx)
@@ -509,14 +501,7 @@ func (n *Node) handleControl(ctx context.Context, typ MsgType, body []byte) (don
 			return false, nil
 		}
 		n.mu.Lock()
-		present := false
-		for _, th := range n.threads {
-			if th == ta.Thread {
-				present = true
-				break
-			}
-		}
-		if !present {
+		if !n.holdsLocked(ta.Thread) {
 			n.threads = append(n.threads, ta.Thread)
 		}
 		n.lastRecv[ta.Thread] = time.Now()
@@ -671,8 +656,10 @@ func (n *Node) handleData(ctx context.Context, from string, frame []byte) {
 	if m != nil {
 		m.Received.Inc()
 	}
-	n.lastRecv[th] = now
-	n.parentOf[th] = from
+	if n.holdsLocked(th) {
+		n.lastRecv[th] = now
+		n.parentOf[th] = from
+	}
 	rc, ok := n.recoders[p.Gen]
 	if !ok {
 		rc, err = rlnc.NewRecoder(n.field, p.Gen, n.params.GenSize, n.params.PacketSize)
@@ -798,7 +785,7 @@ func (n *Node) absorb(ctx context.Context, f gf.Field, th int, from string, emit
 			EmitNanos:    emit,
 		})
 	}
-	fwdSeq := int32(-1)
+	var fwdSeq int32
 	if out != nil {
 		fwdTC = n.forwardTraceLocked(out.Gen)
 		fwdSeq = n.nextSeqLocked(th)
@@ -846,17 +833,26 @@ func (n *Node) forwardTraceLocked(gen uint32) TraceContext {
 }
 
 // nextSeqLocked returns the next outbound sequence number for thread th,
-// advancing the per-thread counter (wrapping in 24-bit space), or -1
-// when LinkSeq stamping is off — which makes every Append/EncodeDataSeq
-// call site fall back to the byte-identical legacy encodings. Callers
+// advancing the per-thread counter (wrapping in 24-bit space). Callers
 // hold n.mu.
 func (n *Node) nextSeqLocked(th int) int32 {
-	if !n.cfg.LinkSeq {
-		return -1
-	}
 	s := n.seqOf[th]
 	n.seqOf[th] = (s + 1) % SeqMod
 	return int32(s)
+}
+
+// holdsLocked reports whether th is one of the node's threads. Only a
+// held thread has a parent whose liveness the node tracks: a frame still
+// in flight on a dropped thread must not resurrect its parent entry, or
+// the node would keep probing a former parent that now counts the probes
+// as upstream liveness. Callers hold n.mu.
+func (n *Node) holdsLocked(th int) bool {
+	for _, t := range n.threads {
+		if t == th {
+			return true
+		}
+	}
+	return false
 }
 
 // sendData forwards a data frame with a bounded wait: when the child's
@@ -891,7 +887,7 @@ func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte) {
 	// the parents they measure); only a frame from upstream may refresh
 	// the thread's liveness clock, or a probing child would mask its
 	// parent's death from the complaint protocol.
-	if n.childOf[th] != from {
+	if n.childOf[th] != from && n.holdsLocked(th) {
 		n.lastRecv[th] = now
 		n.parentOf[th] = from
 	}
@@ -909,9 +905,8 @@ func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte) {
 }
 
 // probeLoop measures RTT over the data path: it periodically sends an
-// echo probe to each current parent, on the same plane coded frames ride
-// (LinkSeq sessions only). The parent's echo closes the loop in
-// handleKeepalive.
+// echo probe to each current parent, on the same plane coded frames ride.
+// The parent's echo closes the loop in handleKeepalive.
 func (n *Node) probeLoop(ctx context.Context) {
 	interval := n.cfg.ComplaintTimeout / 4
 	if interval <= 0 {
@@ -985,12 +980,8 @@ func (n *Node) heartbeatLoop(ctx context.Context) {
 				}
 			}
 			if b.frame == nil {
-				if n.cfg.LinkSeq {
-					// Double as an RTT probe down the same path.
-					b.frame = EncodeKeepaliveEcho(th, time.Now().UnixNano(), 0, 0)
-				} else {
-					b.frame = EncodeKeepalive(th)
-				}
+				// Double as an RTT probe down the same path.
+				b.frame = EncodeKeepaliveEcho(th, time.Now().UnixNano(), 0, 0)
 			}
 			beats = append(beats, b)
 		}

@@ -48,16 +48,10 @@ type Source struct {
 	// the repair tail pays Gaussian cost. Ignored in layered mode. Set
 	// before Run.
 	Systematic bool
-	// LinkSeq stamps every emitted frame with a per-thread sequence
-	// number so direct children can estimate loss on their source links.
-	// Off keeps the wire byte-identical to the legacy encodings. Set
-	// before Run.
-	LinkSeq bool
 	// sysSent counts, per generation, how many systematic packets have
 	// been emitted; only Run touches it.
 	sysSent []uint16
-	// seq is the next per-thread sequence number (LinkSeq only); only
-	// Run touches it.
+	// seq is the next per-thread sequence number; only Run touches it.
 	seq []uint32
 }
 
@@ -78,6 +72,7 @@ func NewSource(ep transport.Endpoint, k int, params rlnc.Params, content []byte,
 		rng:       rand.New(rand.NewSource(seed)),
 		traceSeed: seed,
 		childOf:   make([]string, k),
+		seq:       make([]uint32, k),
 		emitAt:    make(map[uint32]int64),
 	}, nil
 }
@@ -101,6 +96,7 @@ func NewLayeredSource(ep transport.Endpoint, k int, params rlnc.LayeredParams, c
 		rng:       rand.New(rand.NewSource(seed)),
 		traceSeed: seed,
 		childOf:   make([]string, k),
+		seq:       make([]uint32, k),
 		emitAt:    make(map[uint32]int64),
 	}, nil
 }
@@ -221,20 +217,12 @@ func (s *Source) Run(ctx context.Context) error {
 			}
 			// Direct children of the source sit at hop depth 1.
 			tc := TraceContext{ID: s.traceID(p.Gen), Hop: 1}
-			seq := int32(-1)
-			if s.LinkSeq {
-				if s.seq == nil {
-					s.seq = make([]uint32, len(children))
-				}
-				if th < len(s.seq) {
-					seq = int32(s.seq[th])
-					s.seq[th] = (s.seq[th] + 1) % SeqMod
-				}
-			}
+			seq := s.seq[th]
+			s.seq[th] = (seq + 1) % SeqMod
 			// Send does not retain msg, so the frame buffer goes back to
 			// its pool as soon as Send returns.
 			buf := rlnc.GetFrameBuf()
-			*buf = AppendDataSeq(*buf, s.params.Field, th, seq, s.emitStamp(p.Gen), tc, p)
+			*buf = AppendDataSeq(*buf, s.params.Field, th, int32(seq), s.emitStamp(p.Gen), tc, p)
 			p.Release()
 			sendCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 			err = s.ep.Send(sendCtx, child, *buf)

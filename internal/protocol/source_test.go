@@ -48,7 +48,6 @@ func TestSourceEmitAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	source.Systematic = true
-	source.LinkSeq = true
 	for th := 0; th < threads; th++ {
 		source.SetChild(th, fmt.Sprintf("child-%d", th))
 	}

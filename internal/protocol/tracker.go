@@ -650,9 +650,9 @@ func (t *Tracker) deliver(ctx context.Context, to string, frame []byte) {
 }
 
 // echoProbe answers a link-RTT probe keepalive with an echo carrying the
-// prober's transmit stamp. Echoes and legacy keepalives are ignored. The
-// send is bounded so a clogged data plane cannot stall dispatch for long;
-// a lost echo just costs one RTT sample.
+// prober's transmit stamp. Echoes are ignored. The send is bounded so a
+// clogged data plane cannot stall dispatch for long; a lost echo just
+// costs one RTT sample.
 func (t *Tracker) echoProbe(ctx context.Context, from string, frame []byte) {
 	ki, err := DecodeKeepaliveEcho(frame)
 	if err != nil || !ki.IsProbe() {
@@ -996,7 +996,7 @@ func (t *Tracker) spliceOut(ctx context.Context, id core.NodeID, remove func() e
 	// Per-thread children BEFORE the row disappears: the successor on
 	// each thread (may be absent when this node is the bottom clip).
 	childAddrs := make([]string, len(threads))
-	children, err := t.childPerThread(id, threads)
+	children, err := t.curtain.ThreadChildren(id)
 	if err != nil {
 		t.mu.Unlock()
 		return err
@@ -1029,12 +1029,6 @@ func (t *Tracker) spliceOut(ctx context.Context, id core.NodeID, remove func() e
 		t.redirect(ctx, parents[i], th, childAddrs[i])
 	}
 	return nil
-}
-
-// childPerThread returns, aligned with threads, the successor node id on
-// each thread (0 when the node is the bottom clip). Caller holds t.mu.
-func (t *Tracker) childPerThread(id core.NodeID, threads []int) ([]core.NodeID, error) {
-	return t.curtain.ThreadChildren(id)
 }
 
 // handleGoodbye performs the §3 good-bye protocol.
@@ -1150,11 +1144,7 @@ func (t *Tracker) handleCongested(ctx context.Context, c Congested) {
 	}
 	threads, terr := t.curtain.Threads(id)
 	parents, perr := t.curtain.Parents(id)
-	var children []core.NodeID
-	var cerr error
-	if terr == nil {
-		children, cerr = t.childPerThread(id, threads)
-	}
+	children, cerr := t.curtain.ThreadChildren(id)
 	if terr != nil || perr != nil || cerr != nil {
 		t.mu.Unlock()
 		return
@@ -1207,11 +1197,7 @@ func (t *Tracker) handleUncongested(ctx context.Context, u Uncongested) {
 	// Locate the node's new parent and child on the gained thread.
 	threads, terr := t.curtain.Threads(id)
 	parents, perr := t.curtain.Parents(id)
-	var children []core.NodeID
-	var cerr error
-	if terr == nil {
-		children, cerr = t.childPerThread(id, threads)
-	}
+	children, cerr := t.curtain.ThreadChildren(id)
 	if terr != nil || perr != nil || cerr != nil {
 		t.mu.Unlock()
 		return

@@ -30,6 +30,7 @@ import (
 
 	"ncast/internal/core"
 	"ncast/internal/gf"
+	"ncast/internal/obs"
 	"ncast/internal/protocol"
 	"ncast/internal/rlnc"
 	"ncast/internal/transport"
@@ -159,8 +160,8 @@ type Config struct {
 	// frames with a trace context that nodes propagate through recoding
 	// and report to the server, which assembles per-generation hop trees
 	// served at /debug/trace and summarized in ClusterSnapshot. 0 (the
-	// default) disables sampling; the data path then emits the exact
-	// frames it always did, at zero extra cost.
+	// default) disables sampling; frames then carry no trace context, at
+	// zero extra cost.
 	TraceRate int
 }
 
@@ -249,25 +250,68 @@ func MaxPacketSize(mtu int, field Field, genSize int) int {
 	return n
 }
 
-func (c Config) params() (rlnc.Params, error) {
-	f, err := c.Field.field()
-	if err != nil {
-		return rlnc.Params{}, err
+// registry returns the session's metrics registry, or nil when
+// observability is disabled.
+func (c Config) registry() *obs.Registry {
+	if c.DisableObs {
+		return nil
 	}
-	return rlnc.Params{Field: f, GenSize: c.GenSize, PacketSize: c.PacketSize}, nil
+	return obs.NewRegistry(obs.WithTraceCapacity(c.TraceCap))
 }
 
-func (c Config) trackerConfig(session protocol.SessionParams) protocol.TrackerConfig {
-	return protocol.TrackerConfig{
+// newServer builds the server side of a session on ep: the flat or
+// layered data source and the tracker routing it, both instrumented into
+// reg (nil leaves them uninstrumented). The caller runs both.
+func (c Config) newServer(ep transport.Endpoint, content []byte, reg *obs.Registry) (*protocol.Source, *protocol.Tracker, error) {
+	f, err := c.Field.field()
+	if err != nil {
+		return nil, nil, err
+	}
+	params := rlnc.Params{Field: f, GenSize: c.GenSize, PacketSize: c.PacketSize}
+	var source *protocol.Source
+	if len(c.LayerWeights) > 0 {
+		lp := rlnc.LayeredParams{Params: params, Weights: c.LayerWeights}
+		source, err = protocol.NewLayeredSource(ep, c.K, lp, content, c.Seed)
+	} else {
+		source, err = protocol.NewSource(ep, c.K, params, content, c.Seed)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	source.RoundInterval = c.SourceInterval
+	source.Obs = obs.NewSourceMetrics(reg)
+	source.TraceRate = c.TraceRate
+	source.Systematic = c.Systematic
+	tracker, err := protocol.NewTracker(ep, source, protocol.TrackerConfig{
 		K:             c.K,
 		D:             c.D,
-		Session:       session,
+		Session:       source.Session(),
 		InsertMode:    core.InsertMode(c.Insert),
 		Seed:          c.Seed,
 		LeaseTimeout:  c.LeaseTimeout,
 		SendDeadline:  c.SendDeadline,
 		StatsInterval: c.StatsInterval,
+		Obs:           obs.NewTrackerMetrics(reg),
+		TraceObs:      obs.NewTraceMetrics(reg),
+		LinkObs:       obs.NewLinkMetrics(reg),
+	})
+	if err != nil {
+		return nil, nil, err
 	}
+	obs.NewRuntimeMetrics(reg)
+	return source, tracker, nil
+}
+
+// registrySnapshot captures reg's metric series and recent trace events;
+// callers add the overlay or node health.
+func registrySnapshot(reg *obs.Registry) obs.OverlaySnapshot {
+	snap := obs.OverlaySnapshot{At: time.Now()}
+	if reg != nil {
+		snap.Metrics = reg.Snapshot()
+		snap.Recent = reg.Trace().Events()
+		snap.DroppedEvents = reg.Trace().Dropped()
+	}
+	return snap
 }
 
 // Option mutates a Config.
@@ -393,22 +437,5 @@ func WithDataLoss(p float64) Option {
 	return func(c *Config) { c.DataLoss = p }
 }
 
-// newSource builds the flat or layered data source for cfg.
-func (c Config) newSource(ep sourceEndpoint, content []byte) (*protocol.Source, error) {
-	params, err := c.params()
-	if err != nil {
-		return nil, err
-	}
-	if len(c.LayerWeights) > 0 {
-		lp := rlnc.LayeredParams{Params: params, Weights: c.LayerWeights}
-		return protocol.NewLayeredSource(ep, c.K, lp, content, c.Seed)
-	}
-	return protocol.NewSource(ep, c.K, params, content, c.Seed)
-}
-
 // ErrClosed is returned by operations on a closed session.
 var ErrClosed = errors.New("ncast: closed")
-
-// sourceEndpoint is the transport dependency of newSource, satisfied by
-// both in-memory and TCP endpoints.
-type sourceEndpoint = transport.Endpoint

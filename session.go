@@ -112,31 +112,13 @@ func NewSession(content []byte, cfg Config, opts ...SessionOption) (*Session, er
 		}
 	}
 
-	var reg *obs.Registry
-	if !cfg.DisableObs {
-		reg = obs.NewRegistry(obs.WithTraceCapacity(cfg.TraceCap))
-	}
+	reg := cfg.registry()
 	ep, err := sessionEndpoint(net, dataNet, "server", reg, nil)
 	if err != nil {
 		closeNets()
 		return nil, err
 	}
-	source, err := cfg.newSource(ep, content)
-	if err != nil {
-		closeNets()
-		return nil, err
-	}
-	source.RoundInterval = cfg.SourceInterval
-	source.Obs = obs.NewSourceMetrics(reg)
-	source.TraceRate = cfg.TraceRate
-	source.Systematic = cfg.Systematic
-	source.LinkSeq = cfg.DatagramData
-	trackerCfg := cfg.trackerConfig(source.Session())
-	trackerCfg.Obs = obs.NewTrackerMetrics(reg)
-	trackerCfg.TraceObs = obs.NewTraceMetrics(reg)
-	trackerCfg.LinkObs = obs.NewLinkMetrics(reg)
-	obs.NewRuntimeMetrics(reg)
-	tracker, err := protocol.NewTracker(ep, source, trackerCfg)
+	source, tracker, err := cfg.newServer(ep, content, reg)
 	if err != nil {
 		closeNets()
 		return nil, err
@@ -190,14 +172,9 @@ func (s *Session) Observability() *obs.Registry { return s.obs }
 // (population, degree distribution, hanging threads), every metric series,
 // and the most recent trace events.
 func (s *Session) Snapshot() obs.OverlaySnapshot {
-	snap := obs.OverlaySnapshot{At: time.Now()}
+	snap := registrySnapshot(s.obs)
 	h := s.tracker.Health()
 	snap.Overlay = &h
-	if s.obs != nil {
-		snap.Metrics = s.obs.Snapshot()
-		snap.Recent = s.obs.Trace().Events()
-		snap.DroppedEvents = s.obs.Trace().Dropped()
-	}
 	return snap
 }
 
@@ -219,11 +196,9 @@ func (s *Session) TraceSnapshot() obs.TraceSnapshot {
 
 // LinkSnapshot returns the aggregated fleet link matrix: every reported
 // (reporter, peer) edge with its loss estimate, RTT/jitter EWMAs,
-// innovation rate and goodput, plus the worst-links digest. Edges appear
-// only when Config.StatsInterval is positive; loss and RTT need
-// Config.DatagramData (sequence stamping and probe keepalives ride the
-// datagram encodings). Pass it to obs.WithLinkSnapshot to serve it at
-// /debug/links.
+// innovation rate and goodput, plus the worst-links digest, over any
+// transport. Edges appear only when Config.StatsInterval is positive.
+// Pass it to obs.WithLinkSnapshot to serve it at /debug/links.
 func (s *Session) LinkSnapshot() obs.LinkSnapshot {
 	return s.tracker.LinkSnapshot()
 }
@@ -311,7 +286,6 @@ func (s *Session) AddClient(ctx context.Context, opts ...ClientOption) (*Client,
 		ComplaintTimeout: s.cfg.ComplaintTimeout,
 		Seed:             settings.seed,
 		DecodeWorkers:    s.cfg.DecodeWorkers,
-		LinkSeq:          s.cfg.DatagramData,
 		Obs:              obs.NewNodeMetrics(s.obs, addr),
 		GenSink:          sink,
 	})

@@ -3,7 +3,6 @@ package ncast
 import (
 	"context"
 	"sync"
-	"time"
 
 	"ncast/internal/obs"
 	"ncast/internal/protocol"
@@ -66,30 +65,12 @@ func ListenAndServe(addr string, content []byte, cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var reg *obs.Registry
-	if !cfg.DisableObs {
-		reg = obs.NewRegistry(obs.WithTraceCapacity(cfg.TraceCap))
-	}
+	reg := cfg.registry()
 	ep, err := listenEndpoint(addr, "server", cfg, reg)
 	if err != nil {
 		return nil, err
 	}
-	source, err := cfg.newSource(ep, content)
-	if err != nil {
-		ep.Close()
-		return nil, err
-	}
-	source.RoundInterval = cfg.SourceInterval
-	source.Obs = obs.NewSourceMetrics(reg)
-	source.TraceRate = cfg.TraceRate
-	source.Systematic = cfg.Systematic
-	source.LinkSeq = cfg.DatagramData
-	trackerCfg := cfg.trackerConfig(source.Session())
-	trackerCfg.Obs = obs.NewTrackerMetrics(reg)
-	trackerCfg.TraceObs = obs.NewTraceMetrics(reg)
-	trackerCfg.LinkObs = obs.NewLinkMetrics(reg)
-	obs.NewRuntimeMetrics(reg)
-	tracker, err := protocol.NewTracker(ep, source, trackerCfg)
+	source, tracker, err := cfg.newServer(ep, content, reg)
 	if err != nil {
 		ep.Close()
 		return nil, err
@@ -120,14 +101,9 @@ func (s *Server) Observability() *obs.Registry { return s.obs }
 // Snapshot captures the server's current overlay health, metrics, and
 // recent trace events.
 func (s *Server) Snapshot() obs.OverlaySnapshot {
-	snap := obs.OverlaySnapshot{At: time.Now()}
+	snap := registrySnapshot(s.obs)
 	h := s.tracker.Health()
 	snap.Overlay = &h
-	if s.obs != nil {
-		snap.Metrics = s.obs.Snapshot()
-		snap.Recent = s.obs.Trace().Events()
-		snap.DroppedEvents = s.obs.Trace().Dropped()
-	}
 	return snap
 }
 
@@ -177,10 +153,7 @@ func Dial(ctx context.Context, serverAddr, listenAddr string, cfg Config, opts .
 	for _, o := range opts {
 		o(&settings)
 	}
-	var reg *obs.Registry
-	if !cfg.DisableObs {
-		reg = obs.NewRegistry(obs.WithTraceCapacity(cfg.TraceCap))
-	}
+	reg := cfg.registry()
 	ep, err := listenEndpoint(listenAddr, "", cfg, reg)
 	if err != nil {
 		return nil, err
@@ -191,7 +164,6 @@ func Dial(ctx context.Context, serverAddr, listenAddr string, cfg Config, opts .
 		ComplaintTimeout: cfg.ComplaintTimeout,
 		Seed:             settings.seed,
 		DecodeWorkers:    cfg.DecodeWorkers,
-		LinkSeq:          cfg.DatagramData,
 		Obs:              obs.NewNodeMetrics(reg, ep.Addr()),
 		GenSink:          settings.genSink,
 	})
@@ -240,14 +212,9 @@ func (c *RemoteClient) Observability() *obs.Registry { return c.obs }
 // Snapshot captures the client's download health, metrics, and recent
 // trace events.
 func (c *RemoteClient) Snapshot() obs.OverlaySnapshot {
-	snap := obs.OverlaySnapshot{At: time.Now()}
+	snap := registrySnapshot(c.obs)
 	h := c.node.Health()
 	snap.Node = &h
-	if c.obs != nil {
-		snap.Metrics = c.obs.Snapshot()
-		snap.Recent = c.obs.Trace().Events()
-		snap.DroppedEvents = c.obs.Trace().Dropped()
-	}
 	return snap
 }
 

@@ -370,6 +370,64 @@ func TestLossyPeerLinkDrill(t *testing.T) {
 	})
 }
 
+// TestSingleFabricLinkLoss: the link matrix needs no datagram plane. In a
+// single-fabric session that drops 10% of every frame, each reporter's
+// aggregate loss estimate must land within ±30‰ of 100‰, and its links
+// must carry RTT samples from keepalive echoes.
+func TestSingleFabricLinkLoss(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	cfg.StatsInterval = 100 * time.Millisecond
+	sess, err := NewSession(testContent(4*8*64), cfg, WithLoss(0.10), WithNetworkSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	var clients []*Client
+	for i := 0; i < 4; i++ {
+		c, err := sess.AddClient(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, c)
+	}
+	for _, c := range clients {
+		if err := c.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var lastSnap obs.LinkSnapshot
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("last link snapshot: %+v", lastSnap)
+		}
+	})
+	waitFor(t, 60*time.Second, "every reporter's loss estimate to converge on 10%", func() bool {
+		lastSnap = sess.LinkSnapshot()
+		for _, c := range clients {
+			var expected, received, rttSamples uint64
+			for _, e := range lastSnap.Edges {
+				if e.Reporter == c.ID() {
+					expected += e.Expected
+					received += e.Received
+					rttSamples += e.RTTSamples
+				}
+			}
+			// 1000 samples put ±30‰ at about three standard deviations.
+			if expected < 1000 || rttSamples == 0 {
+				return false
+			}
+			if loss := (expected - received) * 1000 / expected; loss < 70 || loss > 130 {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 // TestClusterSnapshotLive checks the session-level aggregation end to end:
 // after a full decode, every client appears complete in the cluster view.
 func TestClusterSnapshotLive(t *testing.T) {
