@@ -51,9 +51,11 @@ race:
 # Control-plane fault-tolerance suite under the race detector: lease
 # sweep of crashed leaves, outbox behavior behind stalled peers, churn
 # over the fault-injection transport, malformed control frames, the
-# send-deadline regression, and a rejection after a re-join.
+# send-deadline regression, a rejection after a re-join, the node clock
+# (good-bye retries end with Run, a clamped tiny ComplaintTimeout,
+# keepalives behind a stalled tracker), and a client's goroutine count.
 churn:
-	$(GO) test -race -run 'Churn|Lease|Stalled|Faulty|Goodbye|SendDeadline|LeafCrash|Telemetry|Timeline|ClusterSnapshot|TraceLive|Rejoin' ./internal/protocol ./internal/transport .
+	$(GO) test -race -run 'Churn|Lease|Stalled|Faulty|Goodbye|SendDeadline|LeafCrash|Telemetry|Timeline|ClusterSnapshot|TraceLive|Rejoin|Footprint|Clamp' ./internal/protocol ./internal/transport .
 
 # Datagram-plane suite under the race detector: the UDP endpoint and its
 # batched I/O, same-port dual-plane binding, the end-to-end broadcasts

@@ -263,9 +263,12 @@ func TestGoodbyeRacesQueuedDuplicateHello(t *testing.T) {
 
 // TestExpireSweepsNodeWithQueuedDuplicateHello: a lease expiry fires
 // while the expired node's own duplicate hello sits in the admission
-// queue. The sweep removes the row; the queued hello must then be
+// queue. The expiry removes the row; the queued hello must then be
 // admitted as a brand-new node — a fresh identity, not a dangling
-// welcome for a row that no longer exists.
+// welcome for a row that no longer exists. Tracker.Run sweeps only
+// between dispatch rounds, when the queue is empty, so this interleaving
+// is reachable only through direct calls; the test keeps expire and
+// flushHellos correct on their own.
 func TestExpireSweepsNodeWithQueuedDuplicateHello(t *testing.T) {
 	t.Parallel()
 	tr, net := newAdmissionTracker(t, 8, 2)

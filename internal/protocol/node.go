@@ -102,7 +102,8 @@ type Node struct {
 	statsEvery time.Duration
 	// leaving is set by Leave; left once leftCh is closed. Together they
 	// make MsgGoodbyeAck handling idempotent: an unsolicited or duplicate
-	// ack must neither tear down Run nor double-close leftCh.
+	// ack must neither tear down Run nor double-close leftCh. In between,
+	// the clock re-sends the good-bye.
 	leaving bool
 	left    bool
 
@@ -333,51 +334,19 @@ func (n *Node) layerBytesLocked(l int) ([]byte, error) {
 // cancelled or the node leaves gracefully. It always sends the hello
 // itself; callers watch Joined / Completed / Left.
 func (n *Node) Run(ctx context.Context) error {
-	// Scope the helper loops (heartbeats, complaints) to Run's lifetime:
-	// after a graceful leave Run returns, and a departed node must stop
-	// proving liveness to its former children.
+	// Scope the clock to Run's lifetime: after a graceful leave Run
+	// returns, and a departed node must stop proving liveness to its
+	// former children. Run waits for the clock, so no duty sends after Run
+	// has returned.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	hello, err := EncodeControl(MsgHello, Hello{Addr: n.ep.Addr(), Degree: n.cfg.Degree})
-	if err != nil {
-		return err
-	}
-	if err := n.ep.Send(ctx, n.cfg.TrackerAddr, hello); err != nil {
+	if err := n.sendHello(ctx); err != nil {
 		return fmt.Errorf("protocol: hello: %w", err)
 	}
-	// Retry the hello whenever the node is un-joined: over lossy links
-	// either the hello or the welcome can vanish, and after an expulsion
-	// the re-join hello can be lost too. The tracker answers duplicates
-	// idempotently, so over-sending is harmless.
-	go func() {
-		ticker := time.NewTicker(500 * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-			}
-			n.mu.Lock()
-			joined := n.joined
-			n.mu.Unlock()
-			if !joined {
-				_ = n.ep.Send(ctx, n.cfg.TrackerAddr, hello) //nolint:errcheck // retried
-			}
-		}
-	}()
-
-	// The complaint and heartbeat tickers run only while the context
-	// lives.
-	if n.cfg.ComplaintTimeout > 0 {
-		go n.complaintLoop(ctx)
-		go n.heartbeatLoop(ctx)
-		go n.probeLoop(ctx)
-	}
-	// The lease and stats loops idle until a welcome announces intervals.
-	go n.leaseLoop(ctx)
-	go n.statsLoop(ctx)
+	clockDone := make(chan struct{})
+	go func() { defer close(clockDone); n.clock(ctx) }()
+	defer func() { cancel(); <-clockDone }()
 
 	if n.cfg.DecodeWorkers > 1 {
 		n.decodeQ = make([]chan decodeJob, n.cfg.DecodeWorkers)
@@ -475,10 +444,7 @@ func (n *Node) handleControl(ctx context.Context, typ MsgType, body []byte) (don
 		n.parentOf = make(map[int]string)
 		n.lastRecv = make(map[int]time.Time)
 		n.mu.Unlock()
-		hello, err := EncodeControl(MsgHello, Hello{Addr: n.ep.Addr(), Degree: n.cfg.Degree})
-		if err == nil {
-			_ = n.ep.Send(ctx, n.cfg.TrackerAddr, hello) //nolint:errcheck // best-effort
-		}
+		_ = n.sendHello(ctx) //nolint:errcheck // the clock retries while un-joined
 	case MsgThreadDropped:
 		var td ThreadDropped
 		if err := UnmarshalControl(typ, body, &td); err != nil {
@@ -795,9 +761,7 @@ func (n *Node) absorb(ctx context.Context, f gf.Field, th int, from string, emit
 	p.Release()
 
 	if justCompleted {
-		if msg, err := EncodeControl(MsgComplete, Complete{ID: id}); err == nil {
-			_ = n.ep.Send(ctx, n.cfg.TrackerAddr, msg) //nolint:errcheck // best-effort
-		}
+		_ = n.toTracker(ctx, MsgComplete, Complete{ID: id}) //nolint:errcheck // best-effort
 		close(n.completeCh)
 	}
 	if out != nil {
@@ -904,107 +868,68 @@ func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte) {
 	}
 }
 
-// probeLoop measures RTT over the data path: it periodically sends an
-// echo probe to each current parent, on the same plane coded frames ride.
-// The parent's echo closes the loop in handleKeepalive.
-func (n *Node) probeLoop(ctx context.Context) {
-	interval := n.cfg.ComplaintTimeout / 4
-	if interval <= 0 {
-		return
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		n.mu.Lock()
-		type probe struct {
-			th     int
-			parent string
-		}
-		probes := make([]probe, 0, len(n.parentOf))
-		if n.joined {
-			for th, parent := range n.parentOf {
-				if parent != "" {
-					probes = append(probes, probe{th: th, parent: parent})
-				}
-			}
-		}
-		n.mu.Unlock()
-		for _, pr := range probes {
-			n.sendData(ctx, pr.parent, EncodeKeepaliveEcho(pr.th, time.Now().UnixNano(), 0, 0))
-		}
-	}
+// Clock timing. An un-joined node re-sends its hello, and a leaving node
+// its good-bye, every retryEvery. clockPoll bounds the clock's sleep, so
+// a duty that wakes up (after a welcome or a Leave) is noticed within it.
+const (
+	retryEvery = 500 * time.Millisecond
+	clockPoll  = 250 * time.Millisecond
+)
+
+// clockState is the node state that decides which duties are awake; the
+// clock reads it once per pass.
+type clockState struct {
+	joined, leaving        bool
+	leaseEvery, statsEvery time.Duration
 }
 
-// heartbeatLoop proves this node's liveness to its children on threads
-// where it currently has nothing to forward, so that upstream starvation
-// is never mistaken for this node's death.
-func (n *Node) heartbeatLoop(ctx context.Context) {
-	interval := n.cfg.ComplaintTimeout / 4
-	if interval <= 0 {
-		return
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		n.mu.Lock()
-		type hb struct {
-			th    int
-			child string
-			frame []byte
-		}
-		beats := make([]hb, 0, len(n.childOf))
-		for th, child := range n.childOf {
-			b := hb{th: th, child: child}
-			// Prefer a useful heartbeat: a fresh combination of a
-			// rotating generation we hold rank in. This keeps a quiet
-			// subtree progressing even when the node's own inflow is
-			// idle (e.g. it decoded everything and upstream went quiet).
-			if len(n.genIDs) > 0 {
-				g := n.genIDs[(n.hbGen+th)%len(n.genIDs)]
-				if rc, ok := n.recoders[g]; ok {
-					if p, ok := rc.Packet(n.rng); ok {
-						b.frame = EncodeDataSeq(n.field, th, n.nextSeqLocked(th),
-							n.lifecycle.EmitStamp(g), n.forwardTraceLocked(g), p)
-						p.Release()
-					}
-				}
-			}
-			if b.frame == nil {
-				// Double as an RTT probe down the same path.
-				b.frame = EncodeKeepaliveEcho(th, time.Now().UnixNano(), 0, 0)
-			}
-			beats = append(beats, b)
-		}
-		n.hbGen++
-		n.mu.Unlock()
-		for _, b := range beats {
-			n.sendData(ctx, b.child, b.frame)
-		}
-	}
+// duty is one periodic task on the node's clock. period gives its
+// interval in the current state, zero while it sleeps; every and next are
+// the clock's bookkeeping.
+type duty struct {
+	period func(clockState) time.Duration
+	run    func(context.Context)
+	every  time.Duration
+	next   time.Time
 }
 
-// leaseLoop renews this node's liveness lease with the tracker at the
-// interval the welcome announced. The complaint protocol only detects
-// failed nodes that have children; the lease is how a bottom clip (and
-// every other node) proves it is still alive, so a crash without a
-// good-bye is eventually swept from M. Leases only gate the tracker's own
-// sweep: a node that renews but forwards nothing is still repaired away
-// by its children's complaints.
-func (n *Node) leaseLoop(ctx context.Context) {
-	// Poll until joined (the interval arrives with the welcome), then
-	// tick at the announced rate.
-	const poll = 250 * time.Millisecond
-	timer := time.NewTimer(poll)
+// awake returns a duty period: p, but at least a millisecond, while the
+// duty is active, and zero otherwise. The floor keeps a tiny
+// ComplaintTimeout from spinning the clock.
+func awake(active bool, p time.Duration) time.Duration {
+	if !active {
+		return 0
+	}
+	return max(p, time.Millisecond)
+}
+
+// clock runs every periodic duty of the node on one goroutine. Each pass
+// reads the node state once, runs the duties that are due and sleeps
+// until the next one is, at most clockPoll. A duty that wakes first runs
+// one period later, and each run is rescheduled one period on.
+//
+// No run may hold the clock longer than the shortest active period: a
+// control send blocked behind a stalled tracker would otherwise silence
+// the keepalives, and the node's children would complain about a healthy
+// parent. For the same reason keepalives come first in a pass. A failed
+// send is retried a period later, so runs drop their errors.
+func (n *Node) clock(ctx context.Context) {
+	ct := n.cfg.ComplaintTimeout
+	duties := []*duty{
+		{period: func(clockState) time.Duration { return awake(ct > 0, ct/4) }, run: n.keepalive},
+		{period: func(clockState) time.Duration { return awake(ct > 0, ct/2) }, run: n.checkComplaints},
+		{period: func(s clockState) time.Duration { return awake(!s.joined, retryEvery) },
+			run: func(ctx context.Context) { _ = n.sendHello(ctx) }},
+		{period: func(s clockState) time.Duration { return awake(s.leaving, retryEvery) },
+			run: func(ctx context.Context) { _ = n.sendGoodbye(ctx) }},
+		{period: func(s clockState) time.Duration { return awake(s.joined && s.leaseEvery > 0, s.leaseEvery) },
+			run: n.renewLease},
+		// One report per announced interval: at most one control message
+		// per node per reporting interval, by construction.
+		{period: func(s clockState) time.Duration { return awake(s.joined && s.statsEvery > 0, s.statsEvery) },
+			run: func(ctx context.Context) { _ = n.toTracker(ctx, MsgStatsReport, n.buildStatsReport()) }},
+	}
+	timer := time.NewTimer(0)
 	defer timer.Stop()
 	for {
 		select {
@@ -1013,56 +938,104 @@ func (n *Node) leaseLoop(ctx context.Context) {
 		case <-timer.C:
 		}
 		n.mu.Lock()
-		joined, id, every := n.joined, n.id, n.leaseEvery
+		s := clockState{joined: n.joined, leaving: n.leaving && !n.left,
+			leaseEvery: n.leaseEvery, statsEvery: n.statsEvery}
 		n.mu.Unlock()
-		wait := every
-		if !joined || wait <= 0 {
-			wait = poll
+		now := time.Now()
+		var bound time.Duration
+		for _, d := range duties {
+			if d.every = d.period(s); d.every == 0 {
+				d.next = time.Time{}
+				continue
+			}
+			if d.next.IsZero() {
+				d.next = now.Add(d.every)
+			}
+			if bound == 0 || d.every < bound {
+				bound = d.every
+			}
 		}
-		timer.Reset(wait)
-		if !joined || every <= 0 {
-			continue
+		wake := now.Add(clockPoll)
+		for _, d := range duties {
+			if d.every == 0 {
+				continue
+			}
+			if !d.next.After(now) {
+				runCtx, cancel := context.WithTimeout(ctx, bound)
+				d.run(runCtx)
+				cancel()
+				if d.next = d.next.Add(d.every); d.next.Before(now) {
+					d.next = now.Add(d.every)
+				}
+			}
+			if d.next.Before(wake) {
+				wake = d.next
+			}
 		}
-		if msg, err := EncodeControl(MsgLease, Lease{ID: id}); err == nil {
-			_ = n.ep.Send(ctx, n.cfg.TrackerAddr, msg) //nolint:errcheck // renewed next tick
-			n.mu.Lock()
-			n.leaseSent++
-			n.mu.Unlock()
-		}
+		timer.Reset(time.Until(wake))
 	}
 }
 
-// statsLoop sends one MsgStatsReport per tracker-announced interval — the
-// node's half of the fleet-telemetry protocol. Like the lease loop it
-// idles on a short poll until a welcome announces the cadence, then ticks
-// at exactly that rate, so the acceptance bound of at most one control
-// message per node per reporting interval holds by construction.
-func (n *Node) statsLoop(ctx context.Context) {
-	const poll = 250 * time.Millisecond
-	timer := time.NewTimer(poll)
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-timer.C:
+// keepalive proves this node alive to its children and measures RTT to
+// its parents, on the plane coded frames ride, so that upstream
+// starvation is never mistaken for this node's death. A child gets a
+// fresh combination of a rotating generation the node holds rank in,
+// which keeps a quiet subtree progressing even when the node's own inflow
+// is idle (it decoded everything and upstream went quiet), or else a probe
+// keepalive. A parent gets a probe, whose echo closes the loop in
+// handleKeepalive.
+func (n *Node) keepalive(ctx context.Context) {
+	type beat struct {
+		th    int
+		to    string
+		frame []byte // nil: a probe, stamped as it is sent
+	}
+	n.mu.Lock()
+	beats := make([]beat, 0, len(n.childOf)+len(n.parentOf))
+	for th, child := range n.childOf {
+		b := beat{th: th, to: child}
+		if len(n.genIDs) > 0 {
+			g := n.genIDs[(n.hbGen+th)%len(n.genIDs)]
+			if rc, ok := n.recoders[g]; ok {
+				if p, ok := rc.Packet(n.rng); ok {
+					b.frame = EncodeDataSeq(n.field, th, n.nextSeqLocked(th),
+						n.lifecycle.EmitStamp(g), n.forwardTraceLocked(g), p)
+					p.Release()
+				}
+			}
 		}
-		n.mu.Lock()
-		joined, every := n.joined, n.statsEvery
-		n.mu.Unlock()
-		wait := every
-		if !joined || wait <= 0 {
-			wait = poll
-		}
-		timer.Reset(wait)
-		if !joined || every <= 0 {
-			continue
-		}
-		report := n.buildStatsReport()
-		if msg, err := EncodeControl(MsgStatsReport, report); err == nil {
-			_ = n.ep.Send(ctx, n.cfg.TrackerAddr, msg) //nolint:errcheck // resent next tick
+		beats = append(beats, b)
+	}
+	n.hbGen++
+	if n.joined {
+		for th, parent := range n.parentOf {
+			if parent != "" {
+				beats = append(beats, beat{th: th, to: parent})
+			}
 		}
 	}
+	n.mu.Unlock()
+	for _, b := range beats {
+		frame := b.frame
+		if frame == nil {
+			frame = EncodeKeepaliveEcho(b.th, time.Now().UnixNano(), 0, 0)
+		}
+		n.sendData(ctx, b.to, frame)
+	}
+}
+
+// renewLease renews this node's liveness lease with the tracker. The
+// complaint protocol only detects failed nodes that have children; the
+// lease is how a bottom clip (and every other node) proves it is still
+// alive, so a crash without a good-bye is eventually swept from M. Leases
+// only gate the tracker's own sweep: a node that renews but forwards
+// nothing is still repaired away by its children's complaints.
+func (n *Node) renewLease(ctx context.Context) {
+	n.mu.Lock()
+	id := n.id
+	n.leaseSent++
+	n.mu.Unlock()
+	_ = n.toTracker(ctx, MsgLease, Lease{ID: id}) //nolint:errcheck // renewed next period
 }
 
 // buildStatsReport snapshots the node's telemetry under n.mu. Delay
@@ -1117,48 +1090,31 @@ func (n *Node) buildStatsReport() StatsReport {
 	return r
 }
 
-// complaintLoop watches per-thread silence and reports dead parents.
-func (n *Node) complaintLoop(ctx context.Context) {
-	ticker := time.NewTicker(n.cfg.ComplaintTimeout / 2)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		n.mu.Lock()
-		// Completed nodes keep complaining: they are still relays, and a
-		// dead ancestor silently starves their whole subtree otherwise.
-		if !n.joined {
-			n.mu.Unlock()
-			continue
-		}
-		now := time.Now()
-		type complaint struct {
-			th     int
-			parent string
-		}
-		var complaints []complaint
-		for _, th := range n.threads {
-			if now.Sub(n.lastRecv[th]) > n.cfg.ComplaintTimeout {
-				complaints = append(complaints, complaint{th: th, parent: n.parentOf[th]})
-				n.lastRecv[th] = now // rate-limit: one complaint per timeout
-			}
-		}
-		id := n.id
-		n.complaintsSent += uint64(len(complaints))
+// checkComplaints reports every held thread that stayed silent for
+// longer than ComplaintTimeout. Completed nodes keep complaining: they
+// are still relays, and a dead ancestor silently starves their whole
+// subtree otherwise.
+func (n *Node) checkComplaints(ctx context.Context) {
+	n.mu.Lock()
+	if !n.joined {
 		n.mu.Unlock()
-		for _, c := range complaints {
-			msg, err := EncodeControl(MsgComplaint, Complaint{ID: id, Thread: c.th, ParentAddr: c.parent})
-			if err != nil {
-				continue
-			}
-			if m := n.cfg.Obs; m != nil {
-				m.Complaints.Inc()
-			}
-			_ = n.ep.Send(ctx, n.cfg.TrackerAddr, msg) //nolint:errcheck // best-effort
+		return
+	}
+	now := time.Now()
+	var complaints []Complaint
+	for _, th := range n.threads {
+		if now.Sub(n.lastRecv[th]) > n.cfg.ComplaintTimeout {
+			complaints = append(complaints, Complaint{ID: n.id, Thread: th, ParentAddr: n.parentOf[th]})
+			n.lastRecv[th] = now // rate-limit: one complaint per timeout
 		}
+	}
+	n.complaintsSent += uint64(len(complaints))
+	n.mu.Unlock()
+	for _, c := range complaints {
+		if m := n.cfg.Obs; m != nil {
+			m.Complaints.Inc()
+		}
+		_ = n.toTracker(ctx, MsgComplaint, c) //nolint:errcheck // best-effort
 	}
 }
 
@@ -1167,34 +1123,24 @@ func (n *Node) complaintLoop(ctx context.Context) {
 // lands asynchronously via MsgThreadDropped.
 func (n *Node) Congest(ctx context.Context) error {
 	n.mu.Lock()
-	id := n.id
-	joined := n.joined
+	id, joined := n.id, n.joined
 	n.mu.Unlock()
 	if !joined {
 		return errors.New("protocol: congest before join")
 	}
-	msg, err := EncodeControl(MsgCongested, Congested{ID: id})
-	if err != nil {
-		return err
-	}
-	return n.ep.Send(ctx, n.cfg.TrackerAddr, msg)
+	return n.toTracker(ctx, MsgCongested, Congested{ID: id})
 }
 
 // Uncongest asks the tracker to regrow one thread (§5 recovery). The
 // change lands asynchronously via MsgThreadAdded.
 func (n *Node) Uncongest(ctx context.Context) error {
 	n.mu.Lock()
-	id := n.id
-	joined := n.joined
+	id, joined := n.id, n.joined
 	n.mu.Unlock()
 	if !joined {
 		return errors.New("protocol: uncongest before join")
 	}
-	msg, err := EncodeControl(MsgUncongested, Uncongested{ID: id})
-	if err != nil {
-		return err
-	}
-	return n.ep.Send(ctx, n.cfg.TrackerAddr, msg)
+	return n.toTracker(ctx, MsgUncongested, Uncongested{ID: id})
 }
 
 // Degree returns the node's current thread count.
@@ -1205,11 +1151,11 @@ func (n *Node) Degree() int {
 }
 
 // Leave performs the good-bye protocol; Run returns once the ack arrives.
-// The good-bye is re-sent periodically until acknowledged (the ack can be
-// dropped under congestion; the tracker's handling is idempotent).
+// Until then the node's clock re-sends the good-bye every retryEvery (the
+// ack can be dropped under congestion; the tracker's handling is
+// idempotent), for as long as Run lives.
 func (n *Node) Leave(ctx context.Context) error {
 	n.mu.Lock()
-	id := n.id
 	joined := n.joined
 	if joined {
 		n.leaving = true
@@ -1218,26 +1164,30 @@ func (n *Node) Leave(ctx context.Context) error {
 	if !joined {
 		return errors.New("protocol: leave before join")
 	}
-	msg, err := EncodeControl(MsgGoodbye, Goodbye{ID: id})
+	return n.sendGoodbye(ctx)
+}
+
+// sendHello asks the tracker to admit this node. The clock re-sends it
+// while the node is un-joined: over lossy links either the hello or the
+// welcome can vanish, and after an expulsion the re-join hello can be
+// lost too. The tracker answers duplicates idempotently.
+func (n *Node) sendHello(ctx context.Context) error {
+	return n.toTracker(ctx, MsgHello, Hello{Addr: n.ep.Addr(), Degree: n.cfg.Degree})
+}
+
+// sendGoodbye tells the tracker this node is leaving.
+func (n *Node) sendGoodbye(ctx context.Context) error {
+	n.mu.Lock()
+	id := n.id
+	n.mu.Unlock()
+	return n.toTracker(ctx, MsgGoodbye, Goodbye{ID: id})
+}
+
+// toTracker encodes one control message and sends it to the tracker.
+func (n *Node) toTracker(ctx context.Context, typ MsgType, payload interface{}) error {
+	msg, err := EncodeControl(typ, payload)
 	if err != nil {
 		return err
 	}
-	if err := n.ep.Send(ctx, n.cfg.TrackerAddr, msg); err != nil {
-		return err
-	}
-	go func() {
-		ticker := time.NewTicker(500 * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-n.leftCh:
-				return
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				_ = n.ep.Send(ctx, n.cfg.TrackerAddr, msg) //nolint:errcheck // retried
-			}
-		}
-	}()
-	return nil
+	return n.ep.Send(ctx, n.cfg.TrackerAddr, msg)
 }

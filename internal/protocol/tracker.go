@@ -238,8 +238,15 @@ type inFrame struct {
 // non-hello message flushes the queue first, so it observes exactly the
 // matrix it would have under one-at-a-time dispatch.
 func (t *Tracker) Run(ctx context.Context) error {
+	// The lease sweep runs on this loop, between dispatch rounds, so every
+	// change to M and the redirects it causes come from one goroutine: two
+	// splice-outs that redirect the same parent cannot enqueue their
+	// redirects in the opposite order from their matrix changes.
+	var sweep <-chan time.Time
 	if t.cfg.LeaseTimeout > 0 {
-		go t.sweepLoop(ctx)
+		ticker := time.NewTicker(max(t.cfg.LeaseTimeout/4, time.Millisecond))
+		defer ticker.Stop()
+		sweep = ticker.C
 	}
 	frames := make(chan inFrame, admissionBatchMax)
 	recvErr := make(chan error, 1)
@@ -260,25 +267,26 @@ func (t *Tracker) Run(ctx context.Context) error {
 	}()
 	var pending []pendingHello
 	for {
-		var f inFrame
 		select {
 		case err := <-recvErr:
 			return fmt.Errorf("protocol: tracker recv: %w", err)
-		case f = <-frames:
-		}
-		pending = t.ingest(ctx, f.from, f.frame, pending)
-		// Coalesce whatever else already arrived, so a hello burst becomes
-		// one matrix transaction per dispatch round.
-	drain:
-		for len(pending) < admissionBatchMax {
-			select {
-			case f = <-frames:
-				pending = t.ingest(ctx, f.from, f.frame, pending)
-			default:
-				break drain
+		case <-sweep:
+			t.expireSilent(ctx)
+		case f := <-frames:
+			pending = t.ingest(ctx, f.from, f.frame, pending)
+			// Coalesce whatever else already arrived, so a hello burst
+			// becomes one matrix transaction per dispatch round.
+		drain:
+			for len(pending) < admissionBatchMax {
+				select {
+				case f = <-frames:
+					pending = t.ingest(ctx, f.from, f.frame, pending)
+				default:
+					break drain
+				}
 			}
+			pending = t.flushHellos(ctx, pending)
 		}
-		pending = t.flushHellos(ctx, pending)
 		t.refreshGauges()
 	}
 }
@@ -766,38 +774,22 @@ func (t *Tracker) handleLease(ctx context.Context, from string, l Lease) {
 	}
 }
 
-// sweepLoop periodically expires nodes whose leases went silent, splicing
-// them out exactly as a complaint-triggered repair would. This is the
-// only failure detector that catches a crashed bottom clip — a node with
-// no children has nobody to complain about it.
-func (t *Tracker) sweepLoop(ctx context.Context) {
-	interval := t.cfg.LeaseTimeout / 4
-	if interval <= 0 {
-		interval = time.Millisecond
+// expireSilent expires every node whose lease went silent, splicing it
+// out exactly as a complaint-triggered repair would. This is the only
+// failure detector that catches a crashed bottom clip — a node with no
+// children has nobody to complain about it.
+func (t *Tracker) expireSilent(ctx context.Context) {
+	now := time.Now()
+	t.mu.Lock()
+	var expired []core.NodeID
+	for id, seen := range t.lastSeen {
+		if now.Sub(seen) > t.cfg.LeaseTimeout {
+			expired = append(expired, id)
+		}
 	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		now := time.Now()
-		t.mu.Lock()
-		var expired []core.NodeID
-		for id, seen := range t.lastSeen {
-			if now.Sub(seen) > t.cfg.LeaseTimeout {
-				expired = append(expired, id)
-			}
-		}
-		t.mu.Unlock()
-		for _, id := range expired {
-			t.expire(ctx, id)
-		}
-		if len(expired) > 0 {
-			t.refreshGauges()
-		}
+	t.mu.Unlock()
+	for _, id := range expired {
+		t.expire(ctx, id)
 	}
 }
 
@@ -808,7 +800,7 @@ func (t *Tracker) expire(ctx context.Context, id core.NodeID) {
 	addr, ok := t.addrOf[id]
 	t.mu.Unlock()
 	if !ok {
-		return // already removed by a racing complaint or good-bye
+		return // already removed
 	}
 	opStart := time.Now()
 	err := t.spliceOut(ctx, id, func() error {

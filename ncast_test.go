@@ -3,7 +3,9 @@ package ncast
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -360,4 +362,37 @@ func TestSessionLeafCrashSwept(t *testing.T) {
 	if h := s.Snapshot().Overlay; h.Nodes != 3 || h.Failed != 0 {
 		t.Fatalf("overlay health = %+v, want 3 live rows and no failures", h)
 	}
+}
+
+// TestClientGoroutineFootprint pins what an in-memory client costs: its
+// receive loop, its duty clock and the tracker's outbox worker for it.
+// Every periodic duty of a node shares the one clock, so a timer that grew
+// its own goroutine again would show here once per client. Not parallel:
+// it counts every goroutine in the process.
+func TestClientGoroutineFootprint(t *testing.T) {
+	const (
+		clients   = 8
+		perClient = 3
+		// The session's own: the tracker's dispatch and receive loops and
+		// the source's pump.
+		session = 3
+		slack   = 2
+	)
+	before := runtime.NumGoroutine()
+	s, err := NewSession(testContent(3000), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < clients; i++ {
+		if _, err := s.AddClient(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	limit := before + session + clients*perClient + slack
+	waitFor(t, 5*time.Second, fmt.Sprintf("at most %d goroutines", limit), func() bool {
+		return runtime.NumGoroutine() <= limit
+	})
 }
