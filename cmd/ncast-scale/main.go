@@ -455,12 +455,16 @@ func runTrackerPhase(pop, ops, k, d int, seed int64) (*TrackerReport, error) {
 		}(addr, ep)
 	}
 
+	// Each send carries a deadline, so a flood waits for room in the
+	// tracker's queue instead of being dropped after transport.QueueWait.
 	sendFrom := func(addr string, typ protocol.MsgType, payload interface{}) error {
 		frame, err := protocol.EncodeControl(typ, payload)
 		if err != nil {
 			return err
 		}
-		return eps[addr].Send(ctx, "tracker", frame)
+		sctx, scancel := context.WithTimeout(ctx, 10*time.Second)
+		defer scancel()
+		return eps[addr].Send(sctx, "tracker", frame)
 	}
 
 	// Phase A: admit the whole population.

@@ -119,9 +119,11 @@ func TestHelloBurstSpansBatches(t *testing.T) {
 		wg.Wait()
 	})
 
-	// Every joiner sends from its own endpoint and waits for its welcome;
-	// the in-memory fabric applies backpressure, so nothing is lost no
-	// matter how the flood interleaves with batch flushes.
+	// Every joiner sends from its own endpoint and waits for its welcome.
+	// The hello carries a deadline, so the in-memory fabric holds it
+	// until the tracker's queue has room instead of dropping it after
+	// transport.QueueWait: nothing is lost however the flood interleaves
+	// with batch flushes.
 	ids := make(chan uint64, burst)
 	var joiners sync.WaitGroup
 	for i := 0; i < burst; i++ {
@@ -137,12 +139,12 @@ func TestHelloBurstSpansBatches(t *testing.T) {
 		joiners.Add(1)
 		go func() {
 			defer joiners.Done()
-			if err := ep.Send(ctx, "tracker", hello); err != nil {
+			rctx, rcancel := context.WithTimeout(ctx, 30*time.Second)
+			defer rcancel()
+			if err := ep.Send(rctx, "tracker", hello); err != nil {
 				t.Errorf("hello from %s: %v", addr, err)
 				return
 			}
-			rctx, rcancel := context.WithTimeout(ctx, 30*time.Second)
-			defer rcancel()
 			for {
 				_, frame, err := ep.Recv(rctx)
 				if err != nil {

@@ -471,18 +471,20 @@ func TestMalformedControlChurn(t *testing.T) {
 	}
 
 	// join sends one hello from ep and returns the id its welcome carries.
+	// The hello carries a deadline, so it waits for room in the flooded
+	// tracker's queue instead of being dropped after QueueWait.
 	join := func(ep transport.Endpoint, addr string) uint64 {
 		hello, err := EncodeControl(MsgHello, Hello{Addr: addr})
 		if err != nil {
 			t.Error(err)
 			return 0
 		}
-		if err := ep.Send(ctx, "tracker", hello); err != nil {
+		rctx, rcancel := context.WithTimeout(ctx, 30*time.Second)
+		defer rcancel()
+		if err := ep.Send(rctx, "tracker", hello); err != nil {
 			t.Errorf("hello from %s: %v", addr, err)
 			return 0
 		}
-		rctx, rcancel := context.WithTimeout(ctx, 30*time.Second)
-		defer rcancel()
 		for {
 			_, frame, err := ep.Recv(rctx)
 			if err != nil {
@@ -519,11 +521,14 @@ func TestMalformedControlChurn(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			// A deadline, so no garbage frame is dropped on a full queue.
+			sctx, scancel := context.WithTimeout(ctx, 30*time.Second)
+			defer scancel()
 			rng := rand.New(rand.NewSource(int64(1000 + i)))
 			for j := 0; j < perSender; j++ {
 				class, f := nextGarbage(rng)
 				counts[i][class]++
-				if err := ep.Send(ctx, "tracker", f); err != nil {
+				if err := ep.Send(sctx, "tracker", f); err != nil {
 					t.Errorf("garbage from g%d: %v", i, err)
 					return
 				}

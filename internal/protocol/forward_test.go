@@ -1,0 +1,129 @@
+package protocol
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+	"time"
+
+	"ncast/internal/gf"
+	"ncast/internal/rlnc"
+	"ncast/internal/transport"
+)
+
+// codedFrames returns n coded data frames for thread 0 of the single
+// generation scriptedWelcome announces, with sequence numbers 0..n-1.
+func codedFrames(n int) [][]byte {
+	rng := rand.New(rand.NewSource(1))
+	g := scriptedWelcome.Session
+	frames := make([][]byte, n)
+	for i := range frames {
+		p := &rlnc.Packet{Gen: 0, Coeff: make([]uint16, g.GenSize), Payload: make([]byte, g.PacketSize)}
+		for j := range p.Coeff {
+			p.Coeff[j] = uint16(1 + rng.Intn(255))
+		}
+		rng.Read(p.Payload)
+		frames[i] = EncodeDataSeq(gf.F256, 0, int32(i%SeqMod), 1, TraceContext{}, p)
+	}
+	return frames
+}
+
+// forwardingNode joins a node against a scripted tracker and gives it the
+// child "child" on its one thread; the parent "parent" feeds that thread.
+func forwardingNode(t *testing.T, net *transport.Network) (node *Node, tracker, parent, child transport.Endpoint) {
+	t.Helper()
+	parent, child = newEndpoint(t, net, "parent"), newEndpoint(t, net, "child")
+	node, tracker, _ = joinScripted(t, net, NodeConfig{Seed: 1})
+	sendControl(t, tracker, "node", MsgRedirect, Redirect{Thread: 0, ChildAddr: "child"})
+	return node, tracker, parent, child
+}
+
+// TestStalledTrackerDoesNotStallForwarding: a node that decodes the
+// content tells the tracker, from its receive loop. With the tracker's
+// queue full that send must end within transport.QueueWait, and the node
+// must go on forwarding a frame to its child for every frame its parent
+// sends. A send that waited for the tracker would freeze the receive
+// loop, and the child would hear nothing.
+func TestStalledTrackerDoesNotStallForwarding(t *testing.T) {
+	t.Parallel()
+	net := transport.NewNetwork()
+	defer net.Close()
+	node, _, parent, child := forwardingNode(t, net)
+	fillQueue(t, newEndpoint(t, net, "filler"), "tracker")
+
+	// The parent feeds the thread every 5 ms, through completion and on.
+	ctx, cancel := context.WithCancel(context.Background())
+	fed := make(chan struct{})
+	go func() {
+		defer close(fed)
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for _, f := range codedFrames(400) {
+			_ = parent.Send(ctx, "node", f)
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	defer func() { cancel(); <-fed }()
+
+	waitFor(t, 5*time.Second, "the node to decode", func() bool { return node.Progress() == 1 })
+	const window = 400 * time.Millisecond
+	rctx, rcancel := context.WithTimeout(context.Background(), window)
+	defer rcancel()
+	prev, frames := time.Now(), 0
+	var worst time.Duration
+	for {
+		_, _, err := child.Recv(rctx)
+		now := time.Now()
+		worst = max(worst, now.Sub(prev))
+		prev = now
+		if err != nil {
+			break
+		}
+		frames++
+	}
+	if worst >= 4*transport.QueueWait {
+		t.Fatalf("child went %v without a forwarded frame after the node decoded (%d frames in %v); want under %v",
+			worst, frames, window, 4*transport.QueueWait)
+	}
+}
+
+// TestForwardPathAllocs pins the allocations of one forwarded frame, from
+// the parent's send through the node's receipt, elimination and recoding
+// to the frame its child receives. Each hop's transport copies the frame
+// once; the node itself allocates no context, timer or frame buffer.
+func TestForwardPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates on instrumented paths")
+	}
+	net := transport.NewNetwork()
+	defer net.Close()
+	_, _, parent, child := forwardingNode(t, net)
+
+	const warm, runs = 64, 400
+	frames := codedFrames(warm + runs + 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	next := 0
+	forward := func() {
+		if err := parent.Send(ctx, "node", frames[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		if _, _, err := child.Recv(ctx); err != nil {
+			t.Fatalf("no forwarded frame: %v", err)
+		}
+	}
+	// Decode the generation and warm the pools outside the measured runs.
+	for i := 0; i < warm; i++ {
+		forward()
+	}
+	// Two copies, one per hop; a per-frame deadline context adds about
+	// five more (the context, its timer and their cancellation).
+	if perFrame := testing.AllocsPerRun(runs, forward); perFrame > 2.5 {
+		t.Fatalf("forwarding allocates %.2f objects per frame, want <= 2.5", perFrame)
+	}
+}

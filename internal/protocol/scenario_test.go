@@ -55,13 +55,17 @@ func scenarioTracker(t *testing.T, cfg TrackerConfig) (*Tracker, transport.Endpo
 	return tracker, client
 }
 
+// sendHello sends one hello with a deadline, so it waits for room in a
+// flooded tracker's queue rather than being dropped after QueueWait.
 func sendHello(t *testing.T, ep transport.Endpoint, addr string) {
 	t.Helper()
 	frame, err := EncodeControl(MsgHello, Hello{Addr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ep.Send(context.Background(), "tracker", frame); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := ep.Send(ctx, "tracker", frame); err != nil {
 		t.Fatalf("hello send: %v", err)
 	}
 }

@@ -666,7 +666,7 @@ func (t *Tracker) echoProbe(ctx context.Context, from string, frame []byte) {
 	if err != nil || !ki.IsProbe() {
 		return
 	}
-	sendCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	sendCtx, cancel := context.WithTimeout(ctx, transport.QueueWait)
 	_ = t.ep.Send(sendCtx, from, EncodeKeepaliveEcho(ki.Thread, 0, ki.TxNanos, 0))
 	cancel()
 }

@@ -70,15 +70,26 @@ func Instrument(ep Endpoint, m *obs.TransportMetrics) {
 	}
 }
 
+// QueueWait bounds how long Send waits for room in a full send queue when
+// its context carries no deadline. Data-plane senders pass such a context
+// and so get drop-on-full after QueueWait without paying for a timer on
+// every frame; control senders that must wait longer pass a deadline.
+const QueueWait = 50 * time.Millisecond
+
 // Endpoint is one side of a transport: it can send framed messages to
 // named peers and receive messages addressed to it.
 type Endpoint interface {
 	// Addr returns this endpoint's address.
 	Addr() string
 	// Send delivers msg to the named peer. It may fail fast (unknown
-	// peer, closed) or silently drop (lossy media), but never blocks
-	// beyond the context. It does not retain msg: the caller may reuse
-	// the buffer as soon as Send returns.
+	// peer, closed) or silently drop (lossy media). A frame is queued
+	// without waiting when there is room. When the peer's queue is full,
+	// Send waits until ctx is done or, if ctx has no deadline, for at
+	// most QueueWait; a frame the in-memory fabric gives up on is counted
+	// as dropped and Send returns nil, as on a congested datagram link,
+	// while a stream transport returns the write error. Datagram
+	// transports never wait. Send does not retain msg: the caller may
+	// reuse the buffer as soon as Send returns.
 	Send(ctx context.Context, to string, msg []byte) error
 	// Recv blocks for the next message, returning the sender's address.
 	Recv(ctx context.Context) (from string, msg []byte, err error)
@@ -283,7 +294,7 @@ func (e *memEndpoint) sendFrom(ctx context.Context, from, to string, msg []byte)
 		// Latency is applied on the delivery side (Recv waits until the
 		// frame is due), so concurrent frames pipeline like packets on a
 		// real link instead of serialising their senders. Enqueueing
-		// still blocks on a full buffer, which is the backpressure that
+		// still waits on a full buffer, which is the backpressure that
 		// keeps fast producers honest.
 		frame.due = time.Now().Add(latency)
 	}
@@ -296,6 +307,27 @@ func (e *memEndpoint) sendFrom(ctx context.Context, from, to string, msg []byte)
 	case <-dst.done:
 		m.Dropped()
 		return nil // receiver gone: frame lost
+	default:
+	}
+	// The queue is full. Only now is a timer worth its cost, and only
+	// when the context does not already bound the wait.
+	var expired <-chan time.Time
+	if _, ok := ctx.Deadline(); !ok {
+		timer := time.NewTimer(QueueWait)
+		defer timer.Stop()
+		expired = timer.C
+	}
+	select {
+	case dst.ch <- frame:
+		m.Sent(len(msg))
+		m.ObserveSend(start)
+		return nil
+	case <-dst.done:
+		m.Dropped()
+		return nil // receiver gone: frame lost
+	case <-expired:
+		m.Dropped()
+		return nil // still full after QueueWait: dropped, like a congested link
 	case <-ctx.Done():
 		m.Dropped()
 		return ctx.Err()
@@ -313,16 +345,19 @@ func (e *memEndpoint) Recv(ctx context.Context) (string, []byte, error) {
 func (e *memEndpoint) recvFrame(ctx context.Context) (memFrame, error) {
 	select {
 	case f := <-e.ch:
-		if wait := time.Until(f.due); wait > 0 {
-			timer := time.NewTimer(wait)
-			defer timer.Stop()
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				// The frame is consumed but undelivered: model it as
-				// lost in flight, like a datagram on a dying link.
-				e.metrics.Load().Dropped()
-				return memFrame{}, ctx.Err()
+		// A fabric without latency leaves due zero: skip the clock.
+		if !f.due.IsZero() {
+			if wait := time.Until(f.due); wait > 0 {
+				timer := time.NewTimer(wait)
+				defer timer.Stop()
+				select {
+				case <-timer.C:
+				case <-ctx.Done():
+					// The frame is consumed but undelivered: model it as
+					// lost in flight, like a datagram on a dying link.
+					e.metrics.Load().Dropped()
+					return memFrame{}, ctx.Err()
+				}
 			}
 		}
 		e.metrics.Load().Received(len(f.msg))
@@ -434,24 +469,25 @@ type Conn struct {
 // NewConn wraps a net.Conn with frame semantics.
 func NewConn(c net.Conn) *Conn { return &Conn{c: c} }
 
-// Send writes one frame, honoring the context's deadline as a write
-// deadline on the underlying connection. Safe for concurrent use. Without
-// it a peer that stops reading leaves the writer blocked forever once the
-// kernel buffers fill; with it the write fails at the deadline and the
-// caller can drop the connection. A deadline error can leave a partial
-// frame on the wire, so callers must discard the connection after any
-// error (TCPEndpoint does).
+// Send writes one frame with a write deadline on the underlying
+// connection: the context's deadline, or QueueWait from now when it has
+// none. Safe for concurrent use. Without it a peer that stops reading
+// leaves the writer blocked forever once the kernel buffers fill; with it
+// the write fails at the deadline and the caller can drop the connection.
+// A deadline error can leave a partial frame on the wire, so callers must
+// discard the connection after any error (TCPEndpoint does).
 func (c *Conn) Send(ctx context.Context, msg []byte) error {
 	c.wm.Lock()
 	defer c.wm.Unlock()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if deadline, ok := ctx.Deadline(); ok {
-		if err := c.c.SetWriteDeadline(deadline); err != nil {
-			return fmt.Errorf("transport: set write deadline: %w", err)
-		}
-		defer c.c.SetWriteDeadline(time.Time{}) //nolint:errcheck // best-effort reset
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		deadline = time.Now().Add(QueueWait)
+	}
+	if err := c.c.SetWriteDeadline(deadline); err != nil {
+		return fmt.Errorf("transport: set write deadline: %w", err)
 	}
 	return WriteFrame(c.c, msg)
 }
