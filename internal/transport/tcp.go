@@ -132,7 +132,8 @@ func prependSender(from string, msg []byte) []byte {
 
 // Send implements Endpoint. It dials the peer on first use and reuses the
 // connection afterwards; a send error invalidates the cached connection so
-// the next send redials.
+// the next send redials. The dial and the write each wait until ctx is
+// done or, if ctx has no deadline, at most QueueWait.
 func (e *TCPEndpoint) Send(ctx context.Context, to string, msg []byte) error {
 	m := e.metrics.Load()
 	conn, err := e.conn(ctx, to)
@@ -163,7 +164,13 @@ func (e *TCPEndpoint) conn(ctx context.Context, to string) (*Conn, error) {
 	}
 	e.mu.Unlock()
 
+	// A dial is bounded like a write: by ctx's deadline, or QueueWait when
+	// it has none, so a peer that drops SYNs cannot hold a data-plane
+	// sender for the OS connect timeout.
 	var d net.Dialer
+	if _, ok := ctx.Deadline(); !ok {
+		d.Timeout = QueueWait
+	}
 	raw, err := d.DialContext(ctx, "tcp", to)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", to, err)

@@ -126,14 +126,13 @@ func TestTraceLive(t *testing.T) {
 	// Hop spans ride the periodic stats reports; poll until multi-hop
 	// structure shows up. With 8 nodes on 4 threads at degree 2, some node
 	// must sit below another, so depth > 1 is guaranteed by construction.
+	// Each node reports on its own stats clock, so a single deep node's
+	// report can arrive before any shallower one: wait for two depth rows.
 	var snap obs.TraceSnapshot
 	waitFor(t, 60*time.Second, "multi-hop trace structure to assemble", func() bool {
 		snap = sess.TraceSnapshot()
-		return snap.SampledGenerations > 0 && snap.MaxHopDepth > 1
+		return snap.SampledGenerations > 0 && snap.MaxHopDepth > 1 && len(snap.Depths) >= 2
 	})
-	if len(snap.Depths) < 2 {
-		t.Fatalf("hop-depth distribution is degenerate: %+v", snap.Depths)
-	}
 	for _, d := range snap.Depths {
 		if d.Received <= 0 || d.Nodes <= 0 {
 			t.Fatalf("empty depth row %+v", d)
