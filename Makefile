@@ -61,8 +61,10 @@ churn:
 
 # Datagram-plane suite under the race detector: the UDP endpoint and its
 # batched I/O, same-port dual-plane binding, the end-to-end broadcasts
-# that run at 5% injected datagram loss (the loss-as-normal regime), and
-# the link-telemetry drill that must localize a 10%-lossy peer to ±3pp.
+# that run at 5% injected datagram loss (the loss-as-normal regime), one
+# of them through nodes that absorb and recode on two decode workers
+# each, and the link-telemetry drill that must localize a 10%-lossy peer
+# to ±3pp.
 lossy:
 	$(GO) test -race -run 'UDP|SamePort|Dual|Datagram|SplitSender|Lossy|Link' ./internal/transport ./internal/protocol ./internal/obs .
 

@@ -1,7 +1,5 @@
 package obs
 
-import "time"
-
 // This file defines the per-layer metric bundles the stack is
 // instrumented with. Each New*Metrics constructor returns nil when the
 // registry is nil, and the bundles' helper methods are nil-safe, so a
@@ -15,7 +13,6 @@ type TransportMetrics struct {
 	BytesSent  *Counter
 	BytesRecv  *Counter
 	Drops      *Counter
-	SendNanos  *Histogram
 	// SendBatch and RecvBatch record datagrams coalesced per vectorized
 	// syscall on batching transports (UDP); nil elsewhere.
 	SendBatch *Histogram
@@ -46,19 +43,9 @@ func NewTransportMetricsKind(r *Registry, endpoint, kind string) *TransportMetri
 		BytesSent:  r.Counter("ncast_transport_bytes_sent_total", "Payload bytes sent by the endpoint.", labels...),
 		BytesRecv:  r.Counter("ncast_transport_bytes_recv_total", "Payload bytes delivered to the endpoint.", labels...),
 		Drops:      r.Counter("ncast_transport_frames_dropped_total", "Frames dropped (loss, dead peer, clogged queue, send error).", labels...),
-		SendNanos:  r.Histogram("ncast_transport_send_nanos", "Per-frame send latency in nanoseconds.", LatencyBuckets(), labels...),
 		SendBatch:  r.Histogram("ncast_transport_send_batch_size", "Datagrams coalesced per vectorized send.", BatchBuckets(), labels...),
 		RecvBatch:  r.Histogram("ncast_transport_recv_batch_size", "Datagrams drained per vectorized receive.", BatchBuckets(), labels...),
 	}
-}
-
-// Start returns the timestamp ObserveSend pairs with, or the zero time
-// when the bundle is nil so the clock is never read for no-op metrics.
-func (m *TransportMetrics) Start() time.Time {
-	if m == nil {
-		return time.Time{}
-	}
-	return time.Now()
 }
 
 // Sent records one delivered outbound frame of the given size.
@@ -85,14 +72,6 @@ func (m *TransportMetrics) Dropped() {
 		return
 	}
 	m.Drops.Inc()
-}
-
-// ObserveSend records the latency of a send that began at start.
-func (m *TransportMetrics) ObserveSend(start time.Time) {
-	if m == nil {
-		return
-	}
-	m.SendNanos.ObserveSince(start)
 }
 
 // ObserveSendBatch records the size of one vectorized send.
@@ -225,11 +204,10 @@ func OverheadBuckets() []float64 {
 	return []float64{1.0, 1.05, 1.1, 1.2, 1.35, 1.5, 1.75, 2, 2.5, 3, 4}
 }
 
-// CodecMetrics instruments the RLNC layer: Gaussian-elimination time per
-// absorbed packet and per-generation completion latency.
+// CodecMetrics instruments the RLNC layer: generations closed. The codec
+// reads no clock; a generation's timing is the lifecycle tracker's (its
+// first_packet and decoded events, ncast_node_decode_delay_nanos).
 type CodecMetrics struct {
-	GaussNanos   *Histogram
-	GenLatency   *Histogram
 	GensComplete *Counter
 }
 
@@ -239,8 +217,6 @@ func NewCodecMetrics(r *Registry, labels ...Label) *CodecMetrics {
 		return nil
 	}
 	return &CodecMetrics{
-		GaussNanos:   r.Histogram("ncast_rlnc_gauss_nanos", "Gaussian-elimination time per absorbed packet, nanoseconds.", LatencyBuckets(), labels...),
-		GenLatency:   r.Histogram("ncast_rlnc_generation_latency_nanos", "First-packet-to-full-rank latency per generation, nanoseconds.", LatencyBuckets(), labels...),
 		GensComplete: r.Counter("ncast_rlnc_generations_completed_total", "Generations decoded to full rank.", labels...),
 	}
 }

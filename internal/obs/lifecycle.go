@@ -50,14 +50,14 @@ type GenSink func(GenEvent)
 
 // genState is the per-generation lifecycle record of one tracker.
 type genState struct {
-	firstAt   time.Time
 	emitNanos int64
 	received  int
 	rank      int
-	milestone int // highest quartile emitted: 0, 25, 50, or 75
-	decodedAt time.Time
+	milestone int // highest quartile emitted: 0, 25, 50 or 75; 100 once decoded
 	delay     time.Duration
 }
+
+func (g *genState) decoded() bool { return g.milestone == 100 }
 
 // GenTracker records generation lifecycle spans for one node: first packet
 // seen, rank-progress quartiles, decode completion, packets received
@@ -65,41 +65,47 @@ type genState struct {
 // emission stamp. It feeds the decode-delay and coding-overhead
 // histograms of a NodeMetrics bundle and an optional event sink. A nil
 // tracker is a no-op, matching the rest of the obs layer.
+//
+// Per-generation state is a dense table indexed by the session's slot
+// function, so a packet costs no map lookup, and the clock is read only
+// when a packet crosses a lifecycle transition.
 type GenTracker struct {
 	node string
 	need int
+	slot func(gen uint32) (int, bool)
 	m    *NodeMetrics
 	sink GenSink
 
 	mu   sync.Mutex
-	gens map[uint32]*genState
+	gens []genState
 }
 
 // NewGenTracker creates a lifecycle tracker for a node whose generations
-// need `need` innovative packets each. m and sink may be nil.
-func NewGenTracker(node string, need int, m *NodeMetrics, sink GenSink) *GenTracker {
+// need `need` innovative packets each. slot maps each of the session's
+// generation ids onto [0, gens) and rejects every other id, which the
+// tracker then ignores. m and sink may be nil.
+func NewGenTracker(node string, need, gens int, slot func(gen uint32) (int, bool), m *NodeMetrics, sink GenSink) *GenTracker {
 	if need <= 0 {
 		need = 1
 	}
-	return &GenTracker{node: node, need: need, m: m, sink: sink, gens: make(map[uint32]*genState)}
+	return &GenTracker{node: node, need: need, slot: slot, m: m, sink: sink, gens: make([]genState, gens)}
 }
 
 // Observe records one absorbed packet of generation gen: the post-
 // absorption rank and the source emit stamp carried by the frame (0 when
 // the frame was unstamped). It emits every lifecycle transition the packet
-// crossed, in order, so sinks always see monotone phase sequences.
-func (t *GenTracker) Observe(gen uint32, emitNanos int64, rank int) {
+// crossed, in order, so sinks always see monotone phase sequences, and
+// returns the generation's emit stamp as EmitStamp would.
+func (t *GenTracker) Observe(gen uint32, emitNanos int64, rank int) int64 {
 	if t == nil {
-		return
+		return 0
 	}
-	now := time.Now()
-	var events []GenEvent
-	t.mu.Lock()
-	g, ok := t.gens[gen]
+	i, ok := t.slot(gen)
 	if !ok {
-		g = &genState{firstAt: now}
-		t.gens[gen] = g
+		return 0
 	}
+	t.mu.Lock()
+	g := &t.gens[i]
 	g.received++
 	if emitNanos > 0 && (g.emitNanos == 0 || emitNanos < g.emitNanos) {
 		g.emitNanos = emitNanos
@@ -107,6 +113,31 @@ func (t *GenTracker) Observe(gen uint32, emitNanos int64, rank int) {
 	if rank > g.rank {
 		g.rank = rank
 	}
+	stamp := g.emitNanos
+	// Milestones are 25 apart, so the next transition, if any, is the
+	// first packet or the next quartile (decoded after rank75).
+	if g.received > 1 && (g.decoded() || g.rank*100 < t.need*(g.milestone+25)) {
+		t.mu.Unlock()
+		return stamp
+	}
+	// One packet crosses at most all five transitions, so their events
+	// fit on the stack.
+	var buf [5]GenEvent
+	events := t.transitionsLocked(gen, g, buf[:0])
+	t.mu.Unlock()
+	if t.sink != nil {
+		for _, e := range events {
+			t.sink(e)
+		}
+	}
+	return stamp
+}
+
+// transitionsLocked records the transitions g has just crossed, stamped
+// with one clock read, and appends their events to events. Callers hold
+// t.mu.
+func (t *GenTracker) transitionsLocked(gen uint32, g *genState, events []GenEvent) []GenEvent {
+	now := time.Now()
 	ev := func(phase string) GenEvent {
 		return GenEvent{
 			At: now, Node: t.node, Gen: gen, Phase: phase,
@@ -125,14 +156,10 @@ func (t *GenTracker) Observe(gen uint32, emitNanos int64, rank int) {
 			events = append(events, ev(q.phase))
 		}
 	}
-	if g.rank >= t.need && g.decodedAt.IsZero() {
-		g.decodedAt = now
+	if g.rank >= t.need && !g.decoded() {
 		g.milestone = 100
 		if g.emitNanos > 0 {
-			g.delay = now.Sub(time.Unix(0, g.emitNanos))
-			if g.delay < 0 {
-				g.delay = 0
-			}
+			g.delay = max(now.Sub(time.Unix(0, g.emitNanos)), 0)
 		}
 		done := ev(PhaseDecoded)
 		done.DelayNanos = int64(g.delay)
@@ -145,12 +172,7 @@ func (t *GenTracker) Observe(gen uint32, emitNanos int64, rank int) {
 			t.m.Overhead.Observe(float64(g.received) / float64(t.need))
 		}
 	}
-	t.mu.Unlock()
-	if t.sink != nil {
-		for _, e := range events {
-			t.sink(e)
-		}
-	}
+	return events
 }
 
 // EmitStamp returns the earliest source emission stamp seen for gen (unix
@@ -160,12 +182,13 @@ func (t *GenTracker) EmitStamp(gen uint32) int64 {
 	if t == nil {
 		return 0
 	}
+	i, ok := t.slot(gen)
+	if !ok {
+		return 0
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if g, ok := t.gens[gen]; ok {
-		return g.emitNanos
-	}
-	return 0
+	return t.gens[i].emitNanos
 }
 
 // Delays returns the end-to-end decode delays of every generation decoded
@@ -177,9 +200,9 @@ func (t *GenTracker) Delays() []float64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]float64, 0, len(t.gens))
-	for _, g := range t.gens {
-		if !g.decodedAt.IsZero() && g.delay > 0 {
+	var out []float64
+	for i := range t.gens {
+		if g := &t.gens[i]; g.decoded() && g.delay > 0 {
 			out = append(out, float64(g.delay))
 		}
 	}
@@ -194,9 +217,9 @@ func (t *GenTracker) Overheads() []int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]int, 0, len(t.gens))
-	for _, g := range t.gens {
-		if !g.decodedAt.IsZero() {
+	var out []int
+	for i := range t.gens {
+		if g := &t.gens[i]; g.decoded() {
 			out = append(out, g.received*1000/t.need)
 		}
 	}

@@ -155,7 +155,8 @@ func TestNilSafety(t *testing.T) {
 	tm.Sent(1)
 	tm.Received(1)
 	tm.Dropped()
-	tm.ObserveSend(tm.Start())
+	tm.ObserveSendBatch(1)
+	tm.ObserveRecvBatch(1)
 	if NewTransportMetrics(nil, "x") != nil || NewTrackerMetrics(nil) != nil ||
 		NewNodeMetrics(nil, "x") != nil || NewCodecMetrics(nil) != nil || NewSourceMetrics(nil) != nil {
 		t.Fatal("bundle constructor on nil registry returned non-nil")

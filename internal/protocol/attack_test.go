@@ -101,6 +101,16 @@ func entropyAttacker(f gf.Field) func(transport.Endpoint) transport.Endpoint {
 // non-nil wrap stands between the node and its endpoint.
 func addWrappedNode(t *testing.T, s *session, ctx context.Context, addr string, wrap func(transport.Endpoint) transport.Endpoint) *Node {
 	t.Helper()
+	return joinNode(t, s, ctx, addr, NodeConfig{
+		ComplaintTimeout: 200 * time.Millisecond,
+		Seed:             999 + int64(len(s.nodes)),
+	}, wrap)
+}
+
+// joinNode joins a node configured by cfg at addr to a running session,
+// behind wrap when it is non-nil, and waits for its welcome.
+func joinNode(t *testing.T, s *session, ctx context.Context, addr string, cfg NodeConfig, wrap func(transport.Endpoint) transport.Endpoint) *Node {
+	t.Helper()
 	ep, err := s.net.Endpoint(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -108,11 +118,8 @@ func addWrappedNode(t *testing.T, s *session, ctx context.Context, addr string, 
 	if wrap != nil {
 		ep = wrap(ep)
 	}
-	node := NewNode(ep, NodeConfig{
-		TrackerAddr:      "tracker",
-		ComplaintTimeout: 200 * time.Millisecond,
-		Seed:             999 + int64(len(s.nodes)),
-	})
+	cfg.TrackerAddr = "tracker"
+	node := NewNode(ep, cfg)
 	s.nodes = append(s.nodes, node)
 	s.wg.Add(1)
 	go func() { defer s.wg.Done(); _ = node.Run(ctx) }()
@@ -235,10 +242,10 @@ func TestEntropyAttackerAmongHonestPeers(t *testing.T) {
 // newBareSession assembles a session like startSessionKD but without
 // pre-joining nodes, so callers control join order and links. The
 // returned context lives until the test's cleanup.
-func newBareSession(t *testing.T, content []byte, k, d int) (*session, context.Context) {
+func newBareSession(t *testing.T, content []byte, k, d int, opts ...transport.NetworkOption) (*session, context.Context) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	net := transport.NewNetwork()
+	net := transport.NewNetwork(opts...)
 	trackerEP, err := net.Endpoint("tracker")
 	if err != nil {
 		t.Fatal(err)

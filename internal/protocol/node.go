@@ -24,7 +24,9 @@ type NodeConfig struct {
 	// node complains to the tracker (the §3 "eventually the children of
 	// the failed node complain"). Zero disables complaints.
 	ComplaintTimeout time.Duration
-	// Seed drives recoding randomness.
+	// Seed drives recoding randomness. The receive loop, or each decode
+	// worker, forwards with an rng of its own derived from it, since
+	// math/rand is not safe for concurrent use.
 	Seed int64
 	// DecodeWorkers sets the size of the worker pool that absorbs data
 	// packets into per-generation recoders. Packets are sharded to
@@ -50,6 +52,8 @@ type NodeConfig struct {
 type Node struct {
 	ep  transport.Endpoint
 	cfg NodeConfig
+	// rng is guarded by mu: the clock's keepalives and the catch-up bursts
+	// of applyRedirect draw from it. The forward path has its own.
 	rng *rand.Rand
 
 	mu         sync.Mutex
@@ -59,17 +63,22 @@ type Node struct {
 	params     rlnc.Params
 	totalGens  int
 	contentLen int
-	layerSizes []int    // non-empty in layered mode
-	genIDs     []uint32 // every valid (possibly namespaced) generation id
-	genSet     map[uint32]bool
+	layerSizes []int // non-empty in layered mode
+	// genIDs lists every valid (possibly namespaced) generation id by
+	// slot; slots maps an id back to its slot, and gens holds each
+	// generation's state at its slot. All three are fixed by the first
+	// welcome: a re-join keeps what the node has decoded.
+	genIDs     []uint32
+	slots      genIndex
+	gens       []genSlot
 	threads    []int
-	recoders   map[uint32]*rlnc.Recoder
 	gensDone   int
 	childOf    map[int]string
 	parentOf   map[int]string
 	lastRecv   map[int]time.Time
 	complete   bool
 	innovative int
+	redundant  int
 	received   int
 	hbGen      int
 	// seqOf is the next outbound sequence number per thread; links scores
@@ -77,12 +86,6 @@ type Node struct {
 	// echoes, innovation per parent.
 	seqOf map[int]uint32
 	links *obs.LinkTracker
-	// traceOf holds, per generation, the dissemination-trace context this
-	// node first received for a sampled generation: the trace ID and the
-	// node's own hop depth (max over received frames of the same trace,
-	// per the merge rule — under recoding a node may hear a traced
-	// generation at several depths). Empty unless the source samples.
-	traceOf map[uint32]traceState
 	// hoplog buffers hop spans between stats reports; created lazily on
 	// the first traced receive so untraced sessions allocate nothing.
 	hoplog *obs.HopLog
@@ -118,25 +121,77 @@ type Node struct {
 	leftCh     chan struct{}
 }
 
-// decodeJob carries one received packet to a decode worker, with the
-// session field, recoder, trace context, and source-emission stamp
-// captured under n.mu at enqueue time.
+// decodeJob carries one received packet from handleData to absorb,
+// inline or through a decode worker, with everything absorb needs that
+// handleData read under n.mu: the session field, the generation's slot
+// and recoder, the thread's child ("" when it has none), the lifecycle
+// tracker, the arrival time and the frame's trace context and
+// source-emission stamp.
 type decodeJob struct {
-	f    gf.Field
-	th   int
-	from string
-	emit int64
-	tc   TraceContext
-	rc   *rlnc.Recoder
-	p    *rlnc.Packet
+	f       gf.Field
+	th      int
+	slot    int
+	from    string
+	child   string
+	emit    int64
+	arrival int64
+	tc      TraceContext
+	rc      *rlnc.Recoder
+	lc      *obs.GenTracker
+	p       *rlnc.Packet
+}
+
+// genSlot is the node's state for one generation: its recoder, nil until
+// the generation's first packet, and its trace merge state.
+type genSlot struct {
+	rc *rlnc.Recoder
+	// trace is the dissemination-trace context this node first received
+	// for a sampled generation: the trace ID and the node's own hop depth
+	// (max over received frames of the same trace, per the merge rule —
+	// under recoding a node may hear a traced generation at several
+	// depths). Zero unless the source samples the generation.
+	trace traceState
 }
 
 // traceState is the per-generation trace merge state: the trace ID the
-// node adopted (first seen wins) and the node's hop depth under that
-// trace (max over received frames).
+// node adopted (first seen wins; zero while untraced) and the node's hop
+// depth under that trace (max over received frames).
 type traceState struct {
 	id    uint64
 	depth uint8
+}
+
+// genIndex maps a session's generation ids onto dense slots: layer l's
+// generation g sits at base[l]+g, below base[l+1]. A flat session is the
+// one layer [0, G), and the zero index rejects every id.
+type genIndex struct{ base []int }
+
+// newGenIndex indexes ids as sessionGenIDs orders them: layer by layer,
+// each layer's generations numbered from 0.
+func newGenIndex(ids []uint32) genIndex {
+	base := []int{0}
+	for i, id := range ids {
+		for rlnc.LayerOf(id) >= len(base) {
+			base = append(base, i)
+		}
+	}
+	return genIndex{base: append(base, len(ids))}
+}
+
+// slot returns gen's slot, or false for an id outside the session.
+func (x genIndex) slot(gen uint32) (int, bool) {
+	l, g := rlnc.LayerOf(gen), rlnc.GenOf(gen)
+	if l >= len(x.base)-1 || g >= x.base[l+1]-x.base[l] {
+		return 0, false
+	}
+	return x.base[l] + g, true
+}
+
+// streamSeed derives the seed of the node's i-th rng stream from Seed;
+// stream 0 is Seed itself. The golden-ratio multiplier keeps the streams
+// of nodes with consecutive seeds apart.
+func streamSeed(seed int64, i int) int64 {
+	return seed ^ int64(uint64(i)*0x9E3779B97F4A7C15)
 }
 
 // hopLogCap bounds the per-node hop-span buffer between stats reports;
@@ -157,8 +212,6 @@ func NewNode(ep transport.Endpoint, cfg NodeConfig) *Node {
 		ep:         ep,
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		recoders:   make(map[uint32]*rlnc.Recoder),
-		traceOf:    make(map[uint32]traceState),
 		childOf:    make(map[int]string),
 		parentOf:   make(map[int]string),
 		lastRecv:   make(map[int]time.Time),
@@ -193,11 +246,18 @@ func (n *Node) Progress() float64 {
 	if n.totalGens == 0 {
 		return 0
 	}
+	return float64(n.rankLocked()) / float64(n.totalGens*n.params.GenSize)
+}
+
+// rankLocked sums the rank of every generation. Callers hold n.mu.
+func (n *Node) rankLocked() int {
 	rank := 0
-	for _, rc := range n.recoders {
-		rank += rc.Rank()
+	for i := range n.gens {
+		if rc := n.gens[i].rc; rc != nil {
+			rank += rc.Rank()
+		}
 	}
-	return float64(rank) / float64(n.totalGens*n.params.GenSize)
+	return rank
 }
 
 // Stats returns (received, innovative) packet counts.
@@ -211,10 +271,7 @@ func (n *Node) Stats() (received, innovative int) {
 func (n *Node) Health() obs.NodeHealth {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	rank := 0
-	for _, rc := range n.recoders {
-		rank += rc.Rank()
-	}
+	rank := n.rankLocked()
 	h := obs.NodeHealth{
 		ID:         n.id,
 		Joined:     n.joined,
@@ -251,18 +308,7 @@ func (n *Node) Content() ([]byte, error) {
 		}
 		return out, nil
 	}
-	out := make([]byte, 0, n.contentLen)
-	for _, g := range n.genIDs {
-		rc := n.recoders[g]
-		src, err := rc.Decode()
-		if err != nil {
-			return nil, err
-		}
-		for _, pkt := range src {
-			out = append(out, pkt...)
-		}
-	}
-	return out[:n.contentLen], nil
+	return n.slotBytesLocked(0, len(n.gens), n.contentLen)
 }
 
 // CompletedLayers returns, for layered sessions, how many consecutive
@@ -302,10 +348,8 @@ func (n *Node) Layer(l int) ([]byte, error) {
 
 // layerCompleteLocked reports whether every generation of layer l decoded.
 func (n *Node) layerCompleteLocked(l int) bool {
-	gens := n.params.Generations(n.layerSizes[l])
-	for g := 0; g < gens; g++ {
-		rc, ok := n.recoders[rlnc.LayerGen(l, g)]
-		if !ok || !rc.Complete() {
+	for _, gs := range n.gens[n.slots.base[l]:n.slots.base[l+1]] {
+		if gs.rc == nil || !gs.rc.Complete() {
 			return false
 		}
 	}
@@ -314,12 +358,15 @@ func (n *Node) layerCompleteLocked(l int) bool {
 
 // layerBytesLocked reassembles layer l (callers ensure completeness).
 func (n *Node) layerBytesLocked(l int) ([]byte, error) {
-	size := n.layerSizes[l]
-	gens := n.params.Generations(size)
+	return n.slotBytesLocked(n.slots.base[l], n.slots.base[l+1], n.layerSizes[l])
+}
+
+// slotBytesLocked reassembles the first size bytes of the generations in
+// slots [from, to), which callers ensure are decoded.
+func (n *Node) slotBytesLocked(from, to, size int) ([]byte, error) {
 	out := make([]byte, 0, size)
-	for g := 0; g < gens; g++ {
-		rc := n.recoders[rlnc.LayerGen(l, g)]
-		src, err := rc.Decode()
+	for _, gs := range n.gens[from:to] {
+		src, err := gs.rc.Decode()
 		if err != nil {
 			return nil, err
 		}
@@ -354,13 +401,18 @@ func (n *Node) Run(ctx context.Context) error {
 	// itself. Run's callers give it no deadline, so the transport bounds a
 	// full-queue wait at QueueWait and no frame pays for a timer of its
 	// own; cancelling ctx still ends a wait in progress when Run returns.
+	//
+	// Whoever absorbs a packet also recodes the frame it forwards, outside
+	// n.mu, so each of them owns an rng: the receive loop when it absorbs
+	// inline, else every decode worker.
+	var fwdRng *rand.Rand
 	if n.cfg.DecodeWorkers > 1 {
 		n.decodeQ = make([]chan decodeJob, n.cfg.DecodeWorkers)
 		for i := range n.decodeQ {
 			q := make(chan decodeJob, 64)
 			n.decodeQ[i] = q
 			n.decodeWG.Add(1)
-			go n.decodeWorker(ctx, q)
+			go n.decodeWorker(ctx, q, rand.New(rand.NewSource(streamSeed(n.cfg.Seed, 1+i))))
 		}
 		// The receive loop is the only sender, so once Run unwinds no
 		// more jobs can arrive and the queues can close.
@@ -370,6 +422,8 @@ func (n *Node) Run(ctx context.Context) error {
 			}
 			n.decodeWG.Wait()
 		}()
+	} else {
+		fwdRng = rand.New(rand.NewSource(streamSeed(n.cfg.Seed, 1)))
 	}
 
 	for {
@@ -382,7 +436,7 @@ func (n *Node) Run(ctx context.Context) error {
 			continue
 		}
 		if IsData(frame) {
-			n.handleData(ctx, from, frame)
+			n.handleData(ctx, from, frame, fwdRng)
 			continue
 		}
 		typ, body, err := SplitControl(frame)
@@ -521,21 +575,22 @@ func (n *Node) applyWelcome(w Welcome) error {
 	defer n.mu.Unlock()
 	n.id = w.ID
 	n.joined = true
-	n.field = params.Field
-	n.params = params
-	n.contentLen = w.Session.ContentLen
-	n.layerSizes = append([]int(nil), w.Session.LayerSizes...)
-	n.genIDs = genIDs
-	n.genSet = make(map[uint32]bool, len(genIDs))
-	for _, g := range genIDs {
-		n.genSet[g] = true
+	if n.gens == nil {
+		// The first welcome fixes the session. A re-join comes from the
+		// same tracker with the same session, and what the node decoded
+		// before its expulsion survives it.
+		n.field = params.Field
+		n.params = params
+		n.contentLen = w.Session.ContentLen
+		n.layerSizes = append([]int(nil), w.Session.LayerSizes...)
+		n.genIDs = genIDs
+		n.slots = newGenIndex(genIDs)
+		n.gens = make([]genSlot, len(genIDs))
+		n.totalGens = len(genIDs)
+		n.lifecycle = obs.NewGenTracker(n.ep.Addr(), params.GenSize, len(genIDs), n.slots.slot, n.cfg.Obs, n.cfg.GenSink)
 	}
-	n.totalGens = len(genIDs)
 	n.leaseEvery = time.Duration(w.LeaseMillis) * time.Millisecond
 	n.statsEvery = time.Duration(w.StatsMillis) * time.Millisecond
-	if n.lifecycle == nil {
-		n.lifecycle = obs.NewGenTracker(n.ep.Addr(), params.GenSize, n.cfg.Obs, n.cfg.GenSink)
-	}
 	n.threads = append([]int(nil), w.Threads...)
 	now := time.Now()
 	for _, th := range w.Threads {
@@ -584,14 +639,13 @@ func (n *Node) applyRedirect(ctx context.Context, r Redirect) {
 	// hold, so a late joiner is not starved until the round-robin source
 	// cycles back.
 	var bursts [][]byte
-	for _, g := range n.genIDs {
-		rc, ok := n.recoders[g]
-		if !ok {
+	for i, gs := range n.gens {
+		if gs.rc == nil {
 			continue
 		}
-		if p, ok := rc.Packet(n.rng); ok {
+		if p, ok := gs.rc.Packet(n.rng); ok {
 			bursts = append(bursts, EncodeDataSeq(n.field, r.Thread,
-				n.nextSeqLocked(r.Thread), n.lifecycle.EmitStamp(g), n.forwardTraceLocked(g), p))
+				n.nextSeqLocked(r.Thread), n.lifecycle.EmitStamp(n.genIDs[i]), n.forwardTraceLocked(i), p))
 			p.Release()
 		}
 	}
@@ -602,7 +656,10 @@ func (n *Node) applyRedirect(ctx context.Context, r Redirect) {
 	}
 }
 
-func (n *Node) handleData(ctx context.Context, from string, frame []byte) {
+// handleData takes one data frame through the node's first n.mu section:
+// link scoring, receive bookkeeping and the generation's recoder. Then
+// absorb runs inline with r, or on the frame's decode worker.
+func (n *Node) handleData(ctx context.Context, from string, frame []byte, r *rand.Rand) {
 	n.mu.Lock()
 	if !n.joined {
 		n.mu.Unlock()
@@ -613,12 +670,17 @@ func (n *Node) handleData(ctx context.Context, from string, frame []byte) {
 		n.mu.Unlock()
 		return
 	}
+	// The frame's one clock read stamps the link score, the thread's
+	// liveness and, on a traced frame, the hop span's arrival, taken before
+	// any decode work so the span measures propagation.
 	now := time.Now()
+	arrival := now.UnixNano()
 	// Score the link before any protocol-level gating: loss estimation is
 	// about what the wire delivered, and a frame for a foreign generation
 	// still proves the link carried it.
-	n.links.ObserveFrame(from, th, seq, len(frame), now.UnixNano())
-	if !n.genSet[p.Gen] {
+	n.links.ObserveFrame(from, th, seq, len(frame), arrival)
+	slot, ok := n.slots.slot(p.Gen)
+	if !ok {
 		n.mu.Unlock()
 		p.Release()
 		return
@@ -632,9 +694,9 @@ func (n *Node) handleData(ctx context.Context, from string, frame []byte) {
 		n.lastRecv[th] = now
 		n.parentOf[th] = from
 	}
-	rc, ok := n.recoders[p.Gen]
-	if !ok {
-		rc, err = rlnc.NewRecoder(n.field, p.Gen, n.params.GenSize, n.params.PacketSize)
+	gs := &n.gens[slot]
+	if gs.rc == nil {
+		rc, err := rlnc.NewRecoder(n.field, p.Gen, n.params.GenSize, n.params.PacketSize)
 		if err != nil {
 			n.mu.Unlock()
 			p.Release()
@@ -643,17 +705,18 @@ func (n *Node) handleData(ctx context.Context, from string, frame []byte) {
 		if m != nil {
 			rc.Instrument(m.Codec)
 		}
-		n.recoders[p.Gen] = rc
+		gs.rc = rc
 	}
-	f := n.field
+	j := decodeJob{f: n.field, th: th, slot: slot, from: from, child: n.childOf[th],
+		emit: emit, arrival: arrival, tc: tc, rc: gs.rc, lc: n.lifecycle, p: p}
 	n.mu.Unlock()
 
 	if n.decodeQ == nil {
-		n.absorb(ctx, f, th, from, emit, tc, rc, p)
+		n.absorb(ctx, &j, r)
 		return
 	}
 	select {
-	case n.decodeQ[int(p.Gen)%len(n.decodeQ)] <- decodeJob{f: f, th: th, from: from, emit: emit, tc: tc, rc: rc, p: p}:
+	case n.decodeQ[slot%len(n.decodeQ)] <- j:
 	default:
 		// A saturated decode worker behaves like a congested link: the
 		// packet is dropped, which RLNC absorbs by design.
@@ -662,43 +725,39 @@ func (n *Node) handleData(ctx context.Context, from string, frame []byte) {
 }
 
 // decodeWorker drains one shard of the decode queue until Run closes it.
-func (n *Node) decodeWorker(ctx context.Context, q <-chan decodeJob) {
+// r is the worker's own rng for the frames it forwards.
+func (n *Node) decodeWorker(ctx context.Context, q <-chan decodeJob, r *rand.Rand) {
 	defer n.decodeWG.Done()
 	for j := range q {
-		n.absorb(ctx, j.f, j.th, j.from, j.emit, j.tc, j.rc, j.p)
+		n.absorb(ctx, &j, r)
 	}
 }
 
-// absorb performs the Gaussian elimination for one received packet —
-// outside n.mu, so independent generations can run it concurrently —
-// then re-locks for node bookkeeping and forwards one packet of the same
-// generation down the node's own thread, preserving unit flow per
-// thread. It consumes p (released back to the packet pool).
-func (n *Node) absorb(ctx context.Context, f gf.Field, th int, from string, emit int64, tc TraceContext, rc *rlnc.Recoder, p *rlnc.Packet) {
-	m := n.cfg.Obs
-	// Stamp the arrival before the Gaussian elimination so the hop span
-	// measures propagation, not local decode work. Untraced frames (the
-	// overwhelming majority at realistic sampling rates) skip the clock.
-	var arrival int64
-	if tc.Traced() {
-		arrival = time.Now().UnixNano()
+// absorb runs the Gaussian elimination for one received packet and, when
+// the packet's thread has a child, recodes one packet of the same
+// generation for it, in one recoder call outside n.mu, so independent
+// generations run it concurrently. The node's bookkeeping then takes one
+// n.mu section, and the recoded packet goes down the node's own thread,
+// preserving unit flow per thread. r is the caller's own rng. absorb
+// consumes j.p (released back to the packet pool).
+func (n *Node) absorb(ctx context.Context, j *decodeJob, r *rand.Rand) {
+	if j.child == "" {
+		r = nil // nobody to forward to: do not recode
 	}
-	wasComplete := rc.Complete()
-	innovative, err := rc.Add(p)
+	innovative, rank, closed, out, err := j.rc.Absorb(j.p, r)
 	if err != nil {
-		p.Release()
+		j.p.Release()
 		return
 	}
+	gen := j.p.Gen
 	// Record the lifecycle transition(s) this packet caused: first-seen,
 	// rank quartiles, decode completion with end-to-end delay against the
-	// frame's source-emission stamp. The tracker is created with the
-	// welcome, so a pre-join packet (impossible: handleData gates on
-	// joined) never races the nil check.
-	n.mu.Lock()
-	lc := n.lifecycle
-	n.mu.Unlock()
-	lc.Observe(p.Gen, emit, rc.Rank())
-	n.links.ObservePacket(from, innovative)
+	// frame's source-emission stamp. The returned stamp, the earliest seen
+	// for the generation, is what a forwarded frame carries, so decode
+	// delay stays end-to-end however many overlay hops the data crosses.
+	stamp := j.lc.Observe(gen, j.emit, rank)
+	n.links.ObservePacket(j.from, innovative)
+	m := n.cfg.Obs
 	n.mu.Lock()
 	if innovative {
 		n.innovative++
@@ -706,11 +765,14 @@ func (n *Node) absorb(ctx context.Context, f gf.Field, th int, from string, emit
 			m.Innovative.Inc()
 			m.Rank.Add(1)
 		}
-	} else if m != nil {
-		m.Redundant.Inc()
+	} else {
+		n.redundant++
+		if m != nil {
+			m.Redundant.Inc()
+		}
 	}
 	justCompleted := false
-	if !wasComplete && rc.Complete() {
+	if closed {
 		n.gensDone++
 		if m != nil {
 			m.GensDone.Set(int64(n.gensDone))
@@ -720,26 +782,17 @@ func (n *Node) absorb(ctx context.Context, f gf.Field, th int, from string, emit
 			justCompleted = true
 		}
 	}
-	var out *rlnc.Packet
-	var child string
-	if c, ok := n.childOf[th]; ok {
-		if q, ok := rc.Packet(n.rng); ok {
-			out, child = q, c
-		}
-	}
 	// Merge the trace context and record the hop span. First trace ID
 	// wins for a generation; the node's depth is the max hop seen under
 	// that trace (recoding can deliver the same traced generation along
 	// paths of different length — max is the honest depth of the mix).
-	var fwdTC TraceContext
-	if tc.Traced() {
-		ts, ok := n.traceOf[p.Gen]
-		if !ok {
-			ts = traceState{id: tc.ID, depth: tc.Hop}
+	if tc := j.tc; tc.Traced() {
+		ts := &n.gens[j.slot].trace
+		if ts.id == 0 {
+			*ts = traceState{id: tc.ID, depth: tc.Hop}
 		} else if ts.id == tc.ID && tc.Hop > ts.depth {
 			ts.depth = tc.Hop
 		}
-		n.traceOf[p.Gen] = ts
 		if n.hoplog == nil {
 			n.hoplog = obs.NewHopLog(hopLogCap)
 		}
@@ -749,22 +802,23 @@ func (n *Node) absorb(ctx context.Context, f gf.Field, th int, from string, emit
 		}
 		n.hoplog.Record(obs.HopRecord{
 			TraceID:      tc.ID,
-			Gen:          p.Gen,
+			Gen:          gen,
 			Hop:          int(tc.Hop),
 			Innovative:   innovative,
 			Forwarded:    fanout,
-			ArrivalNanos: arrival,
-			EmitNanos:    emit,
+			ArrivalNanos: j.arrival,
+			EmitNanos:    j.emit,
 		})
 	}
+	var fwdTC TraceContext
 	var fwdSeq int32
 	if out != nil {
-		fwdTC = n.forwardTraceLocked(out.Gen)
-		fwdSeq = n.nextSeqLocked(th)
+		fwdTC = n.forwardTraceLocked(j.slot)
+		fwdSeq = n.nextSeqLocked(j.th)
 	}
 	id := n.id
 	n.mu.Unlock()
-	p.Release()
+	j.p.Release()
 
 	if justCompleted {
 		// ctx has no deadline, so a stalled tracker costs this send at most
@@ -773,28 +827,21 @@ func (n *Node) absorb(ctx context.Context, f gf.Field, th int, from string, emit
 		close(n.completeCh)
 	}
 	if out != nil {
-		// Propagate the generation's source-emission stamp downstream
-		// (earliest seen wins inside the tracker), so decode delay stays
-		// end-to-end however many overlay hops the data crosses.
-		stamp := emit
-		if s := lc.EmitStamp(out.Gen); s > 0 {
-			stamp = s
-		}
 		buf := rlnc.GetFrameBuf()
-		*buf = AppendDataSeq(*buf, f, th, fwdSeq, stamp, fwdTC, out)
+		*buf = AppendDataSeq(*buf, j.f, j.th, fwdSeq, stamp, fwdTC, out)
 		out.Release()
-		n.sendData(ctx, child, *buf)
+		n.sendData(ctx, j.child, *buf)
 		rlnc.PutFrameBuf(buf)
 	}
 }
 
 // forwardTraceLocked returns the trace context this node stamps on
-// packets it forwards for gen: its adopted trace ID with the hop count
-// advanced by one (saturating), or the zero context when the generation
-// is untraced. Callers hold n.mu.
-func (n *Node) forwardTraceLocked(gen uint32) TraceContext {
-	ts, ok := n.traceOf[gen]
-	if !ok {
+// packets it forwards for the generation at slot: its adopted trace ID
+// with the hop count advanced by one (saturating), or the zero context
+// when the generation is untraced. Callers hold n.mu.
+func (n *Node) forwardTraceLocked(slot int) TraceContext {
+	ts := n.gens[slot].trace
+	if ts.id == 0 {
 		return TraceContext{}
 	}
 	hop := ts.depth
@@ -1001,12 +1048,12 @@ func (n *Node) keepalive(ctx context.Context) {
 	beats := make([]beat, 0, len(n.childOf)+len(n.parentOf))
 	for th, child := range n.childOf {
 		b := beat{th: th, to: child}
-		if len(n.genIDs) > 0 {
-			g := n.genIDs[(n.hbGen+th)%len(n.genIDs)]
-			if rc, ok := n.recoders[g]; ok {
+		if len(n.gens) > 0 {
+			i := (n.hbGen + th) % len(n.gens)
+			if rc := n.gens[i].rc; rc != nil {
 				if p, ok := rc.Packet(n.rng); ok {
 					b.frame = EncodeDataSeq(n.field, th, n.nextSeqLocked(th),
-						n.lifecycle.EmitStamp(g), n.forwardTraceLocked(g), p)
+						n.lifecycle.EmitStamp(n.genIDs[i]), n.forwardTraceLocked(i), p)
 					p.Release()
 				}
 			}
@@ -1062,15 +1109,18 @@ func (n *Node) buildStatsReport() StatsReport {
 		Complete:      n.complete,
 		Received:      uint64(n.received),
 		Innovative:    uint64(n.innovative),
+		Redundant:     uint64(n.redundant),
 		Complaints:    n.complaintsSent,
 		LeaseRenewals: n.leaseSent,
 	}
-	r.Redundant = r.Received - r.Innovative
-	r.GenRanks = make([]int, len(n.genIDs))
-	for i, g := range n.genIDs {
-		if rc, ok := n.recoders[g]; ok {
-			r.GenRanks[i] = rc.Rank()
-			r.Rank += rc.Rank()
+	// Received counts every frame of a session generation; one still
+	// queued for a decode worker, or dropped by a saturated one, is
+	// neither innovative nor redundant.
+	r.GenRanks = make([]int, len(n.gens))
+	for i, gs := range n.gens {
+		if gs.rc != nil {
+			r.GenRanks[i] = gs.rc.Rank()
+			r.Rank += r.GenRanks[i]
 		}
 	}
 	for _, q := range n.decodeQ {

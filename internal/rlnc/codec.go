@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"ncast/internal/gf"
 	"ncast/internal/obs"
@@ -83,11 +82,9 @@ type codec struct {
 	mu  sync.Mutex
 	gen uint32
 	e   genDecoder
-	// m, when set, receives elimination time per absorbed packet and
-	// first-packet-to-full-rank latency; firstAt is that first arrival.
-	// An uninstrumented codec never reads the clock.
-	m       *obs.CodecMetrics
-	firstAt time.Time
+	// m, when set, counts generations closed. A codec never reads the
+	// clock.
+	m *obs.CodecMetrics
 }
 
 func (c *codec) init(p Params, gen uint32, m *obs.CodecMetrics) {
@@ -108,26 +105,21 @@ func (c *codec) Instrument(m *obs.CodecMetrics) {
 // packet brought the generation to full rank; back-substitution has then
 // already run, so the source packets are readable when add returns.
 func (c *codec) add(p *Packet) (innovative, closed bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.addLocked(p)
+}
+
+// addLocked is add for a caller that holds c.mu: the package's one path
+// from a packet into the engine.
+func (c *codec) addLocked(p *Packet) (innovative, closed bool, err error) {
 	if p.Gen != c.gen {
 		return false, false, fmt.Errorf("rlnc: packet for generation %d, want %d", p.Gen, c.gen)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var start time.Time
-	if c.m != nil {
-		start = time.Now()
-		if c.firstAt.IsZero() {
-			c.firstAt = start
-		}
-	}
 	innovative, err = c.e.add(p)
 	closed = innovative && c.e.complete()
-	if c.m != nil {
-		c.m.GaussNanos.ObserveSince(start)
-		if closed {
-			c.m.GenLatency.ObserveSince(c.firstAt)
-			c.m.GensComplete.Inc()
-		}
+	if closed && c.m != nil {
+		c.m.GensComplete.Inc()
 	}
 	return innovative, closed, err
 }
@@ -204,9 +196,32 @@ func NewRecoder(f gf.Field, gen uint32, h, size int) (*Recoder, error) {
 func (rc *Recoder) Packet(r *rand.Rand) (*Packet, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
+	p := rc.packetLocked(r)
+	return p, p != nil
+}
+
+// Absorb is a relay's whole per-packet step in one locked section: it
+// adds p as Add does, reports the rank after it and whether p closed the
+// generation (true exactly once per generation), and, when r is non-nil,
+// emits a fresh combination as Packet(r) would — out is nil when r is nil,
+// the buffer is empty or p was rejected. p is only read; out is pooled
+// and the caller releases it.
+func (rc *Recoder) Absorb(p *Packet, r *rand.Rand) (innovative bool, rank int, closed bool, out *Packet, err error) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	innovative, closed, err = rc.addLocked(p)
+	if err == nil && r != nil {
+		out = rc.packetLocked(r)
+	}
+	return innovative, rc.e.rank, closed, out, err
+}
+
+// packetLocked emits a random combination of the buffered packets, or nil
+// when the buffer is empty. Callers hold rc.mu.
+func (rc *Recoder) packetLocked(r *rand.Rand) *Packet {
 	e := &rc.e
 	if e.rank == 0 {
-		return nil, false
+		return nil
 	}
 	// Any spanning set of the received subspace serves: echelon rows before
 	// full rank, the source packets themselves after.
@@ -219,7 +234,7 @@ func (rc *Recoder) Packet(r *rand.Rand) (*Packet, bool) {
 		e.f.AddMulCoeff(p.Coeff, e.coeffRow(s), c)
 		e.f.AddMulSlice(p.Payload, e.arenaRow(s), c)
 	}
-	return p, true
+	return p
 }
 
 // Decode returns the source packets once the recoder is complete; a node

@@ -87,9 +87,10 @@ func TestPooledPacketRecycled(t *testing.T) {
 	q.Release()
 }
 
-// TestEmitPathsZeroAlloc asserts the ISSUE's steady-state budget: with
-// warm pools, Encoder.Packet and Recoder.Packet (emit + release) and a
-// redundant Recoder.Add run without allocating.
+// TestEmitPathsZeroAlloc asserts the steady-state budget: with warm
+// pools, Encoder.Packet and Recoder.Packet (emit + release), a redundant
+// Recoder.Add and a redundant Recoder.Absorb, recoding or not, run
+// without allocating.
 func TestEmitPathsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -142,6 +143,25 @@ func TestEmitPathsZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("redundant Recoder.Add: %v allocs/op, want 0", n)
+	}
+	// A relay's per-packet step: absorb the redundant packet and recode
+	// one for the child. The recoded packet comes from the pool and goes
+	// back to it, so the step allocates nothing either.
+	if n := testing.AllocsPerRun(100, func() {
+		_, _, _, out, err := rc.Absorb(redundant, r)
+		if err != nil || out == nil {
+			t.Fatalf("Absorb: out %v, err %v", out, err)
+		}
+		out.Release()
+	}); n != 0 {
+		t.Errorf("redundant Recoder.Absorb with recode: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, _, _, err := rc.Absorb(redundant, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("redundant Recoder.Absorb without recode: %v allocs/op, want 0", n)
 	}
 }
 

@@ -141,14 +141,12 @@ func (e *TCPEndpoint) Send(ctx context.Context, to string, msg []byte) error {
 		m.Dropped()
 		return err
 	}
-	start := m.Start()
 	if err := conn.Send(ctx, prependSender(e.addr, msg)); err != nil {
 		e.dropConn(to, conn)
 		m.Dropped()
 		return fmt.Errorf("transport: send to %s: %w", to, err)
 	}
 	m.Sent(len(msg))
-	m.ObserveSend(start)
 	return nil
 }
 

@@ -298,11 +298,9 @@ func (e *memEndpoint) sendFrom(ctx context.Context, from, to string, msg []byte)
 		// keeps fast producers honest.
 		frame.due = time.Now().Add(latency)
 	}
-	start := m.Start()
 	select {
 	case dst.ch <- frame:
 		m.Sent(len(msg))
-		m.ObserveSend(start)
 		return nil
 	case <-dst.done:
 		m.Dropped()
@@ -320,7 +318,6 @@ func (e *memEndpoint) sendFrom(ctx context.Context, from, to string, msg []byte)
 	select {
 	case dst.ch <- frame:
 		m.Sent(len(msg))
-		m.ObserveSend(start)
 		return nil
 	case <-dst.done:
 		m.Dropped()

@@ -317,7 +317,6 @@ func (e *UDPEndpoint) sendLoop() {
 func (e *UDPEndpoint) transmit(batch []outDatagram) {
 	m := e.metrics.Load()
 	m.ObserveSendBatch(len(batch))
-	start := m.Start()
 	rest := batch
 	for len(rest) > 0 {
 		n, err := e.bio.sendBatch(rest)
@@ -343,7 +342,6 @@ func (e *UDPEndpoint) transmit(batch []outDatagram) {
 	for range rest {
 		m.Dropped()
 	}
-	m.ObserveSend(start)
 	for i := range batch {
 		e.bufPool.Put(batch[i].buf)
 	}

@@ -32,7 +32,7 @@ func TestMetricNameLint(t *testing.T) {
 	obs.NewRuntimeMetrics(reg)
 	// The lifecycle tracker registers the decode-delay and overhead
 	// histograms lazily on the first decode; force both.
-	gt := obs.NewGenTracker("lint-node", 1, nm, nil)
+	gt := obs.NewGenTracker("lint-node", 1, 1, func(gen uint32) (int, bool) { return 0, gen == 0 }, nm, nil)
 	gt.Observe(0, time.Now().Add(-time.Millisecond).UnixNano(), 1)
 
 	points := reg.Snapshot()
