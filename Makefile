@@ -55,18 +55,22 @@ race:
 # caller deadlines kept), a rejection after a re-join, the node clock
 # (good-bye retries end with Run, a clamped tiny ComplaintTimeout,
 # keepalives, forwarding and the first hello behind a stalled tracker, a
-# first hello whose dial failed), and a client's goroutine count.
+# first hello whose dial failed, keepalive beats behind a stalled child),
+# a client's goroutine count, and completion feedback (a lying child, a
+# child that stops probing, a decoded overlay gone quiet without a
+# complaint).
 churn:
-	$(GO) test -race -run 'Churn|Lease|Stalled|Faulty|Goodbye|SendDeadline|LeafCrash|Telemetry|Timeline|ClusterSnapshot|TraceLive|Rejoin|Footprint|Clamp|FirstHello' ./internal/protocol ./internal/transport .
+	$(GO) test -race -run 'Churn|Lease|Stalled|Faulty|Goodbye|SendDeadline|LeafCrash|Telemetry|Timeline|ClusterSnapshot|TraceLive|Rejoin|Footprint|Clamp|FirstHello|Feedback' ./internal/protocol ./internal/transport .
 
 # Datagram-plane suite under the race detector: the UDP endpoint and its
 # batched I/O, same-port dual-plane binding, the end-to-end broadcasts
 # that run at 5% injected datagram loss (the loss-as-normal regime), one
 # of them through nodes that absorb and recode on two decode workers
-# each, and the link-telemetry drill that must localize a 10%-lossy peer
-# to ±3pp.
+# each, the link-telemetry drill that must localize a 10%-lossy peer
+# to ±3pp, and the completion-feedback suite, whose reports ride the
+# keepalives of the datagram plane.
 lossy:
-	$(GO) test -race -run 'UDP|SamePort|Dual|Datagram|SplitSender|Lossy|Link' ./internal/transport ./internal/protocol ./internal/obs .
+	$(GO) test -race -run 'UDP|SamePort|Dual|Datagram|SplitSender|Lossy|Link|Feedback' ./internal/transport ./internal/protocol ./internal/obs .
 
 # Short deterministic fuzz budgets over the wire decoders and the stream
 # framing; go's fuzzer accepts one -fuzz pattern per invocation, so each
@@ -81,7 +85,8 @@ fuzz:
 # must allocate nothing beyond the untraced baseline, and a recoder
 # must allocate nothing after a generation's first packet (systematic
 # installs, redundant packets, emits), the source's send path must
-# allocate only its per-send deadline context, a node's forward path
+# allocate only its per-send deadline context (at most 4.05 objects a
+# frame: Run reuses one routing buffer across rounds), a node's forward path
 # must allocate only the two transport copies of a forwarded frame (no
 # per-frame context), and a hello+welcome round trip through the
 # control codec must allocate only its two frames, the address and the

@@ -233,7 +233,7 @@ func NewSourceMetrics(r *Registry) *SourceMetrics {
 		return nil
 	}
 	return &SourceMetrics{
-		Rounds:  r.Counter("ncast_source_rounds_total", "Pump rounds with at least one live thread."),
+		Rounds:  r.Counter("ncast_source_rounds_total", "Pump rounds in which a thread had a child and a generation its subtree still needs."),
 		Packets: r.Counter("ncast_source_packets_total", "Coded packets emitted by the source."),
 	}
 }

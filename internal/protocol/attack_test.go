@@ -14,19 +14,19 @@ import (
 
 // adversary wraps a node's endpoint to model a §5/§7 attacker on its
 // links. Control frames pass untouched, so the attacker stays alive to the
-// tracker; every outbound data-plane frame goes through rewrite, which
-// returns the frame to send or nil to drop it; every inbound frame is
-// shown to observe. The node inside runs the honest protocol and cannot
+// tracker; every outbound data-plane frame goes through rewrite, with its
+// destination, which returns the frame to send or nil to drop it; every
+// inbound frame is shown to observe. The node inside runs the honest protocol and cannot
 // tell the wrapper from a real link.
 type adversary struct {
 	transport.Endpoint
-	rewrite func(frame []byte) []byte
+	rewrite func(to string, frame []byte) []byte
 	observe func(frame []byte)
 }
 
 func (a *adversary) Send(ctx context.Context, to string, frame []byte) error {
 	if DataPlaneFrame(frame) {
-		if frame = a.rewrite(frame); frame == nil {
+		if frame = a.rewrite(to, frame); frame == nil {
 			return nil // dropped, exactly like loss on a real link
 		}
 	}
@@ -46,7 +46,7 @@ func (a *adversary) Recv(ctx context.Context) (string, []byte, error) {
 // control plane stays alive. Children detect it by timeout and the repair
 // protocol splices it out.
 func freeloader(ep transport.Endpoint) transport.Endpoint {
-	return &adversary{Endpoint: ep, rewrite: func([]byte) []byte { return nil }}
+	return &adversary{Endpoint: ep, rewrite: func(string, []byte) []byte { return nil }}
 }
 
 // entropyAttacker is the §7 entropy-destruction attack over field f: the
@@ -76,7 +76,7 @@ func entropyAttacker(f gf.Field) func(transport.Endpoint) transport.Endpoint {
 				mu.Unlock()
 				p.Release()
 			},
-			rewrite: func(frame []byte) []byte {
+			rewrite: func(_ string, frame []byte) []byte {
 				if !IsData(frame) {
 					return frame
 				}

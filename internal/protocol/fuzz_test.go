@@ -109,21 +109,34 @@ func equalCoeff(a, b []uint16) bool {
 	return true
 }
 
-// FuzzDecodeKeepalive covers the keepalive frame kind; it must never
-// panic, must reject anything shorter than the 27-byte layout, and must
-// round-trip the thread and timestamps of every frame it accepts.
+// FuzzDecodeKeepalive covers the keepalive frame kind and the completion
+// report a probe may carry after it. Neither decoder may panic. The
+// keepalive decoder must reject anything shorter than the 27-byte layout
+// and round-trip the thread and timestamps of every frame it accepts. The
+// report decoder must read the bare 27-byte frame as "nothing full",
+// reject a tail cut inside its low-water word or with a bitmap over the
+// 1 KiB cap, and mark full exactly the slots below the low-water mark
+// and the set bits of the bitmap above it, which must survive a
+// re-encode.
 func FuzzDecodeKeepalive(f *testing.F) {
 	f.Add(EncodeKeepaliveEcho(0, 1, 0, 0))
 	f.Add(EncodeKeepaliveEcho(65535, 123456789, 0, 0))
 	f.Add([]byte{2})
-	f.Add([]byte{2, 0, 7})                                      // 3-byte keepalive: rejected
-	f.Add(EncodeKeepaliveEcho(3, 0, 123456789, 42))             // echo
-	f.Add(EncodeKeepaliveEcho(5, 0, 0, 0))                      // neither probe nor echo
-	f.Add(append(EncodeKeepaliveEcho(1, 1, 0, 0), 0xbe))        // over-long: tolerated
-	f.Add(EncodeKeepaliveEcho(9, 1, 0, 0)[:keepaliveEchoLen-1]) // truncated
+	f.Add([]byte{2, 0, 7})                                                     // 3-byte keepalive: rejected
+	f.Add(EncodeKeepaliveEcho(3, 0, 123456789, 42))                            // echo
+	f.Add(EncodeKeepaliveEcho(5, 0, 0, 0))                                     // neither probe nor echo
+	f.Add(append(EncodeKeepaliveEcho(1, 1, 0, 0), 0xbe))                       // over-long: tolerated
+	f.Add(EncodeKeepaliveEcho(9, 1, 0, 0)[:keepaliveEchoLen-1])                // truncated
+	f.Add(append(EncodeKeepaliveEcho(1, 1, 0, 0), 0, 0, 0, 64, 0x0f, 0, 0x81)) // report
+	f.Add(append(EncodeKeepaliveEcho(1, 1, 0, 0), 0xff, 0xff, 0xff, 0xff))     // all full
+	f.Add(append(EncodeKeepaliveEcho(1, 1, 0, 0), make([]byte, reportTailMin+reportBitmapCap+1)...))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		ki, err := DecodeKeepaliveEcho(frame)
+		rep, repErr := decodeReport(frame)
 		if err != nil {
+			if repErr == nil {
+				t.Fatalf("report decoded from a frame that is no keepalive")
+			}
 			return
 		}
 		if len(frame) < keepaliveEchoLen {
@@ -133,6 +146,39 @@ func FuzzDecodeKeepalive(f *testing.F) {
 		ki2, err := DecodeKeepaliveEcho(again)
 		if err != nil || ki2 != ki {
 			t.Fatalf("echo round trip: %+v -> %+v, err %v", ki, ki2, err)
+		}
+		tail := frame[keepaliveEchoLen:]
+		switch {
+		case len(tail) == 0:
+			if repErr != nil || !rep.empty() {
+				t.Fatalf("bare keepalive read as %+v, err %v", rep, repErr)
+			}
+			return
+		case len(tail) < reportTailMin || len(tail) > reportTailMin+reportBitmapCap:
+			if repErr == nil {
+				t.Fatalf("accepted a %d-byte tail", len(tail))
+			}
+			return
+		case repErr != nil:
+			t.Fatalf("rejected a %d-byte tail: %v", len(tail), repErr)
+		}
+		low := uint64(binary.BigEndian.Uint32(tail))
+		bitmap := tail[reportTailMin:]
+		for _, slot := range []uint64{0, low / 2, low - 1, low, low + 1, low + 7, low + 8, low + 8*uint64(len(bitmap)) - 1, low + 8*uint64(len(bitmap))} {
+			if slot > 1<<32 {
+				continue
+			}
+			want := slot < low
+			if i := slot - low; slot >= low && i < 8*uint64(len(bitmap)) {
+				want = bitmap[i/8]>>(i%8)&1 != 0
+			}
+			if rep.full(int(slot)) != want {
+				t.Fatalf("slot %d (low %d): full=%v, want %v", slot, low, rep.full(int(slot)), want)
+			}
+		}
+		rep2, err := decodeReport(appendReport(EncodeKeepaliveEcho(ki.Thread, ki.TxNanos, 0, 0), rep))
+		if err != nil || !sameReport(rep2, rep) {
+			t.Fatalf("report round trip: %+v -> %+v, err %v", rep, rep2, err)
 		}
 	})
 }

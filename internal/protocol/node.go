@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"time"
@@ -68,12 +69,24 @@ type Node struct {
 	// slot; slots maps an id back to its slot, and gens holds each
 	// generation's state at its slot. All three are fixed by the first
 	// welcome: a re-join keeps what the node has decoded.
-	genIDs     []uint32
-	slots      genIndex
-	gens       []genSlot
-	threads    []int
-	gensDone   int
-	childOf    map[int]string
+	genIDs   []uint32
+	slots    genIndex
+	gens     []genSlot
+	threads  []int
+	gensDone int
+	// done marks, by slot, the generations this node has decoded: its own
+	// part of the completion report it sends up every thread.
+	done    []uint64
+	childOf map[int]string
+	// childFull is, per thread, the completion report the thread's child
+	// last sent on its probe: the child's subtree holds every generation
+	// it marks full, so the node forwards none of those to it. A redirect,
+	// a thread drop or an expulsion resets it.
+	childFull map[int]genSet
+	// reported is, per thread, the last completion report this node sent
+	// up it and the parent it went to; foldBuf is foldLocked's scratch.
+	reported   map[int]sentReport
+	foldBuf    []uint64
 	parentOf   map[int]string
 	lastRecv   map[int]time.Time
 	complete   bool
@@ -139,6 +152,14 @@ type decodeJob struct {
 	rc      *rlnc.Recoder
 	lc      *obs.GenTracker
 	p       *rlnc.Packet
+}
+
+// sentReport is the completion report a node last sent up a thread, the
+// parent it sent it to, and how many slots it left open.
+type sentReport struct {
+	to   string
+	set  genSet
+	open int
 }
 
 // genSlot is the node's state for one generation: its recoder, nil until
@@ -213,6 +234,8 @@ func NewNode(ep transport.Endpoint, cfg NodeConfig) *Node {
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		childOf:    make(map[int]string),
+		childFull:  make(map[int]genSet),
+		reported:   make(map[int]sentReport),
 		parentOf:   make(map[int]string),
 		lastRecv:   make(map[int]time.Time),
 		seqOf:      make(map[int]uint32),
@@ -501,6 +524,7 @@ func (n *Node) handleControl(ctx context.Context, typ MsgType, body []byte) (don
 		n.joined = false
 		n.threads = nil
 		n.childOf = make(map[int]string)
+		n.childFull = make(map[int]genSet)
 		n.parentOf = make(map[int]string)
 		n.lastRecv = make(map[int]time.Time)
 		n.mu.Unlock()
@@ -518,6 +542,7 @@ func (n *Node) handleControl(ctx context.Context, typ MsgType, body []byte) (don
 			}
 		}
 		delete(n.childOf, td.Thread)
+		delete(n.childFull, td.Thread)
 		delete(n.lastRecv, td.Thread)
 		delete(n.parentOf, td.Thread)
 		n.mu.Unlock()
@@ -586,6 +611,7 @@ func (n *Node) applyWelcome(w Welcome) error {
 		n.genIDs = genIDs
 		n.slots = newGenIndex(genIDs)
 		n.gens = make([]genSlot, len(genIDs))
+		n.done = make([]uint64, (len(genIDs)+63)/64)
 		n.totalGens = len(genIDs)
 		n.lifecycle = obs.NewGenTracker(n.ep.Addr(), params.GenSize, len(genIDs), n.slots.slot, n.cfg.Obs, n.cfg.GenSink)
 	}
@@ -629,6 +655,8 @@ func sessionGenIDs(sp SessionParams, params rlnc.Params) ([]uint32, error) {
 
 func (n *Node) applyRedirect(ctx context.Context, r Redirect) {
 	n.mu.Lock()
+	// Whatever the old child reported described the old subtree.
+	delete(n.childFull, r.Thread)
 	if r.ChildAddr == "" {
 		delete(n.childOf, r.Thread)
 		n.mu.Unlock()
@@ -709,6 +737,9 @@ func (n *Node) handleData(ctx context.Context, from string, frame []byte, r *ran
 	}
 	j := decodeJob{f: n.field, th: th, slot: slot, from: from, child: n.childOf[th],
 		emit: emit, arrival: arrival, tc: tc, rc: gs.rc, lc: n.lifecycle, p: p}
+	if j.child != "" && n.childFull[th].full(slot) {
+		j.child = "" // the child's subtree holds the generation: no recode, no forward
+	}
 	n.mu.Unlock()
 
 	if n.decodeQ == nil {
@@ -773,6 +804,7 @@ func (n *Node) absorb(ctx context.Context, j *decodeJob, r *rand.Rand) {
 	}
 	justCompleted := false
 	if closed {
+		n.done[j.slot>>6] |= 1 << (j.slot & 63)
 		n.gensDone++
 		if m != nil {
 			m.GensDone.Set(int64(n.gensDone))
@@ -888,13 +920,19 @@ func (n *Node) sendData(ctx context.Context, to string, frame []byte) {
 
 // handleKeepalive refreshes the liveness clock of the sending parent and
 // runs the RTT echo exchange: probes are answered with an echo of their
-// transmit stamp, echoes close the loop into the peer's RTT EWMA.
+// transmit stamp, echoes close the loop into the peer's RTT EWMA. A probe
+// from the thread's child also carries the child's completion report.
 func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte) {
 	ki, err := DecodeKeepaliveEcho(frame)
 	if err != nil {
 		return
 	}
 	th := ki.Thread
+	var rep genSet
+	if ki.IsProbe() {
+		// A malformed tail reports nothing full.
+		rep, _ = decodeReport(frame)
+	}
 	now := time.Now()
 	n.mu.Lock()
 	if !n.joined {
@@ -905,9 +943,13 @@ func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte) {
 	// the parents they measure); only a frame from upstream may refresh
 	// the thread's liveness clock, or a probing child would mask its
 	// parent's death from the complaint protocol.
-	if n.childOf[th] != from && n.holdsLocked(th) {
-		n.lastRecv[th] = now
-		n.parentOf[th] = from
+	if n.childOf[th] != from {
+		if n.holdsLocked(th) {
+			n.lastRecv[th] = now
+			n.parentOf[th] = from
+		}
+	} else if ki.IsProbe() {
+		n.childFull[th] = rep
 	}
 	if ki.IsEcho() {
 		if rtt := now.UnixNano() - ki.EchoNanos - ki.HoldNanos; rtt > 0 {
@@ -923,11 +965,17 @@ func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte) {
 }
 
 // Clock timing. An un-joined node re-sends its hello, and a leaving node
-// its good-bye, every retryEvery. clockPoll bounds the clock's sleep, so
-// a duty that wakes up (after a welcome or a Leave) is noticed within it.
+// its good-bye, every retryEvery. A probing node checks every reportEvery
+// whether the completion report it sends up a thread has changed.
+// clockPoll bounds the clock's sleep, so a duty that wakes up (after a
+// welcome or a Leave) is noticed within it.
 const (
-	retryEvery = 500 * time.Millisecond
-	clockPoll  = 250 * time.Millisecond
+	retryEvery  = 500 * time.Millisecond
+	reportEvery = 10 * time.Millisecond
+	clockPoll   = 250 * time.Millisecond
+	// reportShare sets how far a report must move before it goes up
+	// early: by 1/reportShare of the slots the last one left open.
+	reportShare = 8
 )
 
 // clockState is the node state that decides which duties are awake; the
@@ -938,13 +986,16 @@ type clockState struct {
 }
 
 // duty is one periodic task on the node's clock. period gives its
-// interval in the current state, zero while it sleeps; every and next are
+// interval in the current state, zero while it sleeps; perSend marks a
+// keepalive-plane duty, which runs on the clock's own context, each of its
+// sends bounded by the transport's QueueWait alone; every and next are
 // the clock's bookkeeping.
 type duty struct {
-	period func(clockState) time.Duration
-	run    func(context.Context)
-	every  time.Duration
-	next   time.Time
+	period  func(clockState) time.Duration
+	run     func(context.Context)
+	perSend bool
+	every   time.Duration
+	next    time.Time
 }
 
 // awake returns a duty period: p, but at least a millisecond, while the
@@ -962,15 +1013,18 @@ func awake(active bool, p time.Duration) time.Duration {
 // until the next one is, at most clockPoll. A duty that wakes first runs
 // one period later, and each run is rescheduled one period on.
 //
-// No run may hold the clock longer than the shortest active period: a
-// control send blocked behind a stalled tracker would otherwise silence
-// the keepalives, and the node's children would complain about a healthy
-// parent. For the same reason keepalives come first in a pass. A failed
+// No control run may hold the clock longer than the shortest active
+// control period: a send blocked behind a stalled tracker would otherwise
+// silence the keepalives, and the node's children would complain about a
+// healthy parent. For the same reason keepalives come first in a pass.
+// Keepalive-plane runs are bounded per beat instead: one stalled peer
+// costs its own beat at most QueueWait, not the beats after it. A failed
 // send is retried a period later, so runs drop their errors.
 func (n *Node) clock(ctx context.Context) {
 	ct := n.cfg.ComplaintTimeout
 	duties := []*duty{
-		{period: func(clockState) time.Duration { return awake(ct > 0, ct/4) }, run: n.keepalive},
+		{period: func(clockState) time.Duration { return awake(ct > 0, ct/4) }, run: n.keepalive, perSend: true},
+		{period: func(s clockState) time.Duration { return awake(ct > 0 && s.joined, reportEvery) }, run: n.report, perSend: true},
 		{period: func(clockState) time.Duration { return awake(ct > 0, ct/2) }, run: n.checkComplaints},
 		{period: func(s clockState) time.Duration { return awake(!s.joined, retryEvery) },
 			run: func(ctx context.Context) { _ = n.sendHello(ctx) }},
@@ -1005,7 +1059,7 @@ func (n *Node) clock(ctx context.Context) {
 			if d.next.IsZero() {
 				d.next = now.Add(d.every)
 			}
-			if bound == 0 || d.every < bound {
+			if !d.perSend && (bound == 0 || d.every < bound) {
 				bound = d.every
 			}
 		}
@@ -1015,9 +1069,13 @@ func (n *Node) clock(ctx context.Context) {
 				continue
 			}
 			if !d.next.After(now) {
-				runCtx, cancel := context.WithTimeout(ctx, bound)
-				d.run(runCtx)
-				cancel()
+				if d.perSend {
+					d.run(ctx)
+				} else {
+					runCtx, cancel := context.WithTimeout(ctx, bound)
+					d.run(runCtx)
+					cancel()
+				}
 				if d.next = d.next.Add(d.every); d.next.Before(now) {
 					d.next = now.Add(d.every)
 				}
@@ -1030,27 +1088,32 @@ func (n *Node) clock(ctx context.Context) {
 	}
 }
 
+// beat is one keepalive-plane frame the clock sends: to a child, a coded
+// frame or a probe; to a parent, a probe with its completion report.
+type beat struct {
+	th    int
+	to    string
+	frame []byte // nil: a probe, stamped as it is sent
+	tail  genSet // the completion report on a probe to a parent
+}
+
 // keepalive proves this node alive to its children and measures RTT to
 // its parents, on the plane coded frames ride, so that upstream
 // starvation is never mistaken for this node's death. A child gets a
-// fresh combination of a rotating generation the node holds rank in,
-// which keeps a quiet subtree progressing even when the node's own inflow
-// is idle (it decoded everything and upstream went quiet), or else a probe
-// keepalive. A parent gets a probe, whose echo closes the loop in
-// handleKeepalive.
+// fresh combination of a rotating generation the node holds rank in and
+// the child's subtree does not hold in full, which keeps a quiet subtree
+// progressing even when the node's own inflow is idle (it decoded
+// everything and upstream went quiet), or else a probe keepalive. A
+// parent gets a probe, whose echo closes the loop in handleKeepalive and
+// whose tail reports what the thread's subtree below it holds.
 func (n *Node) keepalive(ctx context.Context) {
-	type beat struct {
-		th    int
-		to    string
-		frame []byte // nil: a probe, stamped as it is sent
-	}
 	n.mu.Lock()
 	beats := make([]beat, 0, len(n.childOf)+len(n.parentOf))
 	for th, child := range n.childOf {
 		b := beat{th: th, to: child}
 		if len(n.gens) > 0 {
 			i := (n.hbGen + th) % len(n.gens)
-			if rc := n.gens[i].rc; rc != nil {
+			if rc := n.gens[i].rc; rc != nil && !n.childFull[th].full(i) {
 				if p, ok := rc.Packet(n.rng); ok {
 					b.frame = EncodeDataSeq(n.field, th, n.nextSeqLocked(th),
 						n.lifecycle.EmitStamp(n.genIDs[i]), n.forwardTraceLocked(i), p)
@@ -1061,25 +1124,81 @@ func (n *Node) keepalive(ctx context.Context) {
 		beats = append(beats, b)
 	}
 	n.hbGen++
-	if n.joined {
-		for th, parent := range n.parentOf {
-			if parent != "" {
-				beats = append(beats, beat{th: th, to: parent})
-			}
-		}
-	}
+	beats = n.probesLocked(beats, false)
 	n.mu.Unlock()
+	n.sendBeats(ctx, beats)
+}
+
+// report probes early the parent of every thread whose completion report
+// has moved enough since the last probe on it, so a report climbs a
+// thread within a few reportEvery per hop rather than ComplaintTimeout/4.
+func (n *Node) report(ctx context.Context) {
+	n.mu.Lock()
+	beats := n.probesLocked(nil, true)
+	n.mu.Unlock()
+	n.sendBeats(ctx, beats)
+}
+
+// probesLocked appends a probe with its completion report for the parent
+// of every thread or, when changed is set, of every thread whose report
+// has moved enough since the last one sent to that parent: it went to
+// another parent, no longer marks full a slot the last one did (a reset
+// below), or marks full at least 1/reportShare of the slots the last one
+// left open, and at least one. Early probes thus grow with the
+// generations decoded, not with time: a thread whose data trickles in
+// sends few, and the last open slots still go up one by one. Callers
+// hold n.mu.
+func (n *Node) probesLocked(beats []beat, changed bool) []beat {
+	if !n.joined {
+		return beats
+	}
+	for th, parent := range n.parentOf {
+		if parent == "" {
+			continue
+		}
+		words, open := n.foldLocked(th)
+		if last, ok := n.reported[th]; changed && ok && last.to == parent &&
+			last.set.within(words) && last.open-open < max(1, last.open/reportShare) {
+			continue
+		}
+		rep := foldWords(words)
+		n.reported[th] = sentReport{to: parent, set: rep, open: open}
+		beats = append(beats, beat{th: th, to: parent, tail: rep})
+	}
+	return beats
+}
+
+// sendBeats sends the beats in order on the clock's own deadline-free
+// context, so the transport bounds each at QueueWait: one stalled peer
+// cannot silence the beats queued after it.
+func (n *Node) sendBeats(ctx context.Context, beats []beat) {
 	for _, b := range beats {
 		frame := b.frame
 		if frame == nil {
-			frame = EncodeKeepaliveEcho(b.th, time.Now().UnixNano(), 0, 0)
+			frame = appendReport(EncodeKeepaliveEcho(b.th, time.Now().UnixNano(), 0, 0), b.tail)
 		}
-		// Each beat waits at most QueueWait, so one stalled peer cannot
-		// spend the whole run's bound and silence the beats after it.
-		beatCtx, cancel := context.WithTimeout(ctx, transport.QueueWait)
-		n.sendData(beatCtx, b.to, frame)
-		cancel()
+		n.sendData(ctx, b.to, frame)
 	}
+}
+
+// foldLocked returns, as bit words over the session's slots, the
+// completion report the node sends up thread th, and how many slots it
+// leaves open: the generations the node has decoded itself, less, when it
+// has a child on th, those the child's last report does not mark full.
+// The words are n.foldBuf, valid until the next call. Callers hold n.mu.
+func (n *Node) foldLocked(th int) ([]uint64, int) {
+	n.foldBuf = append(n.foldBuf[:0], n.done...)
+	if _, ok := n.childOf[th]; ok {
+		child := n.childFull[th]
+		for w := range n.foldBuf {
+			n.foldBuf[w] &= child.word(w)
+		}
+	}
+	open := n.totalGens
+	for _, w := range n.foldBuf {
+		open -= bits.OnesCount64(w)
+	}
+	return n.foldBuf, open
 }
 
 // renewLease renews this node's liveness lease with the tracker. The

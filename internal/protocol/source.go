@@ -15,7 +15,8 @@ import (
 // Source is the broadcast server's data plane: it holds the content,
 // encodes it generation by generation (flat or §5 priority-layered), and
 // pumps one coded packet per round on every thread that currently has a
-// first clip. The tracker updates thread-to-child routing via SetChild as
+// first clip, of a generation the thread's subtree does not yet hold in
+// full. The tracker updates thread-to-child routing via SetChild as
 // nodes join, leave, and get repaired.
 type Source struct {
 	ep      transport.Endpoint
@@ -26,6 +27,10 @@ type Source struct {
 	rng     *rand.Rand
 	mu      sync.Mutex
 	childOf []string // thread -> child addr ("" = hanging)
+	// full is, per thread, the completion report of the thread's subtree
+	// that the thread's child last sent on its probe; Run skips the
+	// generations it marks full. SetChild resets it.
+	full []genSet
 	// emitAt records, per generation, the unix-nano time of the source's
 	// first emission — the fixed epoch every receiver measures its
 	// end-to-end decode delay against. Stamped into every data frame of
@@ -72,6 +77,7 @@ func NewSource(ep transport.Endpoint, k int, params rlnc.Params, content []byte,
 		rng:       rand.New(rand.NewSource(seed)),
 		traceSeed: seed,
 		childOf:   make([]string, k),
+		full:      make([]genSet, k),
 		seq:       make([]uint32, k),
 		emitAt:    make(map[uint32]int64),
 	}, nil
@@ -96,6 +102,7 @@ func NewLayeredSource(ep transport.Endpoint, k int, params rlnc.LayeredParams, c
 		rng:       rand.New(rand.NewSource(seed)),
 		traceSeed: seed,
 		childOf:   make([]string, k),
+		full:      make([]genSet, k),
 		seq:       make([]uint32, k),
 		emitAt:    make(map[uint32]int64),
 	}, nil
@@ -154,12 +161,26 @@ func (s *Source) traceID(gen uint32) uint64 {
 	return h
 }
 
-// SetChild routes thread th to addr (empty = hang the thread).
+// SetChild routes thread th to addr (empty = hang the thread). The
+// thread's completion report resets: it described the old subtree.
 func (s *Source) SetChild(th int, addr string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if th >= 0 && th < len(s.childOf) {
 		s.childOf[th] = addr
+		s.full[th] = genSet{}
+	}
+}
+
+// observeProbe takes the completion report on a probe keepalive for
+// thread th that reached the server: the prober's parent on th is the
+// source. Only the thread's current child is heard.
+func (s *Source) observeProbe(from string, th int, frame []byte) {
+	rep, _ := decodeReport(frame) // a malformed tail reports nothing full
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if th < len(s.childOf) && s.childOf[th] == from {
+		s.full[th] = rep
 	}
 }
 
@@ -172,25 +193,45 @@ func (s *Source) Children() []string {
 
 // Run pumps packets until the context is cancelled. In flat mode,
 // generations are staggered across threads so every thread carries every
-// generation over time; in layered mode each packet's layer is sampled by
-// priority weight.
+// generation over time: each thread's cursor steps one generation per
+// round, skipping the generations its child reports full, so with no
+// report thread th sends generation (round+th) mod G. In layered mode each
+// packet's layer is sampled by priority weight. A round in which no thread
+// has a child and an open generation sleeps a millisecond.
 func (s *Source) Run(ctx context.Context) error {
 	gens := 1
 	if s.fe != nil {
 		gens = s.fe.NumGenerations()
 	}
-	for round := 0; ; round++ {
+	// Run's own buffers: the routing table and the reports, copied under
+	// s.mu once per round, and the per-thread cursors.
+	children := make([]string, len(s.childOf))
+	full := make([]genSet, len(s.childOf))
+	cursor := make([]int, len(s.childOf))
+	for th := range cursor {
+		cursor[th] = th % gens
+	}
+	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		s.mu.Lock()
-		children := append([]string(nil), s.childOf...)
+		copy(children, s.childOf)
+		copy(full, s.full)
 		s.mu.Unlock()
 		m := s.Obs
 		idle := true
 		for th, child := range children {
+			g := cursor[th]
 			if child == "" {
+				cursor[th] = (g + 1) % gens
 				continue
+			}
+			if s.le == nil {
+				if g = full[th].nextOpen(g, gens); g < 0 {
+					continue // the thread's whole subtree holds everything
+				}
+				cursor[th] = (g + 1) % gens
 			}
 			idle = false
 			var p *rlnc.Packet
@@ -198,7 +239,6 @@ func (s *Source) Run(ctx context.Context) error {
 			if s.le != nil {
 				p, err = s.le.Packet(s.rng)
 			} else {
-				g := (round + th) % gens
 				if s.Systematic {
 					if s.sysSent == nil {
 						s.sysSent = make([]uint16, gens)
@@ -229,8 +269,9 @@ func (s *Source) Run(ctx context.Context) error {
 			// the datagram plane, which never blocks: sending with ctx
 			// alone took the benchmark's udp-lossy workload (2-CPU x86-64)
 			// from 13.5k to 43k source rounds per cycle and its ops_per_s
-			// from 3.8k to 2.6k. Receiver feedback, not this context,
-			// should set the source's rate.
+			// from 3.8k to 2.6k. Completion feedback only decides which
+			// generation a thread carries; a rate set by that feedback
+			// would let this context go.
 			sendCtx, cancel := context.WithTimeout(ctx, transport.QueueWait)
 			err = s.ep.Send(sendCtx, child, *buf)
 			cancel()

@@ -35,7 +35,9 @@ func (e *emitCounter) Close() error { return nil }
 
 // TestSourceEmitAllocs pins the source's per-frame allocations: the
 // encoded packet and the frame buffer are pooled and recycled once Send
-// returns, so what remains is the per-send deadline context.
+// returns, and Run copies the routing table into a buffer of its own, so
+// what remains is the per-send deadline context (4 objects on 2-CPU
+// x86-64; a routing copy per round took it to 4.13 at 8 threads).
 func TestSourceEmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates on instrumented paths")
@@ -58,7 +60,7 @@ func TestSourceEmitAllocs(t *testing.T) {
 		cancel()
 	}
 	perFrame := testing.AllocsPerRun(1, run) / float64(ep.sent)
-	if perFrame > 4.5 {
-		t.Fatalf("source allocates %.2f objects per emitted frame, want <= 4.5", perFrame)
+	if perFrame > 4.05 {
+		t.Fatalf("source allocates %.2f objects per emitted frame, want <= 4.05", perFrame)
 	}
 }

@@ -301,8 +301,18 @@ func (t *Tracker) ingest(ctx context.Context, from string, frame []byte, pending
 	if IsKeepalive(frame) {
 		// A probe keepalive aimed at the server means the prober's parent
 		// on that thread is the source itself; echo it back so children of
-		// server-owned threads measure RTT over the data path too.
-		t.echoProbe(ctx, from, frame)
+		// server-owned threads measure RTT over the data path too, and pass
+		// the probe's completion report on to the source. Run's callers give
+		// ctx no deadline, so a clogged prober costs dispatch at most
+		// QueueWait; a lost echo just costs one RTT sample.
+		ki, err := DecodeKeepaliveEcho(frame)
+		if err != nil || !ki.IsProbe() {
+			return pending
+		}
+		_ = t.ep.Send(ctx, from, EncodeKeepaliveEcho(ki.Thread, 0, ki.TxNanos, 0))
+		if t.source != nil {
+			t.source.observeProbe(from, ki.Thread, frame)
+		}
 		return pending
 	}
 	typ, body, err := SplitControl(frame)
@@ -655,20 +665,6 @@ func (t *Tracker) deliver(ctx context.Context, to string, frame []byte) {
 	if m != nil {
 		m.OutboxDrops.Inc()
 	}
-}
-
-// echoProbe answers a link-RTT probe keepalive with an echo carrying the
-// prober's transmit stamp. Echoes are ignored. The send is bounded so a
-// clogged data plane cannot stall dispatch for long; a lost echo just
-// costs one RTT sample.
-func (t *Tracker) echoProbe(ctx context.Context, from string, frame []byte) {
-	ki, err := DecodeKeepaliveEcho(frame)
-	if err != nil || !ki.IsProbe() {
-		return
-	}
-	sendCtx, cancel := context.WithTimeout(ctx, transport.QueueWait)
-	_ = t.ep.Send(sendCtx, from, EncodeKeepaliveEcho(ki.Thread, 0, ki.TxNanos, 0))
-	cancel()
 }
 
 // touchLease refreshes the sender's liveness lease, if it is a known node.
