@@ -51,24 +51,26 @@ race:
 # Control-plane fault-tolerance suite under the race detector: lease
 # sweep of crashed leaves, outbox behavior behind stalled peers, churn
 # over the fault-injection transport, malformed control frames, the
-# send-deadline contract (QueueWait on a full queue and on a TCP dial,
-# caller deadlines kept), a rejection after a re-join, the node clock
-# (good-bye retries end with Run, a clamped tiny ComplaintTimeout,
-# keepalives, forwarding and the first hello behind a stalled tracker, a
-# first hello whose dial failed, keepalive beats behind a stalled child),
-# a client's goroutine count, and completion feedback (a lying child, a
-# child that stops probing, a decoded overlay gone quiet without a
-# complaint).
+# send-deadline contract (QueueWait on a full in-memory or UDP send
+# queue and on a TCP dial, caller deadlines kept on both queues), a
+# rejection after a re-join, the node clock (good-bye retries end with
+# Run, a clamped tiny ComplaintTimeout, keepalives, forwarding and the
+# first hello behind a stalled tracker, a first hello whose dial failed,
+# keepalive beats behind a stalled child), a client's goroutine count,
+# and completion feedback (a lying child, a child that stops probing, a
+# decoded overlay gone quiet without a complaint).
 churn:
 	$(GO) test -race -run 'Churn|Lease|Stalled|Faulty|Goodbye|SendDeadline|LeafCrash|Telemetry|Timeline|ClusterSnapshot|TraceLive|Rejoin|Footprint|Clamp|FirstHello|Feedback' ./internal/protocol ./internal/transport .
 
-# Datagram-plane suite under the race detector: the UDP endpoint and its
-# batched I/O, same-port dual-plane binding, the end-to-end broadcasts
-# that run at 5% injected datagram loss (the loss-as-normal regime), one
-# of them through nodes that absorb and recode on two decode workers
-# each, the link-telemetry drill that must localize a 10%-lossy peer
-# to ±3pp, and the completion-feedback suite, whose reports ride the
-# keepalives of the datagram plane.
+# Datagram-plane suite under the race detector: the UDP endpoint, its
+# batched I/O and its send contract (a one-batch queue with a yield per
+# enqueue, and the SendDeadlineUDP pair: QueueWait on a full queue, a
+# caller's deadline kept), same-port dual-plane binding, the end-to-end
+# broadcasts that run at 5% injected datagram loss (the loss-as-normal
+# regime), one of them through nodes that absorb and recode on two
+# decode workers each, the link-telemetry drill that must localize a
+# 10%-lossy peer to ±3pp, and the completion-feedback suite, whose
+# reports ride the keepalives of the datagram plane.
 lossy:
 	$(GO) test -race -run 'UDP|SamePort|Dual|Datagram|SplitSender|Lossy|Link|Feedback' ./internal/transport ./internal/protocol ./internal/obs .
 
@@ -85,8 +87,9 @@ fuzz:
 # must allocate nothing beyond the untraced baseline, and a recoder
 # must allocate nothing after a generation's first packet (systematic
 # installs, redundant packets, emits), the source's send path must
-# allocate only its per-send deadline context (at most 4.05 objects a
-# frame: Run reuses one routing buffer across rounds), a node's forward path
+# allocate about nothing (at most 0.05 objects a frame: pooled packets
+# and frame buffers, one routing buffer across rounds, and no per-send
+# context), a node's forward path
 # must allocate only the two transport copies of a forwarded frame (no
 # per-frame context), and a hello+welcome round trip through the
 # control codec must allocate only its two frames, the address and the

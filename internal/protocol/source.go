@@ -197,7 +197,10 @@ func (s *Source) Children() []string {
 // round, skipping the generations its child reports full, so with no
 // report thread th sends generation (round+th) mod G. In layered mode each
 // packet's layer is sampled by priority weight. A round in which no thread
-// has a child and an open generation sleeps a millisecond.
+// has a child and an open generation sleeps a millisecond. Every frame is
+// sent on ctx itself, so with a deadline-free ctx the transport bounds a
+// wait on a full queue at transport.QueueWait and a send with room pays
+// for no timer.
 func (s *Source) Run(ctx context.Context) error {
 	gens := 1
 	if s.fe != nil {
@@ -264,17 +267,7 @@ func (s *Source) Run(ctx context.Context) error {
 			buf := rlnc.GetFrameBuf()
 			*buf = AppendDataSeq(*buf, s.params.Field, th, int32(seq), s.emitStamp(p.Gen), tc, p)
 			p.Release()
-			// A per-send deadline context, unlike the node's deadline-free
-			// forward path. Its cost is what paces an unpaced source on
-			// the datagram plane, which never blocks: sending with ctx
-			// alone took the benchmark's udp-lossy workload (2-CPU x86-64)
-			// from 13.5k to 43k source rounds per cycle and its ops_per_s
-			// from 3.8k to 2.6k. Completion feedback only decides which
-			// generation a thread carries; a rate set by that feedback
-			// would let this context go.
-			sendCtx, cancel := context.WithTimeout(ctx, transport.QueueWait)
-			err = s.ep.Send(sendCtx, child, *buf)
-			cancel()
+			err = s.ep.Send(ctx, child, *buf)
 			rlnc.PutFrameBuf(buf)
 			if err != nil {
 				if ctx.Err() != nil {

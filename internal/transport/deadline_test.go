@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -166,6 +167,127 @@ func TestSendDeadlineMemKeepsCallerDeadline(t *testing.T) {
 	}
 	if got := <-last; string(got) != "control" {
 		t.Fatalf("last frame read %q, want the control frame", got)
+	}
+	if drops := m.Drops.Value(); drops != 0 {
+		t.Fatalf("%d drops counted, want 0", drops)
+	}
+}
+
+// stalledBatchIO passes datagram I/O through to a real socket, except
+// that sendBatch blocks until release is closed. stalled receives a value
+// once the flusher is blocked in it.
+type stalledBatchIO struct {
+	udpBatchIO
+	stalled chan struct{}
+	release chan struct{}
+}
+
+func (s *stalledBatchIO) sendBatch(batch []outDatagram) (int, error) {
+	select {
+	case s.stalled <- struct{}{}:
+	default:
+	}
+	<-s.release
+	return s.udpBatchIO.sendBatch(batch)
+}
+
+// fullUDPPeer returns an instrumented UDP endpoint a whose flusher is
+// stalled in sendBatch and whose one-batch send queue is full, its peer
+// b, and the function that lets a's flusher go on.
+func fullUDPPeer(t *testing.T) (a, b *UDPEndpoint, m *obs.TransportMetrics, release func()) {
+	t.Helper()
+	b, err := ListenUDP("127.0.0.1:0", UDPConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	cfg := UDPConfig{}.withDefaults()
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bio, err := newBatchIO(conn, cfg.BatchSize)
+	if err != nil {
+		conn.Close()
+		t.Fatal(err)
+	}
+	stub := &stalledBatchIO{udpBatchIO: bio, stalled: make(chan struct{}, 1), release: make(chan struct{})}
+	a = newUDPEndpoint(conn, cfg, stub)
+	var once sync.Once
+	release = func() { once.Do(func() { close(stub.release) }) }
+	t.Cleanup(func() { a.Close() })
+	t.Cleanup(release) // runs first: Close waits for the flusher
+	// The first frame stalls the flusher; the next BatchSize fill the queue.
+	if err := a.Send(context.Background(), b.Addr(), []byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-stub.stalled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("flusher never reached sendBatch")
+	}
+	for i := 1; i <= cfg.BatchSize; i++ {
+		if err := a.Send(context.Background(), b.Addr(), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(a.sendq) != cap(a.sendq) {
+		t.Fatalf("%d of %d queue slots filled", len(a.sendq), cap(a.sendq))
+	}
+	m = obs.NewTransportMetricsKind(obs.NewRegistry(), "a", "udp")
+	Instrument(a, m)
+	return a, b, m, release
+}
+
+// TestSendDeadlineUDPQueueWait: with no deadline on the context, a send
+// into a full UDP send queue waits QueueWait, then drops the frame,
+// counts the drop and returns nil, exactly as the in-memory fabric does.
+func TestSendDeadlineUDPQueueWait(t *testing.T) {
+	t.Parallel()
+	a, b, m, _ := fullUDPPeer(t)
+	took, err := timedSend(t, 5*time.Second, func() error {
+		return a.Send(context.Background(), b.Addr(), []byte("late"))
+	})
+	if err != nil {
+		t.Fatalf("send into a full queue: %v, want nil", err)
+	}
+	if took < QueueWait || took > QueueWait+time.Second {
+		t.Fatalf("send into a full queue took %v, want QueueWait (%v) plus slack", took, QueueWait)
+	}
+	if drops := m.Drops.Value(); drops != 1 {
+		t.Fatalf("%d drops counted, want 1", drops)
+	}
+}
+
+// TestSendDeadlineUDPKeepsCallerDeadline: a context deadline replaces
+// QueueWait, so a sender that can wait longer still gets its frame onto
+// the wire once the flusher drains the queue.
+func TestSendDeadlineUDPKeepsCallerDeadline(t *testing.T) {
+	t.Parallel()
+	a, b, m, release := fullUDPPeer(t)
+	go func() {
+		time.Sleep(150 * time.Millisecond) // the flusher resumes
+		release()
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	took, err := timedSend(t, 5*time.Second, func() error { return a.Send(ctx, b.Addr(), []byte("control")) })
+	if err != nil {
+		t.Fatalf("send within its deadline: %v", err)
+	}
+	if took <= QueueWait {
+		t.Fatalf("send returned after %v, before the flusher resumed", took)
+	}
+	recvCtx, recvCancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer recvCancel()
+	for {
+		_, msg, err := b.Recv(recvCtx)
+		if err != nil {
+			t.Fatalf("control frame never arrived: %v", err)
+		}
+		if string(msg) == "control" {
+			break
+		}
 	}
 	if drops := m.Drops.Value(); drops != 0 {
 		t.Fatalf("%d drops counted, want 0", drops)

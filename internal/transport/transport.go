@@ -83,13 +83,13 @@ type Endpoint interface {
 	Addr() string
 	// Send delivers msg to the named peer. It may fail fast (unknown
 	// peer, closed) or silently drop (lossy media). A frame is queued
-	// without waiting when there is room. When the peer's queue is full,
-	// Send waits until ctx is done or, if ctx has no deadline, for at
-	// most QueueWait; a frame the in-memory fabric gives up on is counted
-	// as dropped and Send returns nil, as on a congested datagram link,
-	// while a stream transport returns the write error. Datagram
-	// transports never wait. Send does not retain msg: the caller may
-	// reuse the buffer as soon as Send returns.
+	// without waiting when there is room. When the queue is full, Send
+	// waits until ctx is done or, if ctx has no deadline, for at most
+	// QueueWait; a frame the in-memory fabric or a datagram transport
+	// gives up on is counted as dropped and Send returns nil, as on a
+	// congested link, while a stream transport returns the write error.
+	// A done ctx returns ctx.Err(). Send does not retain msg: the caller
+	// may reuse the buffer as soon as Send returns.
 	Send(ctx context.Context, to string, msg []byte) error
 	// Recv blocks for the next message, returning the sender's address.
 	Recv(ctx context.Context) (from string, msg []byte, err error)

@@ -15,15 +15,15 @@ import (
 
 // This file implements the datagram data plane: a message-oriented UDP
 // endpoint whose hot path batches syscalls. Outbound frames are coalesced
-// by a pacing queue and flushed with sendmmsg (one syscall for up to
-// BatchSize datagrams); inbound datagrams are drained with recvmmsg into
-// per-slot buffers that are handed to the receiver without copying. On
-// platforms without the mmsg syscalls a portable shim degrades to one
+// by a one-batch send queue and flushed with sendmmsg (one syscall for up
+// to BatchSize datagrams); inbound datagrams are drained with recvmmsg
+// into per-slot buffers that are handed to the receiver without copying.
+// On platforms without the mmsg syscalls a portable shim degrades to one
 // syscall per datagram with identical semantics (see mmsg_portable.go).
 //
-// Reliability semantics are UDP's: a frame that cannot be queued, sent, or
-// delivered is dropped silently (and counted), exactly like loss on a
-// congested link. RLNC makes that harmless by construction — no specific
+// Reliability semantics are UDP's: a frame that cannot be queued in time,
+// sent, or delivered is dropped silently (and counted), exactly like loss
+// on a congested link. RLNC makes that harmless by construction — no specific
 // packet is ever required, only enough innovative ones — which is the
 // whole reason the data plane can leave TCP.
 //
@@ -48,13 +48,9 @@ type UDPConfig struct {
 	// BatchSize is the maximum datagrams per sendmmsg/recvmmsg call
 	// (default 32).
 	BatchSize int
-	// Pacing is the send-side coalescing window: after the first frame of
-	// a batch arrives, the sender waits up to this long for more frames
-	// before flushing, trading bounded latency for fewer syscalls.
-	// 0 (the default) flushes whatever is immediately available.
-	Pacing time.Duration
-	// QueueLen is the send and receive queue capacity in frames (default
-	// 1024). A full queue drops, like a congested link.
+	// QueueLen is the receive queue capacity in frames (default 1024); a
+	// full receive queue drops, like a congested link. The send queue
+	// holds one batch, BatchSize frames.
 	QueueLen int
 	// Advertise overrides the address stamped into outgoing frames (and
 	// returned by Addr). Empty uses the bind address. ListenSamePort sets
@@ -152,12 +148,21 @@ func ListenUDP(addr string, cfg UDPConfig) (*UDPEndpoint, error) {
 		conn.Close()
 		return nil, fmt.Errorf("transport: batch io: %w", err)
 	}
+	return newUDPEndpoint(conn, cfg, bio), nil
+}
+
+// newUDPEndpoint starts the send and receive loops of an endpoint over
+// conn, doing its datagram I/O through bio; cfg has its defaults applied.
+func newUDPEndpoint(conn *net.UDPConn, cfg UDPConfig, bio udpBatchIO) *UDPEndpoint {
 	e := &UDPEndpoint{
-		conn:  conn,
-		addr:  cfg.Advertise,
-		cfg:   cfg,
-		bio:   bio,
-		sendq: make(chan outDatagram, cfg.QueueLen),
+		conn: conn,
+		addr: cfg.Advertise,
+		cfg:  cfg,
+		bio:  bio,
+		// One batch: a producer that fills it waits for the flusher
+		// instead of queueing frames the receivers' socket buffers would
+		// drop.
+		sendq: make(chan outDatagram, cfg.BatchSize),
 		recvq: make(chan memFrame, cfg.QueueLen),
 		done:  make(chan struct{}),
 		dests: make(map[string]*udpDest),
@@ -172,7 +177,7 @@ func ListenUDP(addr string, cfg UDPConfig) (*UDPEndpoint, error) {
 	e.wg.Add(2)
 	go e.sendLoop()
 	go e.recvLoop()
-	return e, nil
+	return e
 }
 
 // Addr returns the endpoint's advertised address.
@@ -203,17 +208,17 @@ func (e *UDPEndpoint) dest(to string) (*udpDest, error) {
 	return d, nil
 }
 
-// Send queues one frame for batched transmission. It copies msg (the
-// caller may reuse the buffer immediately, like the other transports),
-// never blocks beyond the context, and treats a full pacing queue as a
-// congested link: the frame is dropped, counted, and Send reports
-// success.
+// Send queues one frame for batched transmission, under the Endpoint
+// contract: it copies msg (the caller may reuse the buffer immediately),
+// queues without waiting when the one-batch send queue has room, and on a
+// full queue waits until ctx is done or, if ctx has no deadline, for at
+// most QueueWait. A frame it gives up on is dropped and counted, and Send
+// returns nil, like a congested link; a done ctx returns ctx.Err().
 //
-// Once a full batch is queued, Send yields the processor after enqueuing.
-// This is the datagram form of the backpressure the in-memory and TCP
-// transports apply by blocking: a producer that outruns the flusher hands
-// it (and the receive loops) the CPU instead of encoding frames that the
-// kernel would only drop from a receiver's socket buffer.
+// After every enqueue Send yields the processor, so the flusher and the
+// receive loops run while a producer encodes its next frame. A producer
+// that outruns the flusher fills the queue and waits; it does not encode
+// frames that the kernel would only drop from a receiver's socket buffer.
 func (e *UDPEndpoint) Send(ctx context.Context, to string, msg []byte) error {
 	m := e.metrics.Load()
 	if err := ctx.Err(); err != nil {
@@ -237,27 +242,33 @@ func (e *UDPEndpoint) Send(ctx context.Context, to string, msg []byte) error {
 	buf := e.bufPool.Get().(*[]byte)
 	wire := appendSender((*buf)[:0], e.addr, msg)
 	*buf = wire
+	out := outDatagram{buf: buf, b: wire, plen: len(msg), dest: d}
 	select {
-	case e.sendq <- outDatagram{buf: buf, b: wire, plen: len(msg), dest: d}:
-		if len(e.sendq) >= e.cfg.BatchSize {
-			runtime.Gosched()
-		}
+	case e.sendq <- out:
+		runtime.Gosched()
 		return nil
-	case <-e.done:
-		e.bufPool.Put(buf)
-		m.Dropped()
-		return nil // endpoint closing: frame lost, like any datagram
-	case <-ctx.Done():
-		e.bufPool.Put(buf)
-		m.Dropped()
-		return ctx.Err()
 	default:
-		// Full queue: drop rather than block the producer — the exact
-		// behavior of a congested link, which RLNC absorbs by design.
-		e.bufPool.Put(buf)
-		m.Dropped()
-		return nil
 	}
+	// The queue is full. Only now is a timer worth its cost, and only
+	// when the context does not already bound the wait.
+	var expired <-chan time.Time
+	if _, ok := ctx.Deadline(); !ok {
+		timer := time.NewTimer(QueueWait)
+		defer timer.Stop()
+		expired = timer.C
+	}
+	select {
+	case e.sendq <- out:
+		runtime.Gosched()
+		return nil
+	case <-e.done: // endpoint closing: frame lost, like any datagram
+	case <-expired: // still full after QueueWait: dropped, like a congested link
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	e.bufPool.Put(buf)
+	m.Dropped()
+	return err
 }
 
 // appendSender appends the [4B len][sender addr] prefix and the payload.
@@ -267,10 +278,9 @@ func appendSender(buf []byte, from string, msg []byte) []byte {
 	return append(buf, msg...)
 }
 
-// sendLoop drains the pacing queue in batches: it blocks for the first
-// frame, greedily takes whatever else is immediately queued, optionally
-// lingers up to Pacing for stragglers, and flushes the batch with one
-// vectorized syscall.
+// sendLoop drains the send queue in batches: it blocks for the first
+// frame, greedily takes whatever else is immediately queued, and flushes
+// the batch with one vectorized syscall.
 func (e *UDPEndpoint) sendLoop() {
 	defer e.wg.Done()
 	batch := make([]outDatagram, 0, e.cfg.BatchSize)
@@ -289,23 +299,6 @@ func (e *UDPEndpoint) sendLoop() {
 			default:
 				break drain
 			}
-		}
-		if e.cfg.Pacing > 0 && len(batch) < e.cfg.BatchSize {
-			timer := time.NewTimer(e.cfg.Pacing)
-		linger:
-			for len(batch) < e.cfg.BatchSize {
-				select {
-				case d := <-e.sendq:
-					batch = append(batch, d)
-				case <-timer.C:
-					break linger
-				case <-e.done:
-					timer.Stop()
-					e.transmit(batch)
-					return
-				}
-			}
-			timer.Stop()
 		}
 		e.transmit(batch)
 	}

@@ -60,10 +60,11 @@ func TestUDPEndpointRoundTrip(t *testing.T) {
 
 func TestUDPEndpointManyFramesBatched(t *testing.T) {
 	t.Parallel()
-	// A small pacing window invites coalescing; BatchSize 16 keeps the
-	// histogram interesting. Loopback does not reorder often but UDP
-	// permits it, so assert the multiset of payloads, not the order.
-	cfg := UDPConfig{Pacing: 2 * time.Millisecond, BatchSize: 16}
+	// Four concurrent producers keep the one-batch send queue filling
+	// while the flusher transmits; BatchSize 16 keeps the histogram
+	// interesting. Loopback does not reorder often but UDP permits it,
+	// so assert the multiset of payloads, not the order.
+	cfg := UDPConfig{BatchSize: 16}
 	a, b := listenUDPPair(t, cfg)
 	reg := obs.NewRegistry()
 	ma := obs.NewTransportMetricsKind(reg, "a", "udp")
@@ -128,10 +129,11 @@ func TestUDPEndpointManyFramesBatched(t *testing.T) {
 	}
 }
 
-// TestUDPSendYieldsToFlusher pins the datagram plane's backpressure: Send
-// never blocks, so on one P a producer that did not yield would queue its
-// whole burst before the flusher ever ran. Once a batch is queued Send
-// hands over the processor, so the flusher drains during the burst.
+// TestUDPSendYieldsToFlusher pins the datagram plane's backpressure: the
+// send queue holds one batch, Send yields after every enqueue and waits
+// for room on a full queue, so on one P a burst of four batches reaches
+// the flusher whole: no frame is dropped at the queue, which never holds
+// more than a batch.
 func TestUDPSendYieldsToFlusher(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	a, b := listenUDPPair(t, UDPConfig{})
@@ -139,18 +141,26 @@ func TestUDPSendYieldsToFlusher(t *testing.T) {
 	m := obs.NewTransportMetricsKind(reg, "a", "udp")
 	Instrument(a, m)
 
-	burst := 4 * a.cfg.BatchSize
+	batch := a.cfg.BatchSize
+	if c := cap(a.sendq); c != batch {
+		t.Fatalf("send queue holds %d frames, want one batch (%d)", c, batch)
+	}
+	burst := 4 * batch
 	ctx := context.Background()
 	for i := 0; i < burst; i++ {
 		if err := a.Send(ctx, b.Addr(), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if queued := len(a.sendq); queued >= burst {
-		t.Fatalf("%d of %d frames still queued: the flusher never ran during the burst", queued, burst)
-	}
 	if d := m.Drops.Value(); d != 0 {
 		t.Fatalf("%d frames dropped at the send queue, want 0", d)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for m.FramesSent.Value() < uint64(burst) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d frames sent", m.FramesSent.Value(), burst)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
