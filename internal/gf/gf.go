@@ -2,12 +2,13 @@
 // and GF(2^16), the fields used by the network-coding data plane.
 //
 // The package exposes three concrete, stateless field implementations —
-// F2, F256, and F65536 — behind the Field interface. Coefficients are
-// represented uniformly as uint16 so that callers (the RLNC codec, the
-// matrix package, and the Reed–Solomon coder) can be written once and run
-// over any of the three fields. Payload data is operated on in bulk with
-// slice kernels (AddMulSlice and friends), which is where virtually all of
-// the cycles go during encoding, recoding, and decoding.
+// F2, F256, and F65536 — behind the Field interface. A single element is
+// a uint16 so that callers can be written once and run over any of the
+// three fields. Vectors of elements are byte slices in the field's symbol
+// layout, operated on in bulk with the slice kernels (AddMulSlice and
+// friends); the RLNC codec runs a packet's coefficients and its payload
+// through the same kernels, which is where virtually all of the cycles go
+// during encoding, recoding, and decoding.
 //
 // GF(2^8) uses the AES-adjacent primitive polynomial x^8+x^4+x^3+x^2+1
 // (0x11D); GF(2^16) uses x^16+x^12+x^3+x+1 (0x1100B). Both are generated
@@ -21,9 +22,9 @@ import (
 
 // Field is the arithmetic abstraction shared by all coding components.
 //
-// Elements are carried in uint16 regardless of the concrete field; values
-// must be < Order(). Implementations are stateless and safe for concurrent
-// use.
+// Scalar elements are carried in uint16 regardless of the concrete field;
+// values must be < Order(). Vectors are byte slices of SymbolSize-byte
+// symbols. Implementations are stateless and safe for concurrent use.
 type Field interface {
 	// Name returns a short human-readable field name, e.g. "GF(256)".
 	Name() string
@@ -60,14 +61,6 @@ type Field interface {
 	MulSlice(dst, src []byte, c uint16)
 	// AddMulSlice sets dst[i] += c * src[i] symbol-wise.
 	AddMulSlice(dst, src []byte, c uint16)
-
-	// MulCoeff sets dst[j] = c * dst[j] over a coefficient vector of
-	// field elements (one element per uint16, unlike the byte-packed
-	// payload kernels).
-	MulCoeff(dst []uint16, c uint16)
-	// AddMulCoeff sets dst[j] += c * src[j] over coefficient vectors.
-	// dst and src must have equal length and may alias exactly.
-	AddMulCoeff(dst, src []uint16, c uint16)
 }
 
 // Accel names the bulk-kernel implementation selected at package load:
@@ -81,14 +74,6 @@ var (
 	_ Field = GF256{}
 	_ Field = GF65536{}
 )
-
-// checkCoeffLen panics when a coefficient kernel is invoked with
-// mismatched vectors.
-func checkCoeffLen(dst, src []uint16) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("gf: coeff length mismatch: dst=%d src=%d", len(dst), len(src)))
-	}
-}
 
 // checkLen panics when a bulk kernel is invoked with mismatched slices.
 // Length mismatches are programming errors, never data errors.

@@ -71,25 +71,3 @@ func (GF2) AddMulSlice(dst, src []byte, c uint16) {
 	}
 	xorSlice(dst, src)
 }
-
-// MulCoeff implements Field.
-func (GF2) MulCoeff(dst []uint16, c uint16) {
-	if c&1 == 0 {
-		clear(dst)
-		return
-	}
-	for j, v := range dst {
-		dst[j] = v & 1
-	}
-}
-
-// AddMulCoeff implements Field.
-func (GF2) AddMulCoeff(dst, src []uint16, c uint16) {
-	checkCoeffLen(dst, src)
-	if c&1 == 0 {
-		return
-	}
-	for j, v := range src {
-		dst[j] ^= v & 1
-	}
-}

@@ -131,34 +131,3 @@ func (g GF256) AddMulSlice(dst, src []byte, c uint16) {
 		addMulSlice256(dst, src, c&0xFF)
 	}
 }
-
-// MulCoeff implements Field.
-func (GF256) MulCoeff(dst []uint16, c uint16) {
-	switch c & 0xFF {
-	case 0:
-		clear(dst)
-	case 1:
-	default:
-		row := &mul256[c&0xFF]
-		for j, v := range dst {
-			dst[j] = uint16(row[v&0xFF])
-		}
-	}
-}
-
-// AddMulCoeff implements Field.
-func (GF256) AddMulCoeff(dst, src []uint16, c uint16) {
-	checkCoeffLen(dst, src)
-	switch c & 0xFF {
-	case 0:
-	case 1:
-		for j, v := range src {
-			dst[j] ^= v & 0xFF
-		}
-	default:
-		row := &mul256[c&0xFF]
-		for j, v := range src {
-			dst[j] ^= uint16(row[v&0xFF])
-		}
-	}
-}

@@ -109,38 +109,3 @@ func (GF65536) AddMulSlice(dst, src []byte, c uint16) {
 		addMulSlice65536(dst, src, c)
 	}
 }
-
-// MulCoeff implements Field.
-func (g GF65536) MulCoeff(dst []uint16, c uint16) {
-	switch c {
-	case 0:
-		clear(dst)
-	case 1:
-	default:
-		lc := log65536[c]
-		for j, v := range dst {
-			if v != 0 {
-				dst[j] = exp65536[lc+log65536[v]]
-			}
-		}
-	}
-}
-
-// AddMulCoeff implements Field.
-func (g GF65536) AddMulCoeff(dst, src []uint16, c uint16) {
-	checkCoeffLen(dst, src)
-	switch c {
-	case 0:
-	case 1:
-		for j, v := range src {
-			dst[j] ^= v
-		}
-	default:
-		lc := log65536[c]
-		for j, v := range src {
-			if v != 0 {
-				dst[j] ^= exp65536[lc+log65536[v]]
-			}
-		}
-	}
-}

@@ -2,6 +2,7 @@ package gf
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -181,6 +182,27 @@ func TestKernelExactAliasing(t *testing.T) {
 	}
 }
 
+// packVec lays a vector of field elements out in f's symbol layout: one
+// 0/1 byte per element over GF(2), one byte over GF(2^8), a little-endian
+// uint16 over GF(2^16). That is how the RLNC codec stores coefficients.
+func packVec(f Field, v []uint16) []byte {
+	sym := f.SymbolSize()
+	out := make([]byte, sym*len(v))
+	for j, x := range v {
+		if sym == 2 {
+			binary.LittleEndian.PutUint16(out[2*j:], x)
+		} else {
+			out[j] = byte(x)
+		}
+	}
+	return out
+}
+
+// TestCoeffKernelsMatchScalar checks the slice kernels on coefficient
+// vectors in symbol layout against per-element Add/Mul: the codec keeps
+// coefficients in that layout and runs them through MulSlice and
+// AddMulSlice, so a GF(2) 0/1 byte must stay 0/1 and GF(2^16) elements
+// must combine little-endian.
 func TestCoeffKernelsMatchScalar(t *testing.T) {
 	t.Parallel()
 	for _, f := range fields {
@@ -189,40 +211,37 @@ func TestCoeffKernelsMatchScalar(t *testing.T) {
 			t.Parallel()
 			r := rand.New(rand.NewSource(11))
 			coeffs := coeffsFor(f, r)
-			for _, n := range []int{0, 1, 2, 3, 7, 16, 33, 128, 255} {
+			for n := 0; n <= 255; n++ {
 				src := make([]uint16, n)
 				base := make([]uint16, n)
 				for j := range src {
 					src[j] = f.Rand(r)
 					base[j] = f.Rand(r)
 				}
+				srcB, baseB := packVec(f, src), packVec(f, base)
+				check := func(op string, c uint16, got []byte, want func(j int) uint16) {
+					t.Helper()
+					wantB := make([]uint16, n)
+					for j := range wantB {
+						wantB[j] = want(j)
+					}
+					if !bytes.Equal(got, packVec(f, wantB)) {
+						t.Fatalf("%s(c=%d, n=%d) = %x, want %x", op, c, n, got, packVec(f, wantB))
+					}
+				}
 				for _, c := range coeffs {
-					dst := append([]uint16(nil), base...)
-					f.AddMulCoeff(dst, src, c)
-					for j := range dst {
-						want := f.Add(base[j], f.Mul(c, src[j]))
-						if dst[j] != want {
-							t.Fatalf("AddMulCoeff(c=%d, n=%d)[%d] = %d, want %d", c, n, j, dst[j], want)
-						}
-					}
+					dst := bytes.Clone(baseB)
+					f.AddMulSlice(dst, srcB, c)
+					check("AddMulSlice", c, dst, func(j int) uint16 { return f.Add(base[j], f.Mul(c, src[j])) })
 
-					dst = append([]uint16(nil), base...)
-					f.MulCoeff(dst, c)
-					for j := range dst {
-						if want := f.Mul(c, base[j]); dst[j] != want {
-							t.Fatalf("MulCoeff(c=%d, n=%d)[%d] = %d, want %d", c, n, j, dst[j], want)
-						}
-					}
+					dst = bytes.Clone(baseB)
+					f.MulSlice(dst, dst, c)
+					check("MulSlice", c, dst, func(j int) uint16 { return f.Mul(c, base[j]) })
 
 					// Exact aliasing: dst==src computes (1+c)·x.
-					dst = append([]uint16(nil), base...)
-					f.AddMulCoeff(dst, dst, c)
-					for j := range dst {
-						want := f.Add(base[j], f.Mul(c, base[j]))
-						if dst[j] != want {
-							t.Fatalf("aliased AddMulCoeff(c=%d, n=%d)[%d] wrong", c, n, j)
-						}
-					}
+					dst = bytes.Clone(baseB)
+					f.AddMulSlice(dst, dst, c)
+					check("aliased AddMulSlice", c, dst, func(j int) uint16 { return f.Add(base[j], f.Mul(c, base[j])) })
 				}
 			}
 		})
@@ -374,18 +393,6 @@ func BenchmarkAddSliceRef(b *testing.B) {
 
 func BenchmarkAddMulSlice65536Ref(b *testing.B) {
 	benchAddMulSizes(b, func(dst, src []byte) { RefAddMulSlice(F65536, dst, src, 0x1234) })
-}
-
-func BenchmarkAddMulCoeff256(b *testing.B) {
-	dst := make([]uint16, 128)
-	src := make([]uint16, 128)
-	r := rand.New(rand.NewSource(1))
-	for i := range src {
-		src[i] = F256.Rand(r)
-	}
-	for i := 0; i < b.N; i++ {
-		F256.AddMulCoeff(dst, src, 0x57)
-	}
 }
 
 // TestTab65536CacheStable pins the cross-call amortization contract of the

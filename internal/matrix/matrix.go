@@ -171,12 +171,15 @@ func (m *Matrix) MulVec(v []uint16) []uint16 {
 	return out
 }
 
-// addMulRowFrom adds c times row src to row dst through the field's bulk
-// kernel, starting at column from. Elimination always knows the columns
-// left of the pivot are zero in both rows, so operating on the suffix
-// keeps row updates proportional to the live part of the row.
+// addMulRowFrom adds c times row src to row dst, starting at column from.
+// Elimination always knows the columns left of the pivot are zero in both
+// rows, so operating on the suffix keeps row updates proportional to the
+// live part of the row.
 func (m *Matrix) addMulRowFrom(dst, src, from int, c uint16) {
-	m.f.AddMulCoeff(m.Row(dst)[from:], m.Row(src)[from:], c)
+	d := m.Row(dst)[from:]
+	for j, v := range m.Row(src)[from:] {
+		d[j] = m.f.Add(d[j], m.f.Mul(c, v))
+	}
 }
 
 // swapRows exchanges rows i and j.
@@ -213,7 +216,10 @@ func (m *Matrix) REF() (rank int, pivots []int) {
 		}
 		m.swapRows(r, p)
 		if v := m.At(r, c); v != 1 {
-			m.f.MulCoeff(m.Row(r)[c:], m.f.Inv(v))
+			inv, row := m.f.Inv(v), m.Row(r)
+			for j := c; j < m.cols; j++ {
+				row[j] = m.f.Mul(row[j], inv)
+			}
 		}
 		for i := r + 1; i < m.rows; i++ {
 			if v := m.At(i, c); v != 0 {

@@ -18,9 +18,9 @@ func codedFrames(n int) [][]byte {
 	g := scriptedWelcome.Session
 	frames := make([][]byte, n)
 	for i := range frames {
-		p := &rlnc.Packet{Gen: 0, Coeff: make([]uint16, g.GenSize), Payload: make([]byte, g.PacketSize)}
+		p := &rlnc.Packet{Gen: 0, Coeff: make([]byte, g.GenSize), Payload: make([]byte, g.PacketSize)}
 		for j := range p.Coeff {
-			p.Coeff[j] = uint16(1 + rng.Intn(255))
+			p.Coeff[j] = byte(1 + rng.Intn(255))
 		}
 		rng.Read(p.Payload)
 		frames[i] = EncodeDataSeq(gf.F256, 0, int32(i%SeqMod), 1, TraceContext{}, p)

@@ -37,7 +37,7 @@ func fuzzField(sel uint8) gf.Field {
 func FuzzDecodeData(f *testing.F) {
 	for sel := uint8(0); sel < 3; sel++ {
 		fld := fuzzField(sel)
-		p := &rlnc.Packet{Gen: 3, Coeff: []uint16{1, 0, 1}, Payload: []byte("abcd")}
+		p := &rlnc.Packet{Gen: 3, Coeff: packCoeff(fld, 1, 0, 1), Payload: []byte("abcd")}
 		f.Add(sel, EncodeDataSeq(fld, 9, 0, 0, TraceContext{}, p))
 		f.Add(sel, EncodeDataSeq(fld, 9, 0, 123456789, TraceContext{}, p))
 		f.Add(sel, EncodeDataSeq(fld, 9, 7, 123456789, TraceContext{ID: 0xfeedface, Hop: 2}, p))
@@ -49,7 +49,7 @@ func FuzzDecodeData(f *testing.F) {
 	// Malformed frames over GF(256), in order: a truncated header, a
 	// truncated stamp, a truncated trace context, a zero trace ID, and a
 	// retired kind byte. header is a traced header with seq 5, stamp 42.
-	body := (&rlnc.Packet{Gen: 3, Coeff: []uint16{1, 0, 1}, Payload: []byte("abcd")}).AppendTo(nil, gf.F256)
+	body := (&rlnc.Packet{Gen: 3, Coeff: []byte{1, 0, 1}, Payload: []byte("abcd")}).AppendTo(nil, gf.F256)
 	header := []byte{0, 0x80, 1, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 42}
 	f.Add(uint8(1), []byte{0, 0, 1})
 	f.Add(uint8(1), header[:dataFrameHeaderLen-1])
@@ -91,22 +91,25 @@ func FuzzDecodeData(f *testing.F) {
 		if tc2 != tc {
 			t.Fatalf("trace context changed across round trip: %+v -> %+v", tc, tc2)
 		}
-		if p2.Gen != p.Gen || !equalCoeff(p2.Coeff, p.Coeff) || !bytes.Equal(p2.Payload, p.Payload) {
+		if p2.Gen != p.Gen || !bytes.Equal(p2.Coeff, p.Coeff) || !bytes.Equal(p2.Payload, p.Payload) {
 			t.Fatalf("packet changed across round trip:\n%+v\n%+v", p, p2)
 		}
 	})
 }
 
-func equalCoeff(a, b []uint16) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// packCoeff lays field elements out as rlnc.Packet.Coeff holds them over
+// f: one byte each over GF(2) and GF(2^8), a little-endian uint16 over
+// GF(2^16).
+func packCoeff(f gf.Field, v ...uint16) []byte {
+	out := make([]byte, 0, len(v)*f.SymbolSize())
+	for _, c := range v {
+		if f.SymbolSize() == 2 {
+			out = binary.LittleEndian.AppendUint16(out, c)
+		} else {
+			out = append(out, byte(c))
 		}
 	}
-	return true
+	return out
 }
 
 // FuzzDecodeKeepalive covers the keepalive frame kind and the completion
@@ -190,7 +193,7 @@ func FuzzDecodeKeepalive(f *testing.F) {
 func TestDataRoundTripTraced(t *testing.T) {
 	t.Parallel()
 	for _, fld := range []gf.Field{gf.F2, gf.F256, gf.F65536} {
-		p := &rlnc.Packet{Gen: 7, Coeff: []uint16{1, 0, 1, 1}, Payload: []byte("traced-payload")}
+		p := &rlnc.Packet{Gen: 7, Coeff: packCoeff(fld, 1, 0, 1, 1), Payload: []byte("traced-payload")}
 		for _, tc := range []TraceContext{
 			{ID: 1, Hop: 1},
 			{ID: ^uint64(0), Hop: 255},
@@ -206,7 +209,7 @@ func TestDataRoundTripTraced(t *testing.T) {
 					t.Fatalf("field %d: got thread=%d seq=%d stamp=%d tc=%+v, want 3/11/%d/%+v",
 						fld.Bits(), thread, seq, gotStamp, gotTC, stamp, tc)
 				}
-				if q.Gen != p.Gen || !equalCoeff(q.Coeff, p.Coeff) || !bytes.Equal(q.Payload, p.Payload) {
+				if q.Gen != p.Gen || !bytes.Equal(q.Coeff, p.Coeff) || !bytes.Equal(q.Payload, p.Payload) {
 					t.Fatalf("field %d tc=%+v: packet mismatch", fld.Bits(), tc)
 				}
 			}
@@ -234,7 +237,7 @@ func TestTracedHotPathAllocs(t *testing.T) {
 		t.Skip("race detector allocates on instrumented paths")
 	}
 	fld := gf.F256
-	src := &rlnc.Packet{Gen: 1, Coeff: []uint16{3, 1, 4, 1}, Payload: make([]byte, 256)}
+	src := &rlnc.Packet{Gen: 1, Coeff: []byte{3, 1, 4, 1}, Payload: make([]byte, 256)}
 	frame := EncodeDataSeq(fld, 2, 0, 12345, TraceContext{}, src)
 	hot := func() {
 		buf := rlnc.GetFrameBuf()
@@ -262,7 +265,7 @@ func TestTracedHotPathAllocs(t *testing.T) {
 func TestDataRoundTripSeq(t *testing.T) {
 	t.Parallel()
 	for _, fld := range []gf.Field{gf.F2, gf.F256, gf.F65536} {
-		p := &rlnc.Packet{Gen: 7, Coeff: []uint16{1, 0, 1, 1}, Payload: []byte("seq-payload")}
+		p := &rlnc.Packet{Gen: 7, Coeff: packCoeff(fld, 1, 0, 1, 1), Payload: []byte("seq-payload")}
 		for _, seq := range []int32{0, 1, 1 << 12, SeqMod - 1} {
 			for _, stamp := range []int64{0, 42} {
 				for _, tc := range []TraceContext{{}, {ID: 0xabc, Hop: 3}} {
@@ -275,7 +278,7 @@ func TestDataRoundTripSeq(t *testing.T) {
 						t.Fatalf("field %d: got th=%d seq=%d stamp=%d tc=%+v, want 5/%d/%d/%+v",
 							fld.Bits(), th, gotSeq, gotStamp, gotTC, seq, stamp, tc)
 					}
-					if q.Gen != p.Gen || !equalCoeff(q.Coeff, p.Coeff) || !bytes.Equal(q.Payload, p.Payload) {
+					if q.Gen != p.Gen || !bytes.Equal(q.Coeff, p.Coeff) || !bytes.Equal(q.Payload, p.Payload) {
 						t.Fatalf("field %d seq=%d: packet mismatch", fld.Bits(), seq)
 					}
 				}
@@ -296,7 +299,7 @@ func TestDataRoundTripSeq(t *testing.T) {
 func TestDataFrameGoldenLayout(t *testing.T) {
 	t.Parallel()
 	fld := gf.F256
-	p := &rlnc.Packet{Gen: 3, Coeff: []uint16{1, 2, 3}, Payload: []byte("hi")}
+	p := &rlnc.Packet{Gen: 3, Coeff: []byte{1, 2, 3}, Payload: []byte("hi")}
 	body := p.AppendTo(nil, fld)
 
 	stamp8 := make([]byte, 8)
@@ -368,7 +371,7 @@ func TestLinkHotPathAllocs(t *testing.T) {
 	}
 	fld := gf.F256
 	links := obs.NewLinkTracker(0)
-	src := &rlnc.Packet{Gen: 1, Coeff: []uint16{3, 1, 4, 1}, Payload: make([]byte, 256)}
+	src := &rlnc.Packet{Gen: 1, Coeff: []byte{3, 1, 4, 1}, Payload: make([]byte, 256)}
 	seq := int32(0)
 	hot := func() {
 		buf := rlnc.GetFrameBuf()
@@ -409,7 +412,7 @@ func TestDataRoundTripAllFields(t *testing.T) {
 			for i := range coeff {
 				coeff[i] = uint16(i*31+1) & max
 			}
-			p := &rlnc.Packet{Gen: uint32(n), Coeff: coeff, Payload: []byte("payload-bytes")}
+			p := &rlnc.Packet{Gen: uint32(n), Coeff: packCoeff(fld, coeff...), Payload: []byte("payload-bytes")}
 			for _, stamp := range []int64{0, 42} {
 				frame := EncodeDataSeq(fld, n, 0, stamp, TraceContext{}, p)
 				thread, _, gotStamp, _, q, err := DecodeDataSeq(fld, frame)
@@ -419,7 +422,7 @@ func TestDataRoundTripAllFields(t *testing.T) {
 				if thread != n || gotStamp != stamp {
 					t.Fatalf("field %d n=%d: thread/stamp %d/%d", fld.Bits(), n, thread, gotStamp)
 				}
-				if q.Gen != p.Gen || !equalCoeff(q.Coeff, p.Coeff) || !bytes.Equal(q.Payload, p.Payload) {
+				if q.Gen != p.Gen || !bytes.Equal(q.Coeff, p.Coeff) || !bytes.Equal(q.Payload, p.Payload) {
 					t.Fatalf("field %d n=%d: packet mismatch", fld.Bits(), n)
 				}
 			}

@@ -84,7 +84,7 @@ func TestLinkProbesFollowHeldThreads(t *testing.T) {
 	seq := map[int]int32{}
 	sendData := func(th int) {
 		t.Helper()
-		p := &rlnc.Packet{Gen: 0, Coeff: []uint16{1, 0, 0, 0}, Payload: make([]byte, 8)}
+		p := &rlnc.Packet{Gen: 0, Coeff: []byte{1, 0, 0, 0}, Payload: make([]byte, 8)}
 		send(parent, EncodeDataSeq(gf.F256, th, seq[th], 1, TraceContext{}, p))
 		seq[th]++
 	}

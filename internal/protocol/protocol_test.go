@@ -42,7 +42,7 @@ func TestControlEncodeDecode(t *testing.T) {
 
 func TestDataEncodeDecode(t *testing.T) {
 	t.Parallel()
-	p := &rlnc.Packet{Gen: 3, Coeff: []uint16{1, 0, 2}, Payload: []byte{9, 8, 7, 6}}
+	p := &rlnc.Packet{Gen: 3, Coeff: []byte{1, 0, 2}, Payload: []byte{9, 8, 7, 6}}
 	frame := EncodeDataSeq(gf.F256, 5, 0, 0, TraceContext{}, p)
 	if !IsData(frame) {
 		t.Fatal("data frame not classified as data")
@@ -61,7 +61,7 @@ func TestDataEncodeDecode(t *testing.T) {
 
 func TestStampedDataEncodeDecode(t *testing.T) {
 	t.Parallel()
-	p := &rlnc.Packet{Gen: 7, Coeff: []uint16{0, 1, 3}, Payload: []byte{1, 2, 3, 4}}
+	p := &rlnc.Packet{Gen: 7, Coeff: []byte{0, 1, 3}, Payload: []byte{1, 2, 3, 4}}
 	const stamp = int64(1_700_000_000_123_456_789)
 	frame := EncodeDataSeq(gf.F256, 9, 0, stamp, TraceContext{}, p)
 	if !IsData(frame) {

@@ -36,7 +36,7 @@ func absorbStream(t *testing.T, f gf.Field, h, size int, r *rand.Rand) []*Packet
 		stream = append(stream, enc.Packet(r))
 	}
 	malformed := enc.Packet(r)
-	malformed.Coeff = malformed.Coeff[:h-1]
+	malformed.Coeff = malformed.Coeff[:len(malformed.Coeff)-f.SymbolSize()] // h-1 coefficients
 	return append(stream, sys(2), other.Packet(r), malformed, enc.Packet(r))
 }
 

@@ -47,12 +47,12 @@ func (e *Encoder) PayloadSize() int { return e.size }
 // generation's source packets. The returned packet is pooled; Release it
 // when done to keep the emit path allocation-free.
 func (e *Encoder) Packet(r *rand.Rand) *Packet {
-	p := getPacket(e.gen, len(e.src), e.size)
-	for i := range p.Coeff {
+	p := getPacket(e.gen, len(e.src)*e.f.SymbolSize(), e.size)
+	for i, s := range e.src {
 		c := e.f.Rand(r)
-		p.Coeff[i] = c
 		if c != 0 {
-			e.f.AddMulSlice(p.Payload, e.src[i], c)
+			setCoeff(e.f, p.Coeff, i, c)
+			e.f.AddMulSlice(p.Payload, s, c)
 		}
 	}
 	return p
@@ -65,8 +65,8 @@ func (e *Encoder) Systematic(i int) (*Packet, error) {
 	if i < 0 || i >= len(e.src) {
 		return nil, fmt.Errorf("rlnc: systematic index %d out of range [0,%d)", i, len(e.src))
 	}
-	p := getPacket(e.gen, len(e.src), e.size)
-	p.Coeff[i] = 1
+	p := getPacket(e.gen, len(e.src)*e.f.SymbolSize(), e.size)
+	setCoeff(e.f, p.Coeff, i, 1)
 	p.Sys, p.SysIdx = true, uint16(i)
 	copy(p.Payload, e.src[i])
 	return p, nil
@@ -89,7 +89,7 @@ type codec struct {
 
 func (c *codec) init(p Params, gen uint32, m *obs.CodecMetrics) {
 	c.gen, c.m = gen, m
-	c.e = genDecoder{f: p.Field, h: p.GenSize, size: p.PacketSize}
+	c.e = newGenDecoder(p.Field, p.GenSize, p.PacketSize)
 }
 
 // Instrument attaches obs metrics; a nil bundle leaves the codec
@@ -224,15 +224,14 @@ func (rc *Recoder) packetLocked(r *rand.Rand) *Packet {
 		return nil
 	}
 	// Any spanning set of the received subspace serves: echelon rows before
-	// full rank, the source packets themselves after.
-	p := getPacket(rc.gen, e.h, e.size)
+	// full rank, the source packets themselves after. A packet's row has
+	// the arena's layout, so each step mixes payload and coefficients in
+	// one kernel call.
+	p := getPacket(rc.gen, e.clen, e.size)
 	for s := 0; s < e.rank; s++ {
-		c := e.f.Rand(r)
-		if c == 0 {
-			continue
+		if c := e.f.Rand(r); c != 0 {
+			e.f.AddMulSlice(p.row, e.row(s), c)
 		}
-		e.f.AddMulCoeff(p.Coeff, e.coeffRow(s), c)
-		e.f.AddMulSlice(p.Payload, e.arenaRow(s), c)
 	}
 	return p
 }

@@ -12,41 +12,46 @@ import (
 // codec (codec.go), which adds the mutex. Three choices matter for
 // throughput:
 //
-//   - Contiguous storage. All h coefficient rows live in one []uint16
-//     and all h payload rows in one []byte arena, so elimination walks
-//     cache lines instead of chasing per-row allocations. The arenas are
-//     allocated on the first packet, so holding a decoder for a
-//     generation that has not started costs only this struct.
-//   - Coefficient-first elimination. An incoming packet is forward-
-//     eliminated on its h-element coefficient vector alone, recording
-//     (slot, factor) steps; the payload — three orders of magnitude
+//   - One row per packet. Row s of a single arena holds the payload, then
+//     the h coefficients in the field's symbol layout (as Packet.Coeff),
+//     then zero padding to a 32-byte stride (rowStride). Elimination
+//     walks cache lines instead of chasing per-row allocations, and a
+//     row operation on payload and coefficients together is one kernel
+//     call. The arena is allocated on the first packet, so holding a
+//     decoder for a generation that has not started costs only this
+//     struct.
+//   - Coefficient-first elimination. An incoming packet's coefficients
+//     are staged in the next free row and forward-eliminated there alone,
+//     recording (slot, factor) steps; the payload — orders of magnitude
 //     wider — is touched only if the packet turns out innovative. A
 //     redundant packet, the steady state of a flooded overlay, costs
 //     zero payload work.
 //   - Deferred back-substitution. Rows are kept in row-echelon form
 //     (not reduced); the upper triangle is cleared once, inside the add
-//     that closes rank, using fully-reduced source rows so each
-//     coefficient update is a single store. A complete engine is
-//     therefore always reduced: its rows are the source packets.
+//     that closes rank, using fully-reduced source rows. A complete
+//     engine is therefore always reduced: its rows are the source
+//     packets.
 //
 // Systematic packets (unit coefficient vectors, flagged on the wire)
 // install with no field work at all when their column is open: the only
 // payload op on the loss-free path is the copy into the arena.
 type genDecoder struct {
-	f    gf.Field
-	h    int
-	size int
-	// coeffs and arena hold the installed rows by slot, in arrival
-	// order: row s occupies coeffs[s*h:(s+1)*h] and
-	// arena[s*size:(s+1)*size]. Nil until the first packet.
-	coeffs []uint16
-	arena  []byte
+	f      gf.Field
+	h      int
+	size   int
+	sym    int // f.SymbolSize()
+	clen   int // coefficient bytes per row, h*sym
+	stride int // rowStride(clen, size)
+	// arena holds the installed rows by slot, in arrival order, at
+	// stride bytes each: payload at [0,size), coefficients at
+	// [size,size+clen), zero pad after. Slot rank stages the incoming
+	// packet. Nil until the first packet.
+	arena []byte
 	// pivotOf maps column -> slot (-1 when open). Rows are in echelon
 	// form: the row whose pivot is column c is zero left of c and 1 there.
 	pivotOf []int32
 	rank    int
 
-	sc    []uint16   // staging coefficient vector
 	steps []elimStep // payload replay log for the current packet
 }
 
@@ -57,19 +62,27 @@ type elimStep struct {
 	factor uint16
 }
 
+func newGenDecoder(f gf.Field, h, size int) genDecoder {
+	sym := f.SymbolSize()
+	return genDecoder{f: f, h: h, size: size, sym: sym, clen: h * sym, stride: rowStride(h*sym, size)}
+}
+
 func (e *genDecoder) alloc() {
-	e.coeffs = make([]uint16, e.h*e.h)
-	e.arena = make([]byte, e.h*e.size)
+	e.arena = make([]byte, e.h*e.stride)
 	e.pivotOf = make([]int32, e.h)
 	for i := range e.pivotOf {
 		e.pivotOf[i] = -1
 	}
-	e.sc = make([]uint16, e.h)
 	e.steps = make([]elimStep, 0, e.h)
 }
 
-func (e *genDecoder) coeffRow(s int) []uint16 { return e.coeffs[s*e.h : (s+1)*e.h] }
-func (e *genDecoder) arenaRow(s int) []byte   { return e.arena[s*e.size : (s+1)*e.size] }
+// row returns slot s whole: payload, coefficients and pad.
+func (e *genDecoder) row(s int) []byte { return e.arena[s*e.stride : (s+1)*e.stride] }
+
+// coeffs returns the coefficient part of slot s with its zero pad: when
+// size is a multiple of 32 that is whole 32-byte blocks, so the kernels
+// run on it without a scalar tail.
+func (e *genDecoder) coeffs(s int) []byte { return e.row(s)[e.size:] }
 
 func (e *genDecoder) complete() bool { return e.rank == e.h }
 
@@ -85,8 +98,8 @@ func (e *genDecoder) add(p *Packet) (bool, error) {
 		if int(p.SysIdx) >= e.h {
 			return false, fmt.Errorf("rlnc: systematic index %d out of range [0,%d)", p.SysIdx, e.h)
 		}
-	} else if len(p.Coeff) != e.h {
-		return false, fmt.Errorf("rlnc: coefficient length %d, want %d", len(p.Coeff), e.h)
+	} else if len(p.Coeff) != e.clen {
+		return false, fmt.Errorf("rlnc: coefficient vector of %d bytes, want %d", len(p.Coeff), e.clen)
 	}
 	if e.complete() {
 		return false, nil // nothing left to learn
@@ -94,27 +107,26 @@ func (e *genDecoder) add(p *Packet) (bool, error) {
 	if e.arena == nil {
 		e.alloc()
 	}
-	if p.Sys {
-		// The index is trusted over p.Coeff, which may be stale on
-		// hand-built packets.
-		idx := int(p.SysIdx)
-		if e.pivotOf[idx] < 0 {
-			// Open column: install the identity row directly. No field
-			// ops — the copy is the entire cost of the loss-free fast
-			// path.
-			e.coeffRow(e.rank)[idx] = 1
-			copy(e.arenaRow(e.rank), p.Payload)
-			e.install(idx)
-			return true, nil
-		}
-		// Column already pivoted (duplicate, or arrived after a coded
-		// row): general elimination on the reconstructed unit vector.
-		clear(e.sc)
-		e.sc[idx] = 1
-	} else {
-		copy(e.sc, p.Coeff)
+	stage := e.coeffs(e.rank)
+	if !p.Sys {
+		copy(stage, p.Coeff)
+		return e.eliminate(p.Payload), nil
 	}
-	return e.eliminate(p.Payload), nil
+	// The index is trusted over p.Coeff, which may be stale on hand-built
+	// packets.
+	idx := int(p.SysIdx)
+	clear(stage)
+	setCoeff(e.f, stage, idx, 1)
+	if e.pivotOf[idx] >= 0 {
+		// Column already pivoted (duplicate, or arrived after a coded
+		// row): general elimination on the unit vector.
+		return e.eliminate(p.Payload), nil
+	}
+	// Open column: the unit vector is already an echelon row. No field
+	// ops — the copy is the entire cost of the loss-free fast path.
+	copy(e.row(e.rank), p.Payload)
+	e.install(idx)
+	return true, nil
 }
 
 // install records the row just written to slot e.rank as the pivot row of
@@ -127,15 +139,17 @@ func (e *genDecoder) install(lead int) {
 	}
 }
 
-// eliminate forward-eliminates the staged coefficient vector e.sc against
-// the echelon rows, then replays the recorded steps on the payload only
-// if the packet was innovative. Maintaining echelon (not reduced) form
-// lets the scan stop at the packet's new leading column.
+// eliminate forward-eliminates the coefficients staged in slot e.rank
+// against the echelon rows, then replays the recorded steps on the
+// payload only if the packet was innovative. Maintaining echelon (not
+// reduced) form lets the scan stop at the packet's new leading column. A
+// redundant packet leaves the stage all zero.
 func (e *genDecoder) eliminate(payload []byte) bool {
+	stage := e.coeffs(e.rank)
 	e.steps = e.steps[:0]
 	lead := -1
 	for c := 0; c < e.h; c++ {
-		v := e.sc[c]
+		v := coeffAt(e.f, stage, c)
 		if v == 0 {
 			continue
 		}
@@ -144,49 +158,44 @@ func (e *genDecoder) eliminate(payload []byte) bool {
 			lead = c
 			break
 		}
-		// Row s is zero left of c and 1 at c, so eliminating from offset
-		// c touches only the live suffix and zeroes sc[c] exactly.
-		e.f.AddMulCoeff(e.sc[c:], e.coeffRow(int(s))[c:], v)
+		// Row s is zero left of c and 1 at c, so eliminating from the
+		// 32-byte block holding column c touches only the live suffix
+		// and zeroes the stage there.
+		o := (c * e.sym) &^ 31
+		e.f.AddMulSlice(stage[o:], e.coeffs(int(s))[o:], v)
 		e.steps = append(e.steps, elimStep{slot: int(s), factor: v})
 	}
 	if lead < 0 {
 		return false // redundant: not one byte of payload touched
 	}
-	dst := e.arenaRow(e.rank)
+	dst := e.row(e.rank)
 	copy(dst, payload)
 	for _, st := range e.steps {
-		e.f.AddMulSlice(dst, e.arenaRow(st.slot), st.factor)
+		e.f.AddMulSlice(dst[:e.size], e.row(st.slot)[:e.size], st.factor)
 	}
-	crow := e.coeffRow(e.rank)
-	copy(crow, e.sc)
-	if v := crow[lead]; v != 1 {
-		inv := e.f.Inv(v)
-		e.f.MulCoeff(crow, inv)
-		e.f.MulSlice(dst, dst, inv)
+	if v := coeffAt(e.f, stage, lead); v != 1 {
+		e.f.MulSlice(dst, dst, e.f.Inv(v))
 	}
 	e.install(lead)
 	return true
 }
 
 // reduce runs the deferred back-substitution once the generation has
-// closed rank, clearing the upper triangle. Columns are processed in
-// descending order so the source row of every elimination is already a
-// unit vector — which means the coefficient-side update for each step is
-// a single store, and only the payload pays an AddMulSlice.
+// closed rank, clearing the upper triangle. Rows are reduced in
+// descending pivot order, so the source row of every elimination is
+// already a unit vector: the step only clears the target's coefficient
+// at that column, so the kernel runs on the payload alone and the
+// target's coefficients right of its pivot are cleared once at the end.
 func (e *genDecoder) reduce() {
-	for c := e.h - 1; c > 0; c-- {
-		ps := int(e.pivotOf[c])
-		src := e.arenaRow(ps)
-		for r := 0; r < e.h; r++ {
-			if r == ps {
-				continue
-			}
-			crow := e.coeffRow(r)
-			if v := crow[c]; v != 0 {
-				e.f.AddMulSlice(e.arenaRow(r), src, v)
-				crow[c] = 0
+	for p := e.h - 2; p >= 0; p-- {
+		dst := e.row(int(e.pivotOf[p]))
+		coeff := dst[e.size : e.size+e.clen]
+		for c := p + 1; c < e.h; c++ {
+			if v := coeffAt(e.f, coeff, c); v != 0 {
+				e.f.AddMulSlice(dst[:e.size], e.row(int(e.pivotOf[c]))[:e.size], v)
 			}
 		}
+		clear(coeff[(p+1)*e.sym:])
 	}
 }
 
@@ -198,7 +207,7 @@ func (e *genDecoder) source() ([][]byte, error) {
 	}
 	out := make([][]byte, e.h)
 	for c := range out {
-		out[c] = e.arenaRow(int(e.pivotOf[c]))
+		out[c] = e.row(int(e.pivotOf[c]))[:e.size:e.size]
 	}
 	return out, nil
 }

@@ -54,15 +54,16 @@ type engineHarness struct {
 }
 
 func newEngineHarness(t *testing.T, f gf.Field, r *rand.Rand, h, size int) *engineHarness {
+	e := newGenDecoder(f, h, size)
 	return &engineHarness{
 		t: t, f: f, src: randSource(r, h, size),
-		e: &genDecoder{f: f, h: h, size: size},
+		e: &e,
 	}
 }
 
 // coded builds the packet whose coefficient vector is coeff.
 func (eh *engineHarness) coded(coeff []uint16) *Packet {
-	p := &Packet{Coeff: coeff, Payload: make([]byte, len(eh.src[0]))}
+	p := &Packet{Coeff: packCoeff(eh.f, coeff), Payload: make([]byte, len(eh.src[0]))}
 	for i, c := range coeff {
 		eh.f.AddMulSlice(p.Payload, eh.src[i], c)
 	}
@@ -78,12 +79,12 @@ func (eh *engineHarness) systematic(i int) *Packet {
 // add feeds p and checks every invariant the eliminator maintains: the
 // innovative verdict and the rank agree with refRank of everything
 // fed so far; each installed row is zero left of its pivot and 1 at it;
-// and at full rank the coefficient matrix is the identity and the rows
+// every row's padding past its coefficients stays zero; and at full rank the coefficient matrix is the identity and the rows
 // are the exact source payloads, with no further call needed.
 func (eh *engineHarness) add(p *Packet) bool {
 	t, e := eh.t, eh.e
 	t.Helper()
-	coeff := p.Coeff
+	coeff := unpackCoeff(eh.f, p.Coeff)
 	if p.Sys {
 		coeff = make([]uint16, e.h)
 		coeff[p.SysIdx] = 1
@@ -117,7 +118,7 @@ func (eh *engineHarness) add(p *Packet) bool {
 		if piv < 0 {
 			t.Fatalf("slot %d of %d has no pivot column", s, e.rank)
 		}
-		row := e.coeffRow(s)
+		row := unpackCoeff(eh.f, e.coeffs(s))
 		for c := 0; c < piv; c++ {
 			if row[c] != 0 {
 				t.Fatalf("slot %d nonzero at column %d left of pivot %d: %v", s, c, piv, row)
@@ -127,11 +128,17 @@ func (eh *engineHarness) add(p *Packet) bool {
 			t.Fatalf("slot %d pivot entry = %d, want 1", s, row[piv])
 		}
 	}
+	for s := 0; e.arena != nil && s < e.h; s++ {
+		if pad := e.row(s)[e.size+e.clen:]; !bytes.Equal(pad, make([]byte, len(pad))) {
+			t.Fatalf("slot %d padding dirty: %x", s, pad)
+		}
+	}
 	if e.complete() {
 		for s, piv := range pivotAt {
-			for c, v := range e.coeffRow(s) {
+			row := unpackCoeff(eh.f, e.coeffs(s))
+			for c, v := range row {
 				if (c == piv && v != 1) || (c != piv && v != 0) {
-					t.Fatalf("full rank: slot %d (pivot %d) not a unit vector: %v", s, piv, e.coeffRow(s))
+					t.Fatalf("full rank: slot %d (pivot %d) not a unit vector: %v", s, piv, row)
 				}
 			}
 		}

@@ -14,10 +14,7 @@ var fastpathFields = []gf.Field{gf.F2, gf.F256, gf.F65536}
 
 func randomPacket(t testing.TB, f gf.Field, r *rand.Rand, gen uint32, h, size int) *Packet {
 	t.Helper()
-	p := &Packet{Gen: gen, Coeff: make([]uint16, h), Payload: make([]byte, size)}
-	for i := range p.Coeff {
-		p.Coeff[i] = f.Rand(r)
-	}
+	p := &Packet{Gen: gen, Coeff: randCoeff(f, r, h), Payload: make([]byte, size)}
 	r.Read(p.Payload)
 	return p
 }
@@ -46,10 +43,8 @@ func TestAppendToMatchesMarshal(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s h=%d: Unmarshal: %v", f.Name(), h, err)
 			}
-			for i := range p.Coeff {
-				if q.Coeff[i] != p.Coeff[i]&uint16(f.Order()-1) {
-					t.Fatalf("%s h=%d: coeff %d mismatch", f.Name(), h, i)
-				}
+			if !bytes.Equal(q.Coeff, p.Coeff) {
+				t.Fatalf("%s h=%d: coeff mismatch", f.Name(), h)
 			}
 			if !bytes.Equal(q.Payload, p.Payload) {
 				t.Fatalf("%s h=%d: payload mismatch", f.Name(), h)
@@ -62,26 +57,22 @@ func TestAppendToMatchesMarshal(t *testing.T) {
 // TestPooledPacketRecycled verifies that Release/getPacket reuse buffers
 // of matching shape and that recycled packets come back zeroed.
 func TestPooledPacketRecycled(t *testing.T) {
-	p := getPacket(1, 8, 128)
-	for i := range p.Coeff {
-		p.Coeff[i] = 0xFFFF
-	}
-	for i := range p.Payload {
-		p.Payload[i] = 0xFF
+	p := getPacket(1, 16, 128)
+	for i := range p.row {
+		p.row[i] = 0xFF
 	}
 	p.Release()
-	q := getPacket(2, 8, 128)
+	q := getPacket(2, 16, 128)
 	if q.Gen != 2 {
 		t.Fatalf("gen = %d, want 2", q.Gen)
 	}
-	for i, c := range q.Coeff {
-		if c != 0 {
-			t.Fatalf("recycled coeff[%d] = %#x, want 0", i, c)
-		}
+	if len(q.Payload) != 128 || len(q.Coeff) != 16 {
+		t.Fatalf("shape %d+%d, want 128+16", len(q.Payload), len(q.Coeff))
 	}
-	for i, b := range q.Payload {
+	// The row holds payload, coefficients and padding; all must be zero.
+	for i, b := range q.row {
 		if b != 0 {
-			t.Fatalf("recycled payload[%d] = %#x, want 0", i, b)
+			t.Fatalf("recycled row[%d] = %#x, want 0", i, b)
 		}
 	}
 	q.Release()
@@ -218,12 +209,12 @@ func TestParallelFileDecoderLifecycle(t *testing.T) {
 	if _, err := pd.Bytes(); err == nil {
 		t.Fatal("Bytes before Close succeeded")
 	}
-	if err := pd.Add(&Packet{Gen: 99, Coeff: make([]uint16, 4), Payload: make([]byte, 32)}); err == nil {
+	if err := pd.Add(&Packet{Gen: 99, Coeff: make([]byte, 4), Payload: make([]byte, 32)}); err == nil {
 		t.Fatal("out-of-range generation accepted")
 	}
 	pd.Close()
 	pd.Close() // idempotent
-	if err := pd.Add(&Packet{Gen: 0, Coeff: make([]uint16, 4), Payload: make([]byte, 32)}); err == nil {
+	if err := pd.Add(&Packet{Gen: 0, Coeff: make([]byte, 4), Payload: make([]byte, 32)}); err == nil {
 		t.Fatal("Add after Close succeeded")
 	}
 	if _, err := pd.Bytes(); err == nil {
@@ -427,5 +418,47 @@ func BenchmarkRecoderAddRedundant(b *testing.B) {
 		if _, err := rc.Add(p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkInterleavedAbsorb measures a relay's elimination with many
+// generations open at once, as a node sees them: 256 generations of
+// 16 × 1 KiB rows over GF(2^8), 20 coded packets each (the last 4
+// redundant) arriving round-robin, so the arenas do not stay in cache.
+// "recode" also emits one packet per absorb, as a forwarding node does.
+func BenchmarkInterleavedAbsorb(b *testing.B) {
+	const gens, h, size = 256, 16, 1024
+	r := rand.New(rand.NewSource(6))
+	var pkts []*Packet
+	encs := make([]*Encoder, gens)
+	for g := range encs {
+		encs[g], _ = NewEncoder(gf.F256, uint32(g), randSource(r, h, size))
+	}
+	for k := 0; k < h+4; k++ {
+		for _, enc := range encs {
+			pkts = append(pkts, enc.Packet(r))
+		}
+	}
+	for _, recode := range []bool{false, true} {
+		name, rr := "norecode", (*rand.Rand)(nil)
+		if recode {
+			name, rr = "recode", r
+		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(size)
+			for n := 0; n < b.N; {
+				rcs := make([]*Recoder, gens)
+				for g := range rcs {
+					rcs[g], _ = NewRecoder(gf.F256, uint32(g), h, size)
+				}
+				for _, p := range pkts {
+					if n++; n > b.N {
+						break
+					}
+					_, _, _, out, _ := rcs[p.Gen].Absorb(p, rr)
+					out.Release()
+				}
+			}
+		})
 	}
 }

@@ -153,7 +153,7 @@ func TestLayeredDecoderRejectsUnknownLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &Packet{Gen: LayerGen(7, 0), Coeff: make([]uint16, 4), Payload: make([]byte, 16)}
+	p := &Packet{Gen: LayerGen(7, 0), Coeff: make([]byte, 4), Payload: make([]byte, 16)}
 	if _, err := ld.Add(p); err == nil {
 		t.Fatal("packet for unknown layer accepted")
 	}

@@ -41,10 +41,13 @@ type Packet struct {
 	// Gen identifies the generation this packet belongs to.
 	Gen uint32
 	// Coeff holds the h coefficients of the combination, one per source
-	// packet of the generation, as field elements. Systematic packets
-	// carry the unit vector for SysIdx here so every in-memory consumer
-	// sees an ordinary coded packet.
-	Coeff []uint16
+	// packet of the generation, in the field's symbol layout: SymbolSize
+	// bytes each, so a 0/1 byte over GF(2), one byte over GF(2^8) and a
+	// little-endian uint16 over GF(2^16). The coefficients thus go through
+	// the same slice kernels as the payload. Systematic packets carry the
+	// unit vector for SysIdx here so every in-memory consumer sees an
+	// ordinary coded packet.
+	Coeff []byte
 	// Payload is the combined data, len = generation symbol size.
 	Payload []byte
 	// Sys marks a systematic packet: Payload is source packet SysIdx
@@ -57,13 +60,35 @@ type Packet struct {
 	// SysIdx is the source-packet index of a systematic packet;
 	// meaningless unless Sys is set.
 	SysIdx uint16
+
+	// row is a pooled packet's one buffer, Payload‖Coeff‖zero pad, laid
+	// out like an engine row (rowStride) so that a recode step is one
+	// kernel call over it. Nil on hand-built packets.
+	row []byte
+}
+
+// coeffAt returns coefficient j of a vector in f's symbol layout.
+func coeffAt(f gf.Field, v []byte, j int) uint16 {
+	if f.SymbolSize() == 2 {
+		return binary.LittleEndian.Uint16(v[2*j:])
+	}
+	return uint16(v[j])
+}
+
+// setCoeff stores c as coefficient j of a vector in f's symbol layout.
+func setCoeff(f gf.Field, v []byte, j int, c uint16) {
+	if f.SymbolSize() == 2 {
+		binary.LittleEndian.PutUint16(v[2*j:], c)
+	} else {
+		v[j] = byte(c)
+	}
 }
 
 // Clone returns a deep copy of the packet.
 func (p *Packet) Clone() *Packet {
 	return &Packet{
 		Gen:     p.Gen,
-		Coeff:   append([]uint16(nil), p.Coeff...),
+		Coeff:   append([]byte(nil), p.Coeff...),
 		Payload: append([]byte(nil), p.Payload...),
 		Sys:     p.Sys,
 		SysIdx:  p.SysIdx,
@@ -79,16 +104,6 @@ func (p *Packet) ClonePooled() *Packet {
 	copy(q.Payload, p.Payload)
 	q.Sys, q.SysIdx = p.Sys, p.SysIdx
 	return q
-}
-
-// IsZero reports whether every coefficient is zero (a useless packet).
-func (p *Packet) IsZero() bool {
-	for _, c := range p.Coeff {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // packetHeaderLen is the fixed wire header: 4B generation, 2B coefficient
@@ -110,7 +125,7 @@ func (p *Packet) WireSize(f gf.Field) int {
 	if p.Sys {
 		return packetHeaderLen + sysIdxWireLen + len(p.Payload)
 	}
-	return packetHeaderLen + coeffWireLen(f, len(p.Coeff)) + len(p.Payload)
+	return packetHeaderLen + coeffWireLen(f, len(p.Coeff)/f.SymbolSize()) + len(p.Payload)
 }
 
 // coeffWireLen returns the encoded byte length of an n-element coefficient
@@ -134,7 +149,7 @@ func coeffWireLen(f gf.Field, n int) int {
 func (p *Packet) AppendTo(buf []byte, f gf.Field) []byte {
 	var hdr [packetHeaderLen]byte
 	binary.BigEndian.PutUint32(hdr[0:], p.Gen)
-	binary.BigEndian.PutUint16(hdr[4:], uint16(len(p.Coeff)))
+	binary.BigEndian.PutUint16(hdr[4:], uint16(len(p.Coeff)/f.SymbolSize()))
 	plen := uint32(len(p.Payload))
 	if p.Sys {
 		plen |= sysFlag
@@ -161,12 +176,11 @@ func (p *Packet) AppendTo(buf []byte, f gf.Field) []byte {
 			buf = append(buf, acc)
 		}
 	case 8:
-		for _, c := range p.Coeff {
-			buf = append(buf, byte(c))
-		}
+		buf = append(buf, p.Coeff...)
 	default:
-		for _, c := range p.Coeff {
-			buf = append(buf, byte(c>>8), byte(c))
+		// Little-endian in memory, big-endian on the wire.
+		for i := 0; i+1 < len(p.Coeff); i += 2 {
+			buf = append(buf, p.Coeff[i+1], p.Coeff[i])
 		}
 	}
 	return append(buf, p.Payload...)
@@ -198,9 +212,9 @@ func Unmarshal(f gf.Field, data []byte) (*Packet, error) {
 		if int(idx) >= n {
 			return nil, fmt.Errorf("%w: systematic index %d out of range for %d coefficients", ErrPacketFormat, idx, n)
 		}
-		p := getPacket(gen, n, plen)
+		p := getPacket(gen, n*f.SymbolSize(), plen)
 		p.Sys, p.SysIdx = true, idx
-		p.Coeff[idx] = 1
+		setCoeff(f, p.Coeff, int(idx), 1)
 		copy(p.Payload, data[packetHeaderLen+sysIdxWireLen:])
 		return p, nil
 	}
@@ -208,21 +222,19 @@ func Unmarshal(f gf.Field, data []byte) (*Packet, error) {
 	if len(data) != packetHeaderLen+clen+plen {
 		return nil, fmt.Errorf("%w: length %d, want %d", ErrPacketFormat, len(data), packetHeaderLen+clen+plen)
 	}
-	p := getPacket(gen, n, plen)
+	p := getPacket(gen, n*f.SymbolSize(), plen)
 	coeff := p.Coeff
 	cdata := data[packetHeaderLen : packetHeaderLen+clen]
 	switch f.Bits() {
 	case 1:
 		for i := range coeff {
-			coeff[i] = uint16(cdata[i/8]>>(i%8)) & 1
+			coeff[i] = cdata[i/8] >> (i % 8) & 1
 		}
 	case 8:
-		for i := range coeff {
-			coeff[i] = uint16(cdata[i])
-		}
+		copy(coeff, cdata)
 	default:
-		for i := range coeff {
-			coeff[i] = binary.BigEndian.Uint16(cdata[2*i:])
+		for i := 0; i+1 < len(coeff); i += 2 {
+			coeff[i], coeff[i+1] = cdata[i+1], cdata[i]
 		}
 	}
 	copy(p.Payload, data[packetHeaderLen+clen:])

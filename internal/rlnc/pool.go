@@ -5,8 +5,9 @@ import "sync"
 // The data plane recycles Packet objects through a sync.Pool so that the
 // steady-state emit paths (Encoder.Packet, Recoder.Packet) and the wire
 // decode path (Unmarshal) allocate nothing once warm. The pool stores
-// *Packet — the backing Coeff/Payload arrays travel with the struct and
-// are resliced, so a Get after a same-shaped Put reuses both.
+// *Packet — its one backing row (Payload‖Coeff‖pad, see rowStride)
+// travels with the struct and is resliced, so a Get after a same-shaped
+// Put reuses it.
 //
 // Ownership rule: a packet obtained from any of those constructors is
 // owned by the caller; calling Release returns it (and its buffers) to
@@ -16,25 +17,29 @@ import "sync"
 // immediately after Add returns.
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
-// getPacket returns a pooled packet shaped for generation gen with h
-// coefficients and a size-byte payload. Both slices are zeroed so callers
-// can accumulate into them directly.
-func getPacket(gen uint32, h, size int) *Packet {
+// rowStride is the length of one coded row holding a size-byte payload
+// and clen bytes of coefficients: payload first, then coefficients, then
+// zero padding to a multiple of 32 bytes. Every row in an engine arena
+// and every pooled packet starts 32-byte aligned relative to its buffer,
+// so the vector kernels run on whole rows without a misaligned tail.
+func rowStride(clen, size int) int { return (size + clen + 31) &^ 31 }
+
+// getPacket returns a pooled packet shaped for generation gen with clen
+// bytes of coefficients and a size-byte payload, both views of one zeroed
+// row so callers can accumulate into it directly.
+func getPacket(gen uint32, clen, size int) *Packet {
 	p := packetPool.Get().(*Packet)
 	p.Gen = gen
 	p.Sys, p.SysIdx = false, 0
-	if cap(p.Coeff) >= h {
-		p.Coeff = p.Coeff[:h]
-		clear(p.Coeff)
+	n := rowStride(clen, size)
+	if cap(p.row) >= n {
+		p.row = p.row[:n]
+		clear(p.row)
 	} else {
-		p.Coeff = make([]uint16, h)
+		p.row = make([]byte, n)
 	}
-	if cap(p.Payload) >= size {
-		p.Payload = p.Payload[:size]
-		clear(p.Payload)
-	} else {
-		p.Payload = make([]byte, size)
-	}
+	p.Payload = p.row[:size:size]
+	p.Coeff = p.row[size : size+clen : size+clen]
 	return p
 }
 

@@ -66,24 +66,13 @@ func TestQuickWireRoundTrip(t *testing.T) {
 		f := fields[int(fRaw)%len(fields)]
 		h := 1 + int(hRaw)%64
 		size := f.SymbolSize() * (1 + int(szRaw)%64)
-		p := &Packet{Gen: gen, Coeff: make([]uint16, h), Payload: make([]byte, size)}
-		for i := range p.Coeff {
-			p.Coeff[i] = f.Rand(r)
-		}
+		p := &Packet{Gen: gen, Coeff: randCoeff(f, r, h), Payload: make([]byte, size)}
 		r.Read(p.Payload)
 		q, err := Unmarshal(f, p.Marshal(f))
 		if err != nil {
 			return false
 		}
-		if q.Gen != p.Gen || !bytes.Equal(q.Payload, p.Payload) || len(q.Coeff) != len(p.Coeff) {
-			return false
-		}
-		for i := range p.Coeff {
-			if q.Coeff[i] != p.Coeff[i] {
-				return false
-			}
-		}
-		return true
+		return q.Gen == p.Gen && bytes.Equal(q.Payload, p.Payload) && bytes.Equal(q.Coeff, p.Coeff)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

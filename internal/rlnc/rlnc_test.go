@@ -2,6 +2,7 @@ package rlnc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,43 @@ import (
 )
 
 var fields = []gf.Field{gf.F2, gf.F256, gf.F65536}
+
+// packCoeff lays field elements out as Packet.Coeff holds them over f:
+// one 0/1 byte each over GF(2), one byte over GF(2^8), a little-endian
+// uint16 over GF(2^16).
+func packCoeff(f gf.Field, v []uint16) []byte {
+	out := make([]byte, 0, len(v)*f.SymbolSize())
+	for _, c := range v {
+		if f.SymbolSize() == 2 {
+			out = binary.LittleEndian.AppendUint16(out, c)
+		} else {
+			out = append(out, byte(c))
+		}
+	}
+	return out
+}
+
+// unpackCoeff reads a Packet.Coeff over f back into field elements.
+func unpackCoeff(f gf.Field, b []byte) []uint16 {
+	out := make([]uint16, len(b)/f.SymbolSize())
+	for i := range out {
+		if f.SymbolSize() == 2 {
+			out[i] = binary.LittleEndian.Uint16(b[2*i:])
+		} else {
+			out[i] = uint16(b[i])
+		}
+	}
+	return out
+}
+
+// randCoeff draws h random coefficients over f in Packet.Coeff layout.
+func randCoeff(f gf.Field, r *rand.Rand, h int) []byte {
+	v := make([]uint16, h)
+	for i := range v {
+		v[i] = f.Rand(r)
+	}
+	return packCoeff(f, v)
+}
 
 func randSource(r *rand.Rand, h, size int) [][]byte {
 	src := make([][]byte, h)
@@ -154,9 +192,7 @@ func TestNonInnovativePacketsDetected(t *testing.T) {
 	}
 	// A scalar multiple is also non-innovative.
 	q := p.Clone()
-	for i := range q.Coeff {
-		q.Coeff[i] = gf.F256.Mul(q.Coeff[i], 5)
-	}
+	gf.F256.MulSlice(q.Coeff, q.Coeff, 5)
 	gf.F256.MulSlice(q.Payload, q.Payload, 5)
 	if inn, _ := dec.Add(q); inn {
 		t.Fatal("scalar multiple counted as innovative")
@@ -166,10 +202,7 @@ func TestNonInnovativePacketsDetected(t *testing.T) {
 func TestZeroPacketNotInnovative(t *testing.T) {
 	t.Parallel()
 	dec, _ := NewDecoder(gf.F256, 0, 4, 16)
-	p := &Packet{Gen: 0, Coeff: make([]uint16, 4), Payload: make([]byte, 16)}
-	if !p.IsZero() {
-		t.Fatal("IsZero on zero packet = false")
-	}
+	p := &Packet{Gen: 0, Coeff: make([]byte, 4), Payload: make([]byte, 16)}
 	inn, err := dec.Add(p)
 	if err != nil {
 		t.Fatal(err)
@@ -291,10 +324,7 @@ func TestPacketMarshalRoundTrip(t *testing.T) {
 			for trial := 0; trial < 20; trial++ {
 				h := 1 + r.Intn(40)
 				size := f.SymbolSize() * (1 + r.Intn(64))
-				p := &Packet{Gen: uint32(r.Intn(1000)), Coeff: make([]uint16, h), Payload: make([]byte, size)}
-				for i := range p.Coeff {
-					p.Coeff[i] = f.Rand(r)
-				}
+				p := &Packet{Gen: uint32(r.Intn(1000)), Coeff: randCoeff(f, r, h), Payload: make([]byte, size)}
 				r.Read(p.Payload)
 				wire := p.Marshal(f)
 				if len(wire) != p.WireSize(f) {
@@ -304,13 +334,11 @@ func TestPacketMarshalRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if q.Gen != p.Gen || len(q.Coeff) != len(p.Coeff) || !bytes.Equal(q.Payload, p.Payload) {
+				if q.Gen != p.Gen || !bytes.Equal(q.Payload, p.Payload) {
 					t.Fatal("round-trip mismatch")
 				}
-				for i := range p.Coeff {
-					if q.Coeff[i] != p.Coeff[i] {
-						t.Fatalf("coeff %d: got %d want %d", i, q.Coeff[i], p.Coeff[i])
-					}
+				if !bytes.Equal(q.Coeff, p.Coeff) {
+					t.Fatalf("coeff: got %x want %x", q.Coeff, p.Coeff)
 				}
 			}
 		})
@@ -322,7 +350,7 @@ func TestUnmarshalMalformed(t *testing.T) {
 	if _, err := Unmarshal(gf.F256, []byte{1, 2, 3}); err == nil {
 		t.Error("short buffer accepted")
 	}
-	p := &Packet{Gen: 1, Coeff: []uint16{1, 2}, Payload: []byte{9, 9}}
+	p := &Packet{Gen: 1, Coeff: []byte{1, 2}, Payload: []byte{9, 9}}
 	wire := p.Marshal(gf.F256)
 	if _, err := Unmarshal(gf.F256, wire[:len(wire)-1]); err == nil {
 		t.Error("truncated packet accepted")
@@ -444,7 +472,7 @@ func TestFileDecoderRejectsBadGeneration(t *testing.T) {
 	t.Parallel()
 	params := Params{Field: gf.F256, GenSize: 2, PacketSize: 4}
 	fd, _ := NewFileDecoder(params, 8)
-	p := &Packet{Gen: 99, Coeff: []uint16{1, 0}, Payload: make([]byte, 4)}
+	p := &Packet{Gen: 99, Coeff: []byte{1, 0}, Payload: make([]byte, 4)}
 	if _, err := fd.Add(p); err == nil {
 		t.Fatal("packet for out-of-range generation accepted")
 	}
@@ -556,14 +584,15 @@ func TestSystematicWireRoundTrip(t *testing.T) {
 				h := 1 + r.Intn(40)
 				size := f.SymbolSize() * (1 + r.Intn(64))
 				idx := uint16(r.Intn(h))
+				unit := make([]uint16, h)
+				unit[idx] = 1
 				p := &Packet{
 					Gen:     uint32(r.Intn(1000)),
-					Coeff:   make([]uint16, h),
+					Coeff:   packCoeff(f, unit),
 					Payload: make([]byte, size),
 					Sys:     true,
 					SysIdx:  idx,
 				}
-				p.Coeff[idx] = 1
 				r.Read(p.Payload)
 				wire := p.Marshal(f)
 				if len(wire) != p.WireSize(f) {
@@ -581,17 +610,8 @@ func TestSystematicWireRoundTrip(t *testing.T) {
 				if !q.Sys || q.SysIdx != idx || q.Gen != p.Gen || !bytes.Equal(q.Payload, p.Payload) {
 					t.Fatalf("round-trip mismatch: sys=%v idx=%d gen=%d", q.Sys, q.SysIdx, q.Gen)
 				}
-				if len(q.Coeff) != h {
-					t.Fatalf("coeff len %d, want %d", len(q.Coeff), h)
-				}
-				for i, c := range q.Coeff {
-					want := uint16(0)
-					if i == int(idx) {
-						want = 1
-					}
-					if c != want {
-						t.Fatalf("coeff %d = %d, want unit vector at %d", i, c, idx)
-					}
+				if !bytes.Equal(q.Coeff, p.Coeff) {
+					t.Fatalf("coeff %x, want unit vector at %d", q.Coeff, idx)
 				}
 			}
 		})
@@ -600,8 +620,7 @@ func TestSystematicWireRoundTrip(t *testing.T) {
 
 func TestSystematicWireMalformed(t *testing.T) {
 	t.Parallel()
-	p := &Packet{Gen: 1, Coeff: make([]uint16, 4), Payload: []byte{1, 2, 3, 4}, Sys: true, SysIdx: 2}
-	p.Coeff[2] = 1
+	p := &Packet{Gen: 1, Coeff: []byte{0, 0, 1, 0}, Payload: []byte{1, 2, 3, 4}, Sys: true, SysIdx: 2}
 	wire := p.Marshal(gf.F256)
 	if _, err := Unmarshal(gf.F256, wire[:len(wire)-1]); err == nil {
 		t.Error("truncated systematic packet accepted")
@@ -619,7 +638,7 @@ func TestSystematicWireMalformed(t *testing.T) {
 // non-systematic frames must be unchanged across the feature.
 func TestCodedWireGolden(t *testing.T) {
 	t.Parallel()
-	p := &Packet{Gen: 0x01020304, Coeff: []uint16{0xAA, 0, 0x0B}, Payload: []byte{0xDE, 0xAD}}
+	p := &Packet{Gen: 0x01020304, Coeff: []byte{0xAA, 0, 0x0B}, Payload: []byte{0xDE, 0xAD}}
 	want := []byte{
 		0x01, 0x02, 0x03, 0x04, // generation
 		0x00, 0x03, // coefficient count
@@ -630,7 +649,7 @@ func TestCodedWireGolden(t *testing.T) {
 	if got := p.Marshal(gf.F256); !bytes.Equal(got, want) {
 		t.Fatalf("coded wire encoding changed:\n got %x\nwant %x", got, want)
 	}
-	sys := &Packet{Gen: 0x01020304, Coeff: []uint16{0, 1, 0}, Payload: []byte{0xDE, 0xAD}, Sys: true, SysIdx: 1}
+	sys := &Packet{Gen: 0x01020304, Coeff: []byte{0, 1, 0}, Payload: []byte{0xDE, 0xAD}, Sys: true, SysIdx: 1}
 	wantSys := []byte{
 		0x01, 0x02, 0x03, 0x04, // generation
 		0x00, 0x03, // coefficient count
@@ -640,6 +659,45 @@ func TestCodedWireGolden(t *testing.T) {
 	}
 	if got := sys.Marshal(gf.F256); !bytes.Equal(got, wantSys) {
 		t.Fatalf("systematic wire encoding:\n got %x\nwant %x", got, wantSys)
+	}
+	// GF(2) packs coefficient i into bit i%8 of byte i/8; h = 9 crosses
+	// into a second byte.
+	bits := &Packet{Gen: 5, Coeff: []byte{1, 0, 1, 1, 0, 0, 0, 1, 1}, Payload: []byte{0xDE, 0xAD}}
+	wantBits := []byte{
+		0x00, 0x00, 0x00, 0x05, // generation
+		0x00, 0x09, // coefficient count
+		0x00, 0x00, 0x00, 0x02, // payload length
+		0x8D, 0x01, // coefficients 0,2,3,7 | 8
+		0xDE, 0xAD, // payload
+	}
+	if got := bits.Marshal(gf.F2); !bytes.Equal(got, wantBits) {
+		t.Fatalf("GF(2) wire encoding:\n got %x\nwant %x", got, wantBits)
+	}
+	// GF(2^16) coefficients are little-endian in memory, big-endian on
+	// the wire.
+	wide := &Packet{Gen: 6, Coeff: packCoeff(gf.F65536, []uint16{0xABCD, 0x0001, 0x1200}), Payload: []byte{0xDE, 0xAD, 0xBE, 0xEF}}
+	wantWide := []byte{
+		0x00, 0x00, 0x00, 0x06, // generation
+		0x00, 0x03, // coefficient count
+		0x00, 0x00, 0x00, 0x04, // payload length
+		0xAB, 0xCD, 0x00, 0x01, 0x12, 0x00, // coefficients, 2B big-endian
+		0xDE, 0xAD, 0xBE, 0xEF, // payload
+	}
+	if got := wide.Marshal(gf.F65536); !bytes.Equal(got, wantWide) {
+		t.Fatalf("GF(2^16) wire encoding:\n got %x\nwant %x", got, wantWide)
+	}
+	for _, c := range []struct {
+		f    gf.Field
+		p    *Packet
+		wire []byte
+	}{{gf.F256, p, want}, {gf.F2, bits, wantBits}, {gf.F65536, wide, wantWide}} {
+		q, err := Unmarshal(c.f, c.wire)
+		if err != nil {
+			t.Fatalf("%s: %v", c.f.Name(), err)
+		}
+		if !bytes.Equal(q.Coeff, c.p.Coeff) || !bytes.Equal(q.Payload, c.p.Payload) {
+			t.Fatalf("%s: golden decodes to %x %x", c.f.Name(), q.Coeff, q.Payload)
+		}
 	}
 }
 
@@ -722,7 +780,7 @@ func TestSystematicFastPathMixed(t *testing.T) {
 
 	t.Run("stale-coeff-ignored", func(t *testing.T) {
 		dec, _ := NewDecoder(gf.F256, 7, h, size)
-		p := &Packet{Gen: 7, Coeff: make([]uint16, h), Payload: append([]byte(nil), src[3]...), Sys: true, SysIdx: 3}
+		p := &Packet{Gen: 7, Coeff: make([]byte, h), Payload: append([]byte(nil), src[3]...), Sys: true, SysIdx: 3}
 		p.Coeff[0] = 0xAA // lies; stage must rebuild the unit vector from SysIdx
 		if inn, err := dec.Add(p); err != nil || !inn {
 			t.Fatalf("innovative=%v err=%v", inn, err)
@@ -750,7 +808,7 @@ func TestSystematicFastPathMixed(t *testing.T) {
 
 	t.Run("out-of-range-idx", func(t *testing.T) {
 		dec, _ := NewDecoder(gf.F256, 7, h, size)
-		p := &Packet{Gen: 7, Coeff: make([]uint16, h), Payload: make([]byte, size), Sys: true, SysIdx: h}
+		p := &Packet{Gen: 7, Coeff: make([]byte, h), Payload: make([]byte, size), Sys: true, SysIdx: h}
 		if _, err := dec.Add(p); err == nil {
 			t.Fatal("out-of-range systematic index accepted")
 		}
