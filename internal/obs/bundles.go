@@ -91,7 +91,8 @@ func (m *TransportMetrics) ObserveRecvBatch(n int) {
 }
 
 // TrackerMetrics instruments the curtain authority: §3 hello/good-bye/
-// repair traffic, §5 congestion transitions, and the overlay gauges.
+// repair traffic, §5 congestion transitions, the overlay gauges, and the
+// families fed by what nodes report: dissemination traces and links.
 type TrackerMetrics struct {
 	Hellos        *Counter
 	Goodbyes      *Counter
@@ -109,7 +110,7 @@ type TrackerMetrics struct {
 	Nodes         *Gauge // rows of M
 	EmptyThreads  *Gauge // threads with no clips (served directly by the rod)
 	Completed     *Gauge
-	Trace         *Ring
+	Events        *Ring
 	// Control-plane op latencies: time spent inside the matrix transaction
 	// per hello admission, good-bye splice-out, and repair splice-out —
 	// the §3 per-op costs the indexed curtain keeps flat as M grows.
@@ -119,6 +120,8 @@ type TrackerMetrics struct {
 	// AdmitBatch is the number of hellos coalesced per matrix transaction
 	// by batched admission.
 	AdmitBatch *Histogram
+	Trace      *TraceMetrics
+	Link       *LinkMetrics
 }
 
 // NewTrackerMetrics registers the tracker family on r, sharing r's trace
@@ -144,11 +147,13 @@ func NewTrackerMetrics(r *Registry) *TrackerMetrics {
 		Nodes:         r.Gauge("ncast_overlay_nodes", "Current overlay population (rows of M)."),
 		EmptyThreads:  r.Gauge("ncast_overlay_empty_threads", "Threads with no clipped rows."),
 		Completed:     r.Gauge("ncast_overlay_completed", "Nodes that reported a full decode."),
-		Trace:         r.Trace(),
+		Events:        r.Trace(),
 		HelloNanos:    r.Histogram("ncast_tracker_hello_nanos", "Matrix-transaction time per hello admission, nanoseconds.", LatencyBuckets()),
 		GoodbyeNanos:  r.Histogram("ncast_tracker_goodbye_nanos", "Matrix-transaction time per good-bye splice-out, nanoseconds.", LatencyBuckets()),
 		RepairNanos:   r.Histogram("ncast_tracker_repair_nanos", "Matrix-transaction time per repair splice-out, nanoseconds.", LatencyBuckets()),
 		AdmitBatch:    r.Histogram("ncast_tracker_admit_batch_size", "Hellos coalesced per batched-admission matrix transaction.", BatchBuckets()),
+		Trace:         NewTraceMetrics(r),
+		Link:          NewLinkMetrics(r),
 	}
 }
 

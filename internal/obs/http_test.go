@@ -56,17 +56,18 @@ func traceFixture() TraceSnapshot {
 // linkFixture is a deterministic LinkSnapshot source used by the endpoint
 // and golden tests: two reporters, one lossy edge, one RTT-bearing edge.
 func linkFixture() LinkSnapshot {
-	c := NewLinkCollector(4, nil)
-	c.Ingest(1, "n1", []LinkReport{
-		{Peer: "n2", Frames: 100, Bytes: 10_000, Expected: 100, Received: 90,
-			LossPermille: 100, RTTEwmaNanos: 2_000_000, JitterNanos: 250_000,
-			RTTSamples: 5, Innovative: 80, Redundant: 10, InnovationPermille: 888},
-	})
-	c.Ingest(2, "n2", []LinkReport{
-		{Peer: "n1", Frames: 50, Bytes: 5_000, Expected: 50, Received: 50,
-			Innovative: 50, InnovationPermille: 1000},
-	})
-	return c.Snapshot(time.Minute, map[string]uint64{"n1": 1, "n2": 2})
+	at := time.Now()
+	return AssembleLinks(at, time.Minute, []LinkRow{
+		{Reporter: 1, ReporterAddr: "n1", At: at, Links: []LinkReport{
+			{Peer: "n2", Frames: 100, Bytes: 10_000, Expected: 100, Received: 90,
+				LossPermille: 100, RTTEwmaNanos: 2_000_000, JitterNanos: 250_000,
+				RTTSamples: 5, Innovative: 80, Redundant: 10, InnovationPermille: 888},
+		}},
+		{Reporter: 2, ReporterAddr: "n2", At: at, Links: []LinkReport{
+			{Peer: "n1", Frames: 50, Bytes: 5_000, Expected: 50, Received: 50,
+				Innovative: 50, InnovationPermille: 1000},
+		}},
+	}, map[string]uint64{"n1": 1, "n2": 2})
 }
 
 // TestHTTPConcurrentScrapes hammers every endpoint from concurrent

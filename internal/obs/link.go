@@ -11,8 +11,9 @@ import (
 // every node folds both into per-peer scorecards (LinkTracker): loss
 // estimated from sequence gaps, RTT/jitter EWMAs from keepalive echoes,
 // innovative-vs-redundant counts per parent. Scorecards ride the stats
-// reports; the tracker's LinkCollector assembles them into a fleet link
-// matrix served at /debug/links and digested into ClusterSnapshot.
+// reports; the tracker keeps each node's latest report and AssembleLinks
+// turns them into the fleet link matrix served at /debug/links and
+// digested into ClusterSnapshot.
 
 // SeqMod is the sequence-number space of the per-(sender, thread)
 // data-frame counter: 24 bits, wrapping. Deltas are interpreted as signed
@@ -48,11 +49,15 @@ type LinkReport struct {
 }
 
 // DefaultLinkPeerCap bounds how many peers one node tracks — parents
-// plus the occasional stale sender after a redirect; degree is small, so
-// the cap exists only to keep a confused peer from growing the map.
+// plus the occasional stale sender after a redirect — and how many
+// threads each peer's sequence ledger follows. Degree is small, so the
+// cap exists only to keep a confused peer from growing the table: a
+// frame's thread field is 15 bits wide and is scored before any gating.
 const DefaultLinkPeerCap = 64
 
-// linkScore is the mutable per-peer accumulator behind a LinkReport.
+// linkScore is the mutable per-peer accumulator behind a LinkReport,
+// including the per-thread sequence ledger. A parent feeds a node only
+// the few threads it holds, so seqs is scanned in place.
 type linkScore struct {
 	frames, bytes                     uint64
 	expected, received, dup, reorders uint64
@@ -60,15 +65,23 @@ type linkScore struct {
 	rttEwma, jitterEwma               float64
 	rttSamples                        uint64
 	lastRecvNanos                     int64
+	seqs                              []threadSeq
 }
 
-type seqKey struct {
-	peer   string
+// threadSeq is the last in-order sequence number seen on one thread.
+type threadSeq struct {
 	thread int
+	last   uint32
 }
 
-type seqState struct {
-	last uint32
+// seq returns the thread's ledger entry, or nil when it has none yet.
+func (s *linkScore) seq(thread int) *threadSeq {
+	for i := range s.seqs {
+		if s.seqs[i].thread == thread {
+			return &s.seqs[i]
+		}
+	}
+	return nil
 }
 
 // LinkTracker maintains one node's per-peer link scorecards. It is
@@ -79,12 +92,11 @@ type LinkTracker struct {
 	mu      sync.Mutex
 	cap     int
 	peers   map[string]*linkScore
-	seqs    map[seqKey]*seqState
 	dropped uint64
 }
 
-// NewLinkTracker creates a tracker bounded to capacity peers (0 or less
-// = DefaultLinkPeerCap).
+// NewLinkTracker creates a tracker bounded to capacity peers, and to
+// capacity threads per peer (0 or less = DefaultLinkPeerCap).
 func NewLinkTracker(capacity int) *LinkTracker {
 	if capacity <= 0 {
 		capacity = DefaultLinkPeerCap
@@ -92,7 +104,6 @@ func NewLinkTracker(capacity int) *LinkTracker {
 	return &LinkTracker{
 		cap:   capacity,
 		peers: make(map[string]*linkScore),
-		seqs:  make(map[seqKey]*seqState),
 	}
 }
 
@@ -112,7 +123,9 @@ func (t *LinkTracker) score(peer string) *linkScore {
 }
 
 // ObserveFrame accounts one inbound data-plane frame from peer, carrying
-// the sender's per-thread sequence number seq.
+// the sender's per-thread sequence number seq. A frame on a thread past
+// the per-peer cap counts toward frames and bytes but not the loss
+// ledger, and is counted in Dropped.
 func (t *LinkTracker) ObserveFrame(peer string, thread int, seq int32, frameBytes int, nowNanos int64) {
 	if t == nil {
 		return
@@ -126,11 +139,14 @@ func (t *LinkTracker) ObserveFrame(peer string, thread int, seq int32, frameByte
 	s.frames++
 	s.bytes += uint64(frameBytes)
 	s.lastRecvNanos = nowNanos
-	k := seqKey{peer: peer, thread: thread}
-	if st, ok := t.seqs[k]; !ok {
-		t.seqs[k] = &seqState{last: uint32(seq)}
-		s.expected++
-		s.received++
+	if st := s.seq(thread); st == nil {
+		if len(s.seqs) < t.cap {
+			s.seqs = append(s.seqs, threadSeq{thread: thread, last: uint32(seq)})
+			s.expected++
+			s.received++
+		} else {
+			t.dropped++
+		}
 	} else {
 		switch d := seqDelta(uint32(seq), st.last); {
 		case d > 0:
@@ -191,8 +207,8 @@ func (t *LinkTracker) ObserveRTT(peer string, rttNanos int64) {
 	t.mu.Unlock()
 }
 
-// Dropped reports how many per-peer observations were discarded because
-// the peer table was full.
+// Dropped reports how many observations were discarded because the peer
+// table, or a peer's thread ledger, was full.
 func (t *LinkTracker) Dropped() uint64 {
 	if t == nil {
 		return 0
@@ -261,7 +277,6 @@ func (t *LinkTracker) Compact(max int) []LinkReport {
 // tracker as scorecards arrive. Nil-safe like every bundle.
 type LinkMetrics struct {
 	Reports    *Counter
-	Edges      *Gauge
 	Loss       *Histogram
 	RTT        *Histogram
 	Jitter     *Histogram
@@ -275,8 +290,6 @@ func NewLinkMetrics(r *Registry) *LinkMetrics {
 	return &LinkMetrics{
 		Reports: r.Counter("ncast_link_reports_total",
 			"Stats reports carrying per-peer link scorecards"),
-		Edges: r.Gauge("ncast_link_edges",
-			"Distinct (reporter, peer) link edges currently tracked"),
 		Loss: r.Histogram("ncast_link_loss_permille",
 			"Per-link one-way loss estimate from sequence gaps (permille)",
 			LossPermilleBuckets()),
@@ -300,125 +313,58 @@ func LossPermilleBuckets() []float64 {
 	return []float64{0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
 }
 
-// DefaultLinkEdgeCap bounds the tracker-side link matrix: enough for a
-// thousand-node fleet at small degree before FIFO eviction kicks in.
-const DefaultLinkEdgeCap = 4096
-
-type edgeKey struct {
-	reporter uint64
-	peer     string
+// LinkRow is one reporter's scorecards as the tracker holds them: its
+// latest stats report's links and when that arrived, plus the links of
+// the report it replaced, from which per-edge goodput is derived.
+type LinkRow struct {
+	Reporter     uint64
+	ReporterAddr string
+	At           time.Time
+	Links        []LinkReport
+	PrevAt       time.Time
+	Prev         []LinkReport
 }
 
-// edgeState is the collector's view of one directed link: the latest
-// scorecard plus the byte ledger needed to derive goodput from deltas.
-type edgeState struct {
-	reporterAddr string
-	report       LinkReport
-	at           time.Time
-	prevBytes    uint64
-	prevAt       time.Time
-	goodput      float64 // bytes/sec between the last two reports
-}
-
-// LinkCollector assembles per-node scorecards into the fleet link
-// matrix. One collector lives on the tracker; Ingest is called from the
-// stats-report path and Snapshot/Summary from the observability
-// endpoints, so it locks itself. All methods are no-ops on a nil
-// receiver.
-type LinkCollector struct {
-	mu      sync.Mutex
-	cap     int
-	m       *LinkMetrics
-	edges   map[edgeKey]*edgeState
-	order   []edgeKey // insertion order, for eviction
-	dropped uint64
-}
-
-// NewLinkCollector creates a collector retaining up to capacity link
-// edges (0 or less = DefaultLinkEdgeCap), observing into m (which may
-// be nil).
-func NewLinkCollector(capacity int, m *LinkMetrics) *LinkCollector {
-	if capacity <= 0 {
-		capacity = DefaultLinkEdgeCap
+// goodput is l's inbound byte rate between the previous report and this
+// one: the same peer's byte delta over the gap between their arrivals.
+// Zero when there is no earlier sample of the peer to difference against.
+func (row *LinkRow) goodput(l *LinkReport) float64 {
+	dt := row.At.Sub(row.PrevAt)
+	if row.PrevAt.IsZero() || dt <= 0 {
+		return 0
 	}
-	return &LinkCollector{
-		cap:   capacity,
-		m:     m,
-		edges: make(map[edgeKey]*edgeState),
+	for i := range row.Prev {
+		if p := &row.Prev[i]; p.Peer == l.Peer {
+			if l.Bytes < p.Bytes {
+				return 0
+			}
+			return float64(l.Bytes-p.Bytes) / dt.Seconds()
+		}
 	}
+	return 0
 }
 
-// Ingest merges one reporter's scorecards into the matrix and observes
-// the fleet histograms.
-func (c *LinkCollector) Ingest(reporter uint64, reporterAddr string, links []LinkReport) {
-	if c == nil || len(links) == 0 {
+// Observe feeds the fleet histograms with one arriving report's
+// scorecards.
+func (m *LinkMetrics) Observe(row *LinkRow) {
+	if m == nil || len(row.Links) == 0 {
 		return
 	}
-	now := time.Now()
-	c.mu.Lock()
-	for _, r := range links {
-		k := edgeKey{reporter: reporter, peer: r.Peer}
-		e, ok := c.edges[k]
-		if !ok {
-			if len(c.order) >= c.cap {
-				oldest := c.order[0]
-				c.order = c.order[1:]
-				delete(c.edges, oldest)
-				c.dropped++
-			}
-			e = &edgeState{reporterAddr: reporterAddr}
-			c.edges[k] = e
-			c.order = append(c.order, k)
+	for i := range row.Links {
+		r := &row.Links[i]
+		m.Loss.Observe(float64(r.LossPermille))
+		if r.RTTSamples > 0 {
+			m.RTT.Observe(float64(r.RTTEwmaNanos))
+			m.Jitter.Observe(float64(r.JitterNanos))
 		}
-		if dt := now.Sub(e.prevAt); !e.prevAt.IsZero() && dt > 0 && r.Bytes >= e.prevBytes {
-			e.goodput = float64(r.Bytes-e.prevBytes) / dt.Seconds()
+		if n := r.Innovative + r.Redundant; n > 0 {
+			m.Innovation.Observe(float64(r.Innovative) / float64(n))
 		}
-		e.prevBytes, e.prevAt = r.Bytes, now
-		e.reporterAddr = reporterAddr
-		e.report = r
-		e.at = now
-		if c.m != nil {
-			c.m.Loss.Observe(float64(r.LossPermille))
-			if r.RTTSamples > 0 {
-				c.m.RTT.Observe(float64(r.RTTEwmaNanos))
-				c.m.Jitter.Observe(float64(r.JitterNanos))
-			}
-			if n := r.Innovative + r.Redundant; n > 0 {
-				c.m.Innovation.Observe(float64(r.Innovative) / float64(n))
-			}
-			if e.goodput > 0 {
-				c.m.Goodput.Observe(e.goodput)
-			}
+		if g := row.goodput(r); g > 0 {
+			m.Goodput.Observe(g)
 		}
 	}
-	if c.m != nil {
-		c.m.Reports.Inc()
-		c.m.Edges.Set(int64(len(c.edges)))
-	}
-	c.mu.Unlock()
-}
-
-// Remove drops every edge reported by the spliced-out node. Edges that
-// name it as the peer stay until their reporters stop reporting them —
-// they are the surviving evidence of the link's final quality.
-func (c *LinkCollector) Remove(reporter uint64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	kept := c.order[:0]
-	for _, k := range c.order {
-		if k.reporter == reporter {
-			delete(c.edges, k)
-			continue
-		}
-		kept = append(kept, k)
-	}
-	c.order = kept
-	if c.m != nil {
-		c.m.Edges.Set(int64(len(c.edges)))
-	}
-	c.mu.Unlock()
+	m.Reports.Inc()
 }
 
 // LinkEdge is one directed link of the fleet matrix: reporter measured
@@ -446,13 +392,12 @@ type LinkEdge struct {
 	GoodputBytesPerSec int64  `json:"goodput_bytes_per_sec,omitempty"`
 }
 
-// LinkSnapshot is the /debug/links document: every retained link edge
+// LinkSnapshot is the /debug/links document: every reported link edge
 // plus the worst-links digest.
 type LinkSnapshot struct {
 	At               time.Time    `json:"at"`
 	StaleAfterMillis int64        `json:"stale_after_ms"`
 	Edges            []LinkEdge   `json:"edges,omitempty"`
-	Dropped          uint64       `json:"dropped,omitempty"`
 	Worst            *LinkSummary `json:"worst,omitempty"`
 }
 
@@ -474,45 +419,41 @@ type LinkSummary struct {
 // estimate is too noisy to rank a link as "worst".
 const minLossSamples = 32
 
-// Snapshot assembles the full link matrix. idOf maps node addresses to
-// overlay ids so edges can name their peer's id (nil is fine). Output
-// is deterministic: edges by reporter id then peer address.
-func (c *LinkCollector) Snapshot(staleAfter time.Duration, idOf map[string]uint64) LinkSnapshot {
-	snap := LinkSnapshot{At: time.Now(), StaleAfterMillis: staleAfter.Milliseconds()}
-	if c == nil {
-		return snap
-	}
-	c.mu.Lock()
-	snap.Dropped = c.dropped
-	snap.Edges = make([]LinkEdge, 0, len(c.edges))
-	for k, e := range c.edges {
-		age := snap.At.Sub(e.at)
-		r := e.report
-		edge := LinkEdge{
-			Reporter:           k.reporter,
-			ReporterAddr:       e.reporterAddr,
-			Peer:               k.peer,
-			PeerID:             idOf[k.peer],
-			AgeMillis:          age.Milliseconds(),
-			Fresh:              staleAfter <= 0 || age <= staleAfter,
-			Frames:             r.Frames,
-			Bytes:              r.Bytes,
-			Expected:           r.Expected,
-			Received:           r.Received,
-			Dup:                r.Dup,
-			Reordered:          r.Reordered,
-			LossPermille:       r.LossPermille,
-			RTTEwmaNanos:       r.RTTEwmaNanos,
-			JitterNanos:        r.JitterNanos,
-			RTTSamples:         r.RTTSamples,
-			Innovative:         r.Innovative,
-			Redundant:          r.Redundant,
-			InnovationPermille: r.InnovationPermille,
-			GoodputBytesPerSec: int64(e.goodput),
+// AssembleLinks builds the fleet link matrix from the reporters' rows:
+// one edge per scorecard, as fresh as the report it arrived in. idOf maps
+// node addresses to overlay ids so edges can name their peer's id (nil is
+// fine). Output is deterministic: edges by reporter id then peer address.
+func AssembleLinks(now time.Time, staleAfter time.Duration, rows []LinkRow, idOf map[string]uint64) LinkSnapshot {
+	snap := LinkSnapshot{At: now, StaleAfterMillis: staleAfter.Milliseconds()}
+	for i := range rows {
+		row := &rows[i]
+		age := now.Sub(row.At)
+		for j := range row.Links {
+			r := &row.Links[j]
+			snap.Edges = append(snap.Edges, LinkEdge{
+				Reporter:           row.Reporter,
+				ReporterAddr:       row.ReporterAddr,
+				Peer:               r.Peer,
+				PeerID:             idOf[r.Peer],
+				AgeMillis:          age.Milliseconds(),
+				Fresh:              staleAfter <= 0 || age <= staleAfter,
+				Frames:             r.Frames,
+				Bytes:              r.Bytes,
+				Expected:           r.Expected,
+				Received:           r.Received,
+				Dup:                r.Dup,
+				Reordered:          r.Reordered,
+				LossPermille:       r.LossPermille,
+				RTTEwmaNanos:       r.RTTEwmaNanos,
+				JitterNanos:        r.JitterNanos,
+				RTTSamples:         r.RTTSamples,
+				Innovative:         r.Innovative,
+				Redundant:          r.Redundant,
+				InnovationPermille: r.InnovationPermille,
+				GoodputBytesPerSec: int64(row.goodput(r)),
+			})
 		}
-		snap.Edges = append(snap.Edges, edge)
 	}
-	c.mu.Unlock()
 	sort.Slice(snap.Edges, func(i, j int) bool {
 		if snap.Edges[i].Reporter != snap.Edges[j].Reporter {
 			return snap.Edges[i].Reporter < snap.Edges[j].Reporter
@@ -521,15 +462,6 @@ func (c *LinkCollector) Snapshot(staleAfter time.Duration, idOf map[string]uint6
 	})
 	snap.Worst = summarizeLinks(snap.Edges, idOf)
 	return snap
-}
-
-// Summary returns the compact digest for ClusterSnapshot, or nil when no
-// link has been reported yet.
-func (c *LinkCollector) Summary(staleAfter time.Duration, idOf map[string]uint64) *LinkSummary {
-	if c == nil {
-		return nil
-	}
-	return c.Snapshot(staleAfter, idOf).Worst
 }
 
 // summarizeLinks derives the worst-links digest from an assembled edge

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -127,6 +128,25 @@ func TestLinkTrackerPeerCap(t *testing.T) {
 	if got := lt.Dropped(); got != 2 {
 		t.Errorf("dropped = %d, want 2", got)
 	}
+
+	// The thread field is 15 bits wide and is scored before any gating:
+	// one peer cycling every thread value must not grow its ledger past
+	// the cap. Frames past it still count toward frames and bytes.
+	lt = NewLinkTracker(0)
+	const threads = 1 << 15
+	for th := 0; th < threads; th++ {
+		lt.ObserveFrame("p", th, 0, 10, 1)
+	}
+	if got := len(lt.peers["p"].seqs); got > DefaultLinkPeerCap {
+		t.Errorf("ledger holds %d threads, want at most %d", got, DefaultLinkPeerCap)
+	}
+	if got := lt.Dropped(); got != threads-DefaultLinkPeerCap {
+		t.Errorf("dropped = %d, want %d", got, threads-DefaultLinkPeerCap)
+	}
+	r := lt.Compact(0)[0]
+	if r.Frames != threads || r.Bytes != 10*threads || r.Expected != DefaultLinkPeerCap || r.Received != DefaultLinkPeerCap {
+		t.Errorf("report = %+v, want %d frames and a %d-thread ledger", r, threads, DefaultLinkPeerCap)
+	}
 }
 
 func TestLinkTrackerCompactOrderAndLimit(t *testing.T) {
@@ -160,18 +180,26 @@ func TestLinkTrackerNilSafe(t *testing.T) {
 	}
 }
 
+// TestLinkCollectorIngestSnapshot: AssembleLinks names each edge by its
+// reporter and peer, dates it by its report, and derives goodput from the
+// byte delta against the replaced report; Observe feeds every histogram.
 func TestLinkCollectorIngestSnapshot(t *testing.T) {
-	c := NewLinkCollector(0, nil)
-	c.Ingest(7, "node-7", []LinkReport{
-		{Peer: "node-3", Frames: 10, Bytes: 1000, Expected: 100, Received: 90, LossPermille: 100,
-			RTTEwmaNanos: 2000, JitterNanos: 300, RTTSamples: 4, Innovative: 8, Redundant: 2, InnovationPermille: 800},
-	})
-	time.Sleep(20 * time.Millisecond)
-	c.Ingest(7, "node-7", []LinkReport{
-		{Peer: "node-3", Frames: 20, Bytes: 3000, Expected: 200, Received: 180, LossPermille: 100,
-			RTTEwmaNanos: 2000, JitterNanos: 300, RTTSamples: 8, Innovative: 16, Redundant: 4, InnovationPermille: 800},
-	})
-	snap := c.Snapshot(time.Minute, map[string]uint64{"node-3": 3})
+	t0 := time.Unix(1_700_000_000, 0)
+	row := LinkRow{
+		Reporter: 7, ReporterAddr: "node-7",
+		PrevAt: t0,
+		Prev: []LinkReport{
+			{Peer: "node-3", Frames: 10, Bytes: 1000, Expected: 100, Received: 90, LossPermille: 100,
+				RTTEwmaNanos: 2000, JitterNanos: 300, RTTSamples: 4, Innovative: 8, Redundant: 2, InnovationPermille: 800},
+		},
+		At: t0.Add(20 * time.Millisecond),
+		Links: []LinkReport{
+			{Peer: "node-3", Frames: 20, Bytes: 3000, Expected: 200, Received: 180, LossPermille: 100,
+				RTTEwmaNanos: 2000, JitterNanos: 300, RTTSamples: 8, Innovative: 16, Redundant: 4, InnovationPermille: 800},
+		},
+	}
+	now := row.At.Add(time.Second)
+	snap := AssembleLinks(now, time.Minute, []LinkRow{row}, map[string]uint64{"node-3": 3})
 	if len(snap.Edges) != 1 {
 		t.Fatalf("edges = %d, want 1", len(snap.Edges))
 	}
@@ -179,65 +207,104 @@ func TestLinkCollectorIngestSnapshot(t *testing.T) {
 	if e.Reporter != 7 || e.ReporterAddr != "node-7" || e.Peer != "node-3" || e.PeerID != 3 {
 		t.Errorf("edge identity = %+v", e)
 	}
-	if !e.Fresh || e.LossPermille != 100 || e.RTTEwmaNanos != 2000 {
+	if !e.Fresh || e.AgeMillis != 1000 || e.LossPermille != 100 || e.RTTEwmaNanos != 2000 || e.Frames != 20 {
 		t.Errorf("edge payload = %+v", e)
 	}
-	// 2000 bytes arrived between the two ingests ~20ms apart; the exact
-	// rate depends on scheduling, but it must be positive and sane.
-	if e.GoodputBytesPerSec <= 0 || e.GoodputBytesPerSec > 2000*1000 {
-		t.Errorf("goodput = %d B/s, want positive and bounded", e.GoodputBytesPerSec)
+	// 2000 bytes arrived between the two reports 20ms apart.
+	if e.GoodputBytesPerSec != 100_000 {
+		t.Errorf("goodput = %d B/s, want 100000", e.GoodputBytesPerSec)
 	}
 	if snap.Worst == nil || snap.Worst.FreshEdges != 1 {
 		t.Errorf("worst digest = %+v", snap.Worst)
 	}
 	// A zero staleness horizon means nothing goes stale.
-	if snap := c.Snapshot(0, nil); !snap.Edges[0].Fresh {
+	if snap := AssembleLinks(now, 0, []LinkRow{row}, nil); !snap.Edges[0].Fresh {
 		t.Error("zero horizon marked edge stale")
 	}
-	// A tiny horizon marks it stale and excludes it from the digest.
-	time.Sleep(2 * time.Millisecond)
-	stale := c.Snapshot(time.Millisecond, nil)
+	// A horizon shorter than the report's age marks it stale and excludes
+	// it from the digest.
+	stale := AssembleLinks(now, time.Millisecond, []LinkRow{row}, nil)
 	if stale.Edges[0].Fresh {
 		t.Error("edge still fresh past the horizon")
 	}
 	if stale.Worst.FreshEdges != 0 || stale.Worst.WorstPeer != "" {
 		t.Errorf("stale digest = %+v, want empty", stale.Worst)
 	}
+
+	// The arriving report feeds the fleet histograms, goodput included.
+	reg := NewRegistry()
+	NewLinkMetrics(reg).Observe(&row)
+	counts := map[string]float64{}
+	for _, p := range reg.Snapshot() {
+		if p.Type == "histogram" {
+			counts[p.Name] = float64(p.Count)
+		} else {
+			counts[p.Name] = p.Value
+		}
+	}
+	for _, name := range []string{"ncast_link_reports_total", "ncast_link_loss_permille",
+		"ncast_link_rtt_nanos", "ncast_link_jitter_nanos", "ncast_link_innovation_ratio",
+		"ncast_link_goodput_bytes_per_sec"} {
+		if counts[name] != 1 {
+			t.Errorf("%s = %v, want 1", name, counts[name])
+		}
+	}
 }
 
+// TestLinkCollectorRemoveAndEvict: edges come out sorted by reporter and
+// peer, and a scorecard with no earlier sample of its peer has no goodput.
 func TestLinkCollectorRemoveAndEvict(t *testing.T) {
-	c := NewLinkCollector(2, nil)
-	c.Ingest(1, "a", []LinkReport{{Peer: "x", Frames: 1}})
-	c.Ingest(2, "b", []LinkReport{{Peer: "x", Frames: 1}})
-	c.Ingest(3, "c", []LinkReport{{Peer: "x", Frames: 1}}) // evicts reporter 1's edge
-	snap := c.Snapshot(0, nil)
-	if len(snap.Edges) != 2 || snap.Dropped != 1 {
-		t.Fatalf("edges=%d dropped=%d, want 2/1", len(snap.Edges), snap.Dropped)
+	t0 := time.Unix(1_700_000_000, 0)
+	rows := []LinkRow{
+		// A reporter's first report: nothing to difference against.
+		{Reporter: 3, ReporterAddr: "c", At: t0, Links: []LinkReport{{Peer: "x", Frames: 1, Bytes: 500}}},
+		// A later report whose predecessor did not name peer y.
+		{Reporter: 2, ReporterAddr: "b", At: t0.Add(time.Second), PrevAt: t0,
+			Prev:  []LinkReport{{Peer: "x", Bytes: 100}},
+			Links: []LinkReport{{Peer: "x", Frames: 2, Bytes: 300}, {Peer: "y", Frames: 1, Bytes: 900}}},
 	}
-	if snap.Edges[0].Reporter != 2 || snap.Edges[1].Reporter != 3 {
-		t.Errorf("FIFO eviction kept %+v", snap.Edges)
+	snap := AssembleLinks(t0.Add(time.Second), 0, rows, nil)
+	if len(snap.Edges) != 3 {
+		t.Fatalf("edges = %d, want 3", len(snap.Edges))
 	}
-	c.Remove(2)
-	snap = c.Snapshot(0, nil)
-	if len(snap.Edges) != 1 || snap.Edges[0].Reporter != 3 {
-		t.Errorf("after Remove(2): %+v", snap.Edges)
+	// Sorted by reporter, then peer.
+	got := []string{}
+	for _, e := range snap.Edges {
+		got = append(got, e.ReporterAddr+">"+e.Peer)
 	}
-	// Removing a reporter that never reported is a no-op.
-	c.Remove(99)
-	if got := len(c.Snapshot(0, nil).Edges); got != 1 {
-		t.Errorf("Remove(99) changed edges: %d", got)
+	if fmt.Sprint(got) != "[b>x b>y c>x]" {
+		t.Errorf("edge order = %v", got)
+	}
+	if g := snap.Edges[0].GoodputBytesPerSec; g != 200 {
+		t.Errorf("b>x goodput = %d, want 200", g)
+	}
+	if g := snap.Edges[1].GoodputBytesPerSec; g != 0 {
+		t.Errorf("b>y goodput = %d, want 0 (no earlier sample)", g)
+	}
+	if g := snap.Edges[2].GoodputBytesPerSec; g != 0 {
+		t.Errorf("c>x goodput = %d, want 0 (first report)", g)
+	}
+	reg := NewRegistry()
+	NewLinkMetrics(reg).Observe(&rows[0])
+	for _, p := range reg.Snapshot() {
+		if p.Name == "ncast_link_goodput_bytes_per_sec" && p.Count != 0 {
+			t.Errorf("first report observed goodput %+v", p)
+		}
 	}
 }
 
+// TestLinkCollectorNilSafe: nil metrics and empty rows are no-ops.
 func TestLinkCollectorNilSafe(t *testing.T) {
-	var c *LinkCollector
-	c.Ingest(1, "a", []LinkReport{{Peer: "x"}})
-	c.Remove(1)
-	if c.Summary(0, nil) != nil {
-		t.Error("nil collector returned a summary")
+	var m *LinkMetrics
+	m.Observe(&LinkRow{Links: []LinkReport{{Peer: "x"}}})
+	NewLinkMetrics(nil).Observe(&LinkRow{Links: []LinkReport{{Peer: "x"}}})
+	snap := AssembleLinks(time.Now(), 0, nil, nil)
+	if len(snap.Edges) != 0 || snap.Worst != nil {
+		t.Errorf("no rows assembled %+v", snap)
 	}
-	if snap := c.Snapshot(0, nil); len(snap.Edges) != 0 {
-		t.Error("nil collector returned edges")
+	// A reporter without scorecards contributes no edge.
+	if snap := AssembleLinks(time.Now(), 0, []LinkRow{{Reporter: 1}}, nil); len(snap.Edges) != 0 {
+		t.Errorf("empty row gave edges %+v", snap.Edges)
 	}
 }
 

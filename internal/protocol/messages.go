@@ -267,9 +267,9 @@ type StatsReport struct {
 	TraceHops []obs.TraceHop `json:"trace_hops,omitempty"`
 
 	// Links are the node's per-peer link scorecards (loss from sequence
-	// gaps, RTT/jitter EWMAs, innovation rate); the tracker's
-	// LinkCollector assembles them into the fleet link matrix served at
-	// /debug/links.
+	// gaps, RTT/jitter EWMAs, innovation rate); the tracker keeps them
+	// with the report, and obs.AssembleLinks turns the held reports into
+	// the fleet link matrix served at /debug/links.
 	Links []obs.LinkReport `json:"links,omitempty"`
 }
 

@@ -192,3 +192,74 @@ func TestTrackerDropsUnknownReports(t *testing.T) {
 		t.Fatalf("unknown id stored: %+v", snap.Nodes)
 	}
 }
+
+// TestLinkSnapshotFollowsReports: the fleet link matrix is a view of the
+// stats reports the tracker holds. Each stored report contributes one edge
+// per scorecard, goodput comes from the byte delta against the report it
+// replaced, an unknown reporter adds nothing, and a departed node's edges
+// leave with its report.
+func TestLinkSnapshotFollowsReports(t *testing.T) {
+	t.Parallel()
+	// No stats interval: the nodes send no reports of their own, so every
+	// report below is the test's, and nothing goes stale.
+	h := startChurnHarness(t, 4, 2, randContent(8*32), nil)
+	a := h.join(t, "a", nil)
+	b := h.join(t, "b", nil)
+	idA, idB := a.node.ID(), b.node.ID()
+
+	h.tracker.handleStatsReport(StatsReport{ID: idA, Links: []obs.LinkReport{
+		{Peer: "b", Frames: 10, Bytes: 1000},
+		{Peer: "tracker", Frames: 5, Bytes: 500},
+	}})
+	const gap = 20 * time.Millisecond
+	time.Sleep(gap)
+	h.tracker.handleStatsReport(StatsReport{ID: idA, Links: []obs.LinkReport{
+		{Peer: "b", Frames: 30, Bytes: 3000, Expected: 40, Received: 38, LossPermille: 50},
+		{Peer: "tracker", Frames: 6, Bytes: 600},
+	}})
+	h.tracker.handleStatsReport(StatsReport{ID: idB, Links: []obs.LinkReport{{Peer: "a", Frames: 7, Bytes: 700}}})
+	h.tracker.handleStatsReport(StatsReport{ID: 424242, Links: []obs.LinkReport{{Peer: "a", Frames: 1}}})
+
+	snap := h.tracker.LinkSnapshot()
+	if len(snap.Edges) != 3 {
+		t.Fatalf("edges = %+v, want a>b, a>tracker, b>a", snap.Edges)
+	}
+	ab := snap.Edges[0]
+	if idA > idB {
+		ab = snap.Edges[1]
+	}
+	if ab.Reporter != idA || ab.ReporterAddr != "a" || ab.Peer != "b" || ab.PeerID != idB ||
+		ab.Frames != 30 || ab.LossPermille != 50 || !ab.Fresh {
+		t.Errorf("a>b edge = %+v", ab)
+	}
+	// 2000 bytes between reports at least gap apart.
+	if bound := int64(2000 * time.Second / gap); ab.GoodputBytesPerSec <= 0 || ab.GoodputBytesPerSec > bound {
+		t.Errorf("a>b goodput = %d B/s, want in (0, %d]", ab.GoodputBytesPerSec, bound)
+	}
+	for _, e := range snap.Edges {
+		if e.Reporter == 424242 {
+			t.Errorf("unknown reporter's edge kept: %+v", e)
+		}
+	}
+	if s := h.tracker.ClusterSnapshot().Links; s == nil || s.Edges != 3 {
+		t.Fatalf("cluster link digest = %+v, want 3 edges", s)
+	}
+
+	if err := a.node.Leave(h.ctx); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-a.node.Left():
+	case <-time.After(5 * time.Second):
+		t.Fatal("leave never acknowledged")
+	}
+	h.waitNodes(t, 1, 5*time.Second)
+	// Only b's report is left; its edge naming the departed a stays.
+	snap = h.tracker.LinkSnapshot()
+	if len(snap.Edges) != 1 || snap.Edges[0].Reporter != idB || snap.Edges[0].Peer != "a" {
+		t.Errorf("edges after a's good-bye = %+v, want only b>a", snap.Edges)
+	}
+	if s := h.tracker.ClusterSnapshot().Links; s == nil || s.Edges != 1 {
+		t.Errorf("cluster link digest after a's good-bye = %+v, want 1 edge", s)
+	}
+}

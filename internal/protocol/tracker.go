@@ -50,17 +50,10 @@ type TrackerConfig struct {
 	// membership-only.
 	StatsInterval time.Duration
 	// Obs, when non-nil, instruments the tracker: control-plane counters,
-	// the overlay gauges, and the trace ring.
+	// the overlay gauges, the trace ring, and the dissemination-tracing and
+	// ncast_link_* histograms fed as hop spans and link scorecards arrive
+	// on stats reports.
 	Obs *obs.TrackerMetrics
-	// TraceObs, when non-nil, feeds the dissemination-tracing histograms
-	// (hop depth, per-hop latency, innovation ratio) as hop reports arrive.
-	// Independent of Obs because the trace family is tracker-wide while
-	// TrackerMetrics carries the per-tracker control-plane series.
-	TraceObs *obs.TraceMetrics
-	// LinkObs, when non-nil, feeds the ncast_link_* histogram family (loss,
-	// RTT, jitter, innovation ratio, goodput) as link scorecards arrive on
-	// stats reports.
-	LinkObs *obs.LinkMetrics
 }
 
 // Tracker is the §3 "server (or some other centralized authority)": it
@@ -84,9 +77,6 @@ type Tracker struct {
 	// traces assembles hop reports into dissemination trees; it locks
 	// itself, so ingest and snapshot run outside t.mu.
 	traces *obs.TraceCollector
-	// links aggregates per-peer scorecards into the fleet link matrix; like
-	// traces it locks itself, so ingest and snapshot run outside t.mu.
-	links *obs.LinkCollector
 
 	// outMu guards the per-peer control outboxes (see sendControl).
 	outMu    sync.Mutex
@@ -101,10 +91,26 @@ type outMsg struct {
 	frame []byte
 }
 
-// nodeReport is one node's latest telemetry report and when it arrived.
+// nodeReport is one node's latest telemetry report and when it arrived,
+// plus the link scorecards of the report it replaced: the fleet link
+// matrix derives goodput from the byte delta between the two.
 type nodeReport struct {
-	report StatsReport
-	at     time.Time
+	report    StatsReport
+	at        time.Time
+	prevLinks []obs.LinkReport
+	prevAt    time.Time
+}
+
+// linkRow is the report's view as one reporter of the fleet link matrix.
+func (nr *nodeReport) linkRow(addr string) obs.LinkRow {
+	return obs.LinkRow{
+		Reporter:     nr.report.ID,
+		ReporterAddr: addr,
+		At:           nr.at,
+		Links:        nr.report.Links,
+		PrevAt:       nr.prevAt,
+		Prev:         nr.prevLinks,
+	}
 }
 
 // TrackerEvent reports membership and completion changes for observers.
@@ -133,6 +139,10 @@ func NewTracker(ep transport.Endpoint, source *Source, cfg TrackerConfig) (*Trac
 	if err != nil {
 		return nil, err
 	}
+	var traceObs *obs.TraceMetrics
+	if cfg.Obs != nil {
+		traceObs = cfg.Obs.Trace
+	}
 	return &Tracker{
 		ep:        ep,
 		cfg:       cfg,
@@ -144,8 +154,7 @@ func NewTracker(ep transport.Endpoint, source *Source, cfg TrackerConfig) (*Trac
 		lastSeen:  make(map[core.NodeID]time.Time),
 		reports:   make(map[core.NodeID]nodeReport),
 		genIDs:    genIDs,
-		traces:    obs.NewTraceCollector(0, cfg.TraceObs),
-		links:     obs.NewLinkCollector(0, cfg.LinkObs),
+		traces:    obs.NewTraceCollector(0, traceObs),
 		outboxes:  make(map[string]chan outMsg),
 		events:    make(chan TrackerEvent, 1024),
 	}, nil
@@ -459,10 +468,12 @@ func (t *Tracker) ClusterSnapshot() obs.ClusterSnapshot {
 	for _, id := range ids {
 		rows = append(rows, row{nr: t.reports[id], addr: t.addrOf[id]})
 	}
+	linkRows, idOf := t.linkRowsLocked()
 	genIDs := t.genIDs
 	t.mu.Unlock()
 
 	var medians []float64
+	var slowestP50 int64
 	for _, r := range rows {
 		rep := r.nr.report
 		age := now.Sub(r.nr.at)
@@ -494,8 +505,8 @@ func (t *Tracker) ClusterSnapshot() obs.ClusterSnapshot {
 		snap.Nodes = append(snap.Nodes, n)
 		if n.Fresh && n.DelayP50Nanos > 0 {
 			medians = append(medians, float64(n.DelayP50Nanos))
-			if snap.SlowestID == 0 || n.DelayP50Nanos > snap.Node(snap.SlowestID).DelayP50Nanos {
-				snap.SlowestID = n.ID
+			if snap.SlowestID == 0 || n.DelayP50Nanos > slowestP50 {
+				snap.SlowestID, slowestP50 = n.ID, n.DelayP50Nanos
 			}
 		}
 	}
@@ -507,7 +518,7 @@ func (t *Tracker) ClusterSnapshot() obs.ClusterSnapshot {
 		snap.FleetDelayP99Nanos = int64(obs.Quantile(medians, 0.99))
 	}
 	snap.Trace = t.traces.Summary()
-	snap.Links = t.links.Summary(staleAfter, t.addrIDs())
+	snap.Links = obs.AssembleLinks(now, staleAfter, linkRows, idOf).Worst
 	// Per-generation census over fresh reporters whose rank vector covers
 	// the session's generation list. Stragglers are named only once a
 	// majority of reporters decoded the generation — before that the
@@ -710,17 +721,24 @@ func (t *Tracker) handleStatsReport(r StatsReport) {
 	id := core.NodeID(r.ID)
 	t.mu.Lock()
 	addr, known := t.addrOf[id]
-	if known {
-		t.reports[id] = nodeReport{report: r, at: time.Now()}
+	if !known {
+		t.mu.Unlock()
+		return
 	}
+	prev := t.reports[id]
+	nr := nodeReport{report: r, at: time.Now(), prevLinks: prev.report.Links, prevAt: prev.at}
+	t.reports[id] = nr
 	t.mu.Unlock()
-	// Hop spans and link scorecards ride the same report; both collectors
-	// lock themselves, so the assembly happens outside t.mu.
-	if known && len(r.TraceHops) > 0 {
+	// Hop spans ride the same report; the trace collector locks itself, so
+	// its assembly happens outside t.mu. The link scorecards stay in the
+	// stored report, where link snapshots read them; here they only feed
+	// the histograms.
+	if len(r.TraceHops) > 0 {
 		t.traces.Ingest(r.ID, r.TraceHops)
 	}
-	if known && len(r.Links) > 0 {
-		t.links.Ingest(r.ID, addr, r.Links)
+	if m := t.cfg.Obs; m != nil {
+		row := nr.linkRow(addr)
+		m.Link.Observe(&row)
 	}
 }
 
@@ -736,19 +754,30 @@ func (t *Tracker) TraceSnapshot() obs.TraceSnapshot {
 // digest. Serve it at /debug/links via obs.WithLinkSnapshot. The staleness
 // horizon matches ClusterSnapshot's: three missed reporting intervals.
 func (t *Tracker) LinkSnapshot() obs.LinkSnapshot {
-	return t.links.Snapshot(3*t.cfg.StatsInterval, t.addrIDs())
+	t.mu.Lock()
+	rows, idOf := t.linkRowsLocked()
+	t.mu.Unlock()
+	return obs.AssembleLinks(time.Now(), 3*t.cfg.StatsInterval, rows, idOf)
 }
 
-// addrIDs copies the addr→id map so link snapshots can attribute peer
-// addresses to node ids without holding t.mu during assembly.
-func (t *Tracker) addrIDs() map[string]uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// linkRowsLocked copies the held reports' scorecards as link-matrix rows,
+// with the addr→id map that names each edge's peer, so the assembly can
+// run without t.mu. Caller holds t.mu.
+func (t *Tracker) linkRowsLocked() ([]obs.LinkRow, map[string]uint64) {
+	var rows []obs.LinkRow
+	for id, nr := range t.reports {
+		if len(nr.report.Links) > 0 {
+			rows = append(rows, nr.linkRow(t.addrOf[id]))
+		}
+	}
+	if len(rows) == 0 {
+		return nil, nil
+	}
 	m := make(map[string]uint64, len(t.idOf))
 	for addr, id := range t.idOf {
 		m[addr] = uint64(id)
 	}
-	return m
+	return rows, m
 }
 
 // handleLease renews a node's lease. A lease from an unknown id means the
@@ -819,7 +848,7 @@ func (t *Tracker) expire(ctx context.Context, id core.NodeID) {
 
 func (t *Tracker) emit(ev TrackerEvent) {
 	if m := t.cfg.Obs; m != nil {
-		m.Trace.Record(obs.Event{Layer: "tracker", Kind: ev.Kind, Node: uint64(ev.ID), Detail: ev.Addr})
+		m.Events.Record(obs.Event{Layer: "tracker", Kind: ev.Kind, Node: uint64(ev.ID), Detail: ev.Addr})
 	}
 	select {
 	case t.events <- ev:
@@ -1003,15 +1032,13 @@ func (t *Tracker) spliceOut(ctx context.Context, id core.NodeID, remove func() e
 	delete(t.idOf, addr)
 	// The row is gone, so every per-node record must go with it: a stale
 	// completed entry would inflate CompletedCount (and the Completed
-	// gauge) forever under churn, and a stale lease would make the sweep
-	// re-expire an id the curtain no longer knows.
+	// gauge) forever under churn, a stale lease would make the sweep
+	// re-expire an id the curtain no longer knows, and a stale report
+	// would keep a ghost reporter's edges in the link matrix.
 	delete(t.completed, id)
 	delete(t.lastSeen, id)
 	delete(t.reports, id)
 	t.mu.Unlock()
-	// Its link edges go with it too, or the matrix would accumulate ghost
-	// reporters under churn. The collector locks itself.
-	t.links.Remove(uint64(id))
 
 	for i, th := range threads {
 		t.redirect(ctx, parents[i], th, childAddrs[i])

@@ -292,8 +292,6 @@ func (c Config) newServer(ep transport.Endpoint, content []byte, reg *obs.Regist
 		SendDeadline:  c.SendDeadline,
 		StatsInterval: c.StatsInterval,
 		Obs:           obs.NewTrackerMetrics(reg),
-		TraceObs:      obs.NewTraceMetrics(reg),
-		LinkObs:       obs.NewLinkMetrics(reg),
 	})
 	if err != nil {
 		return nil, nil, err
