@@ -6,9 +6,9 @@ RACE_PKGS := ./internal/core ./internal/obs ./internal/protocol ./internal/rlnc 
 # scalar reference implementations so both dispatch arms stay tested.
 PUREGO_PKGS := ./internal/gf/... ./internal/rlnc/...
 
-.PHONY: check build crossbuild vet fmt lint test benchcheck purego race churn lossy fuzz allocguard bench-gate swarm scale bench
+.PHONY: check build crossbuild vet fmt lint deadpkg test benchcheck purego race churn lossy fuzz allocguard bench-gate swarm scale bench
 
-check: vet fmt lint build crossbuild test benchcheck purego race churn lossy fuzz allocguard bench-gate swarm
+check: vet fmt lint deadpkg build crossbuild test benchcheck purego race churn lossy fuzz allocguard bench-gate swarm
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,19 @@ fmt:
 # Metric naming contract: every exported series matches ^ncast_[a-z0-9_]+$.
 lint:
 	$(GO) test -run 'TestMetricNameLint|TestSessionMetricNames' .
+
+# Dead-package gate: every ncast/internal/... package must be reached
+# by the façade, a command, an example or the benchmark module (read
+# with go list only). A package only its own tests import is deleted,
+# not kept compiling.
+deadpkg:
+	@all=$$($(GO) list ./internal/...) || exit 1; \
+	main=$$($(GO) list -deps . ./cmd/... ./examples/...) || exit 1; \
+	bench=$$(cd benchmark && $(GO) list -deps ./...) || exit 1; \
+	dead=$$(printf '%s\n' "$$all" | grep -vxF -e "$$main" -e "$$bench"); \
+	if [ -n "$$dead" ]; then \
+		echo "internal packages nothing imports:"; echo "$$dead"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...

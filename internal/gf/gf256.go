@@ -97,10 +97,6 @@ func (GF256) Rand(r *rand.Rand) uint16 { return uint16(r.Intn(256)) }
 // RandNonZero implements Field.
 func (GF256) RandNonZero(r *rand.Rand) uint16 { return uint16(1 + r.Intn(255)) }
 
-// Exp returns alpha^i for i in [0,255); exported for the Reed–Solomon
-// Vandermonde construction.
-func (GF256) Exp(i int) uint16 { return uint16(exp256[i%255]) }
-
 // AddSlice implements Field.
 func (GF256) AddSlice(dst, src []byte) {
 	checkLen(dst, src, 1)

@@ -220,11 +220,6 @@ func waitUntil(timeout time.Duration, cond func() bool) bool {
 	}
 }
 
-// quantileNanos picks q from sorted samples (nanoseconds).
-func quantileNanos(sorted []float64, q float64) time.Duration {
-	return time.Duration(obs.Quantile(sorted, q))
-}
-
 // RunFlashCrowd drills the flash-crowd join: the full population hellos
 // at once (PR 5's batched admission under maximum pressure). Gates: every
 // node admitted within the timeout, hello→welcome p99 under the bound,
@@ -256,7 +251,8 @@ func RunFlashCrowd(cfg DrillConfig) (DrillResult, error) {
 	res.gate("all-admitted", allIn, "%d/%d joined in %v (retries=%d)",
 		env.swarm.JoinedCount(), cfg.N, joinDur.Round(time.Millisecond), counts.HelloRetries)
 	lats := env.swarm.AdmissionLatencies()
-	p50, p99 := quantileNanos(lats, 0.50), quantileNanos(lats, 0.99)
+	p50 := time.Duration(obs.Quantile(lats, 0.50))
+	p99 := time.Duration(obs.Quantile(lats, 0.99))
 	res.gate("admission-p99", p99 <= cfg.AdmissionP99, "p50=%v p99=%v bound=%v over %d samples",
 		p50.Round(time.Microsecond), p99.Round(time.Microsecond), cfg.AdmissionP99, len(lats))
 	invErr := env.tracker.CheckInvariants()

@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -330,8 +329,9 @@ func (s *Swarm) Counts() Counts {
 	}
 }
 
-// AdmissionLatencies returns a sorted copy of every hello→welcome latency
-// observed (nanoseconds). Each fresh admission contributes one sample.
+// AdmissionLatencies returns an unsorted copy of every hello→welcome
+// latency observed (nanoseconds). Each fresh admission contributes one
+// sample.
 func (s *Swarm) AdmissionLatencies() []float64 {
 	var all []float64
 	for _, sh := range s.shards {
@@ -339,7 +339,6 @@ func (s *Swarm) AdmissionLatencies() []float64 {
 		all = append(all, sh.lats...)
 		sh.latMu.Unlock()
 	}
-	sort.Float64s(all)
 	return all
 }
 

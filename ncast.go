@@ -99,10 +99,6 @@ type Config struct {
 	// forever. Clients renew at a quarter of this timeout (announced in
 	// the welcome), and any control message also renews. Zero disables.
 	LeaseTimeout time.Duration
-	// SendDeadline bounds each of the server's control-plane send
-	// attempts so one stalled peer cannot clog overlay maintenance for
-	// the rest. Zero means the 2-second default.
-	SendDeadline time.Duration
 	// Seed drives the server's randomness (thread assignment).
 	Seed int64
 	// SourceInterval throttles the source pump (0 = backpressure only).
@@ -177,7 +173,6 @@ func DefaultConfig() Config {
 		Insert:           InsertAppend,
 		ComplaintTimeout: 500 * time.Millisecond,
 		LeaseTimeout:     2 * time.Second,
-		SendDeadline:     2 * time.Second,
 		Seed:             1,
 		SourceInterval:   200 * time.Microsecond,
 		StatsInterval:    time.Second,
@@ -289,7 +284,6 @@ func (c Config) newServer(ep transport.Endpoint, content []byte, reg *obs.Regist
 		InsertMode:    core.InsertMode(c.Insert),
 		Seed:          c.Seed,
 		LeaseTimeout:  c.LeaseTimeout,
-		SendDeadline:  c.SendDeadline,
 		StatsInterval: c.StatsInterval,
 		Obs:           obs.NewTrackerMetrics(reg),
 	})
@@ -346,11 +340,6 @@ func WithComplaintTimeout(d time.Duration) Option {
 // have no children to complain about them.
 func WithLeaseTimeout(d time.Duration) Option {
 	return func(c *Config) { c.LeaseTimeout = d }
-}
-
-// WithSendDeadline bounds each server control-plane send attempt.
-func WithSendDeadline(d time.Duration) Option {
-	return func(c *Config) { c.SendDeadline = d }
 }
 
 // WithSeed makes the session deterministic.
