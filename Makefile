@@ -6,9 +6,9 @@ RACE_PKGS := ./internal/core ./internal/obs ./internal/protocol ./internal/rlnc 
 # scalar reference implementations so both dispatch arms stay tested.
 PUREGO_PKGS := ./internal/gf/... ./internal/rlnc/...
 
-.PHONY: check build crossbuild vet fmt lint deadpkg test benchcheck purego race churn lossy fuzz allocguard bench-gate swarm scale bench
+.PHONY: check build crossbuild vet fmt lint deadpkg test benchcheck purego race churn lossy poison fuzz allocguard bench-gate swarm scale bench
 
-check: vet fmt lint deadpkg build crossbuild test benchcheck purego race churn lossy fuzz allocguard bench-gate swarm
+check: vet fmt lint deadpkg build crossbuild test benchcheck purego race churn lossy poison fuzz allocguard bench-gate swarm
 
 build:
 	$(GO) build ./...
@@ -87,6 +87,14 @@ churn:
 lossy:
 	$(GO) test -race -run 'UDP|SamePort|Dual|Datagram|SplitSender|Lossy|Link|Feedback' ./internal/transport ./internal/protocol ./internal/obs .
 
+# Use-after-release gate: with -tags ncastpoison, Frame.Release overwrites
+# every released receive buffer, so a handler that keeps a frame past its
+# release reads garbage. The churn and lossy suites, the attack suite
+# (freeloader, entropy attacker) and the batched-receive tests run over
+# the poisoned build under the race detector.
+poison:
+	$(GO) test -race -tags ncastpoison -run 'Churn|Lease|Stalled|Faulty|Goodbye|SendDeadline|LeafCrash|Telemetry|Timeline|ClusterSnapshot|TraceLive|Rejoin|Footprint|Clamp|FirstHello|Feedback|UDP|SamePort|Dual|Datagram|SplitSender|Lossy|Link|Freeloader|Entropy|Poison|RecvBatch|Batched|Forward' ./internal/protocol ./internal/transport .
+
 # Short deterministic fuzz budgets over the wire decoders and the stream
 # framing; go's fuzzer accepts one -fuzz pattern per invocation, so each
 # target runs alone.
@@ -102,16 +110,19 @@ fuzz:
 # installs, redundant packets, emits), the source's send path must
 # allocate about nothing (at most 0.05 objects a frame: pooled packets
 # and frame buffers, one routing buffer across rounds, and no per-send
-# context), a node's forward path
-# must allocate only the two transport copies of a forwarded frame (no
-# per-frame context), and a hello+welcome round trip through the
-# control codec must allocate only its two frames, the address and the
-# thread list.
+# context), a node's forward path must allocate about nothing (at most
+# 0.01 objects a frame: both hops copy into receive buffers that their
+# receivers release, and no per-frame context), a frame over loopback
+# UDP or TCP, or the in-memory fabric, must allocate about nothing when
+# its receiver releases it and exactly its one buffer when it does not,
+# and a hello+welcome round trip through the control codec must allocate
+# only its two frames, the address and the thread list.
 allocguard:
 	$(GO) test ./internal/protocol -run TestTracedHotPathAllocs -count=1
 	$(GO) test ./internal/protocol -run TestLinkHotPathAllocs -count=1
 	$(GO) test ./internal/protocol -run TestSourceEmitAllocs -count=1
 	$(GO) test ./internal/protocol -run TestForwardPathAllocs -count=1
+	$(GO) test ./internal/transport -run 'TestUDPRecvBatchAllocs|TestTCPRecvBatchAllocs|TestMemRecvBatchAllocs|TestMemRecvWithoutReleaseAllocatesOnce' -count=1
 	$(GO) test ./internal/protocol -run TestControlCodecAllocs -count=1
 	$(GO) test ./internal/rlnc -run TestDecodeHotPathAllocs -count=1
 

@@ -13,8 +13,9 @@ type TransportMetrics struct {
 	BytesSent  *Counter
 	BytesRecv  *Counter
 	Drops      *Counter
-	// SendBatch and RecvBatch record datagrams coalesced per vectorized
-	// syscall on batching transports (UDP); nil elsewhere.
+	// SendBatch records datagrams coalesced per vectorized send (UDP).
+	// RecvBatch records frames handed over per batched receive: a
+	// recvmmsg call on UDP, a RecvBatch call on the in-memory fabric.
 	SendBatch *Histogram
 	RecvBatch *Histogram
 }
@@ -44,7 +45,7 @@ func NewTransportMetricsKind(r *Registry, endpoint, kind string) *TransportMetri
 		BytesRecv:  r.Counter("ncast_transport_bytes_recv_total", "Payload bytes delivered to the endpoint.", labels...),
 		Drops:      r.Counter("ncast_transport_frames_dropped_total", "Frames dropped (loss, dead peer, clogged queue, send error).", labels...),
 		SendBatch:  r.Histogram("ncast_transport_send_batch_size", "Datagrams coalesced per vectorized send.", BatchBuckets(), labels...),
-		RecvBatch:  r.Histogram("ncast_transport_recv_batch_size", "Datagrams drained per vectorized receive.", BatchBuckets(), labels...),
+		RecvBatch:  r.Histogram("ncast_transport_recv_batch_size", "Frames handed over per batched receive.", BatchBuckets(), labels...),
 	}
 }
 
@@ -63,6 +64,16 @@ func (m *TransportMetrics) Received(bytes int) {
 		return
 	}
 	m.FramesRecv.Inc()
+	m.BytesRecv.Add(uint64(bytes))
+}
+
+// ReceivedBatch records a batch of inbound frames carrying the given
+// payload bytes in all.
+func (m *TransportMetrics) ReceivedBatch(frames, bytes int) {
+	if m == nil {
+		return
+	}
+	m.FramesRecv.Add(uint64(frames))
 	m.BytesRecv.Add(uint64(bytes))
 }
 

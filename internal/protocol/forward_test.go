@@ -94,7 +94,8 @@ func TestStalledTrackerDoesNotStallForwarding(t *testing.T) {
 // TestForwardPathAllocs pins the allocations of one forwarded frame, from
 // the parent's send through the node's receipt, elimination and recoding
 // to the frame its child receives. Each hop's transport copies the frame
-// once; the node itself allocates no context, timer or frame buffer.
+// into a buffer its receiver releases, the node and the child alike; the
+// node itself allocates no context, timer or frame buffer.
 func TestForwardPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates on instrumented paths")
@@ -104,26 +105,44 @@ func TestForwardPathAllocs(t *testing.T) {
 	_, _, parent, child := forwardingNode(t, net)
 
 	const warm, runs = 64, 400
-	frames := codedFrames(warm + runs + 1)
+	// AllocsPerRun calls its function once to warm up, then once measured.
+	frames := codedFrames(warm + 2*runs)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	next := 0
+	rx := transport.Batched(child)
+	var got [transport.RecvBatchLen]transport.Frame
+	next, pending := 0, 0
 	forward := func() {
 		if err := parent.Send(ctx, "node", frames[next]); err != nil {
 			t.Fatal(err)
 		}
 		next++
-		if _, _, err := child.Recv(ctx); err != nil {
-			t.Fatalf("no forwarded frame: %v", err)
+		pending++
+		for pending > 0 {
+			k, err := rx.RecvBatch(ctx, got[:])
+			if err != nil {
+				t.Fatalf("no forwarded frame: %v", err)
+			}
+			for i := range got[:k] {
+				got[i].Release()
+			}
+			pending -= k
 		}
 	}
 	// Decode the generation and warm the pools outside the measured runs.
 	for i := 0; i < warm; i++ {
 		forward()
 	}
-	// Two copies, one per hop; a per-frame deadline context adds about
-	// five more (the context, its timer and their cancellation).
-	if perFrame := testing.AllocsPerRun(runs, forward); perFrame > 2.5 {
-		t.Fatalf("forwarding allocates %.2f objects per frame, want <= 2.5", perFrame)
+	// Measured: 0 per frame; the bound leaves room for a stray allocation
+	// of the runtime or the node's clock, not for one per frame. A
+	// per-frame deadline context would add about five (the context, its
+	// timer and their cancellation).
+	perFrame := testing.AllocsPerRun(1, func() {
+		for i := 0; i < runs; i++ {
+			forward()
+		}
+	}) / runs
+	if perFrame > 0.01 {
+		t.Fatalf("forwarding allocates %.3f objects per frame, want <= 0.01", perFrame)
 	}
 }

@@ -449,29 +449,43 @@ func (n *Node) Run(ctx context.Context) error {
 		fwdRng = rand.New(rand.NewSource(streamSeed(n.cfg.Seed, 1)))
 	}
 
+	// The loop takes frames in batches and reads the clock once per batch:
+	// every frame in it arrived by then. Neither the data nor the
+	// keepalive handler keeps its frame (the packet and the report are
+	// copies), so both frames go back to the transport as soon as their
+	// handler returns; a control frame is not released.
+	rx := transport.Batched(n.ep)
+	var batch [transport.RecvBatchLen]transport.Frame
 	for {
-		from, frame, err := n.ep.Recv(ctx)
+		k, err := rx.RecvBatch(ctx, batch[:])
 		if err != nil {
 			return fmt.Errorf("protocol: node recv: %w", err)
 		}
-		if IsKeepalive(frame) {
-			n.handleKeepalive(ctx, from, frame)
-			continue
-		}
-		if IsData(frame) {
-			n.handleData(ctx, from, frame, fwdRng)
-			continue
-		}
-		typ, body, err := SplitControl(frame)
-		if err != nil {
-			continue
-		}
-		done, err := n.handleControl(ctx, typ, body)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
+		now := time.Now()
+		for i := range batch[:k] {
+			f := &batch[i]
+			if IsKeepalive(f.Msg) {
+				n.handleKeepalive(ctx, f.From, f.Msg, now)
+				f.Release()
+				continue
+			}
+			if IsData(f.Msg) {
+				n.handleData(ctx, f.From, f.Msg, fwdRng, now)
+				f.Release()
+				continue
+			}
+			typ, body, err := SplitControl(f.Msg)
+			*f = transport.Frame{} // not released: the handler may keep body
+			if err != nil {
+				continue
+			}
+			done, err := n.handleControl(ctx, typ, body)
+			if err != nil {
+				return err
+			}
+			if done {
+				return nil
+			}
 		}
 	}
 }
@@ -686,8 +700,9 @@ func (n *Node) applyRedirect(ctx context.Context, r Redirect) {
 
 // handleData takes one data frame through the node's first n.mu section:
 // link scoring, receive bookkeeping and the generation's recoder. Then
-// absorb runs inline with r, or on the frame's decode worker.
-func (n *Node) handleData(ctx context.Context, from string, frame []byte, r *rand.Rand) {
+// absorb runs inline with r, or on the frame's decode worker. now is the
+// receive batch's clock reading.
+func (n *Node) handleData(ctx context.Context, from string, frame []byte, r *rand.Rand, now time.Time) {
 	n.mu.Lock()
 	if !n.joined {
 		n.mu.Unlock()
@@ -698,10 +713,9 @@ func (n *Node) handleData(ctx context.Context, from string, frame []byte, r *ran
 		n.mu.Unlock()
 		return
 	}
-	// The frame's one clock read stamps the link score, the thread's
-	// liveness and, on a traced frame, the hop span's arrival, taken before
-	// any decode work so the span measures propagation.
-	now := time.Now()
+	// The batch's clock read stamps the link score, the thread's liveness
+	// and, on a traced frame, the hop span's arrival; it was taken before
+	// any decode work, so the span measures propagation.
 	arrival := now.UnixNano()
 	// Score the link before any protocol-level gating: loss estimation is
 	// about what the wire delivered, and a frame for a foreign generation
@@ -922,7 +936,8 @@ func (n *Node) sendData(ctx context.Context, to string, frame []byte) {
 // runs the RTT echo exchange: probes are answered with an echo of their
 // transmit stamp, echoes close the loop into the peer's RTT EWMA. A probe
 // from the thread's child also carries the child's completion report.
-func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte) {
+// now is the receive batch's clock reading.
+func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte, now time.Time) {
 	ki, err := DecodeKeepaliveEcho(frame)
 	if err != nil {
 		return
@@ -933,7 +948,6 @@ func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte) {
 		// A malformed tail reports nothing full.
 		rep, _ = decodeReport(frame)
 	}
-	now := time.Now()
 	n.mu.Lock()
 	if !n.joined {
 		n.mu.Unlock()

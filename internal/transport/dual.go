@@ -27,7 +27,7 @@ type Dual struct {
 	data   Endpoint
 	isData func([]byte) bool
 
-	recvq chan memFrame
+	recvq chan Frame
 	done  chan struct{}
 
 	closeOnce sync.Once
@@ -35,7 +35,10 @@ type Dual struct {
 	wg        sync.WaitGroup
 }
 
-var _ Endpoint = (*Dual)(nil)
+var (
+	_ Endpoint      = (*Dual)(nil)
+	_ BatchReceiver = (*Dual)(nil)
+)
 
 // NewDual combines a control and a data endpoint. Frames for which isData
 // returns true go out on data; everything else on ctrl. Dual owns both
@@ -45,7 +48,7 @@ func NewDual(ctrl, data Endpoint, isData func([]byte) bool) *Dual {
 		ctrl:   ctrl,
 		data:   data,
 		isData: isData,
-		recvq:  make(chan memFrame, 256),
+		recvq:  make(chan Frame, 256),
 		done:   make(chan struct{}),
 	}
 	d.wg.Add(2)
@@ -64,21 +67,26 @@ func (d *Dual) Data() Endpoint    { return d.data }
 // Addr returns the shared (control) address.
 func (d *Dual) Addr() string { return d.ctrl.Addr() }
 
-// pump forwards one plane's inbound frames into the merged stream. It
-// exits when the inner endpoint reports closure — no context juggling
-// needed, Close closes both inners.
+// pump forwards one plane's inbound frames into the merged stream, each
+// with its release handle, reading the plane in batches. It exits when the
+// inner endpoint reports closure — no context juggling needed, Close
+// closes both inners.
 func (d *Dual) pump(ep Endpoint) {
 	defer d.wg.Done()
 	ctx := context.Background()
+	rx := Batched(ep)
+	var fs [RecvBatchLen]Frame
 	for {
-		from, msg, err := ep.Recv(ctx)
+		n, err := rx.RecvBatch(ctx, fs[:])
 		if err != nil {
 			return
 		}
-		select {
-		case d.recvq <- memFrame{from: from, msg: msg}:
-		case <-d.done:
-			return
+		for i := 0; i < n; i++ {
+			select {
+			case d.recvq <- fs[i]:
+			case <-d.done:
+				return
+			}
 		}
 	}
 }
@@ -91,16 +99,17 @@ func (d *Dual) Send(ctx context.Context, to string, msg []byte) error {
 	return d.ctrl.Send(ctx, to, msg)
 }
 
-// Recv returns the next frame from either plane.
+// Recv returns the next frame from either plane: the one-frame case of
+// RecvBatch. The returned buffer is the caller's to keep.
 func (d *Dual) Recv(ctx context.Context) (string, []byte, error) {
-	select {
-	case f := <-d.recvq:
-		return f.from, f.msg, nil
-	case <-d.done:
-		return "", nil, ErrClosed
-	case <-ctx.Done():
-		return "", nil, ctx.Err()
-	}
+	return recvQueuedOne(ctx, d.recvq, d.done)
+}
+
+// RecvBatch implements BatchReceiver over the merged stream: it blocks for
+// one frame from either plane, then takes whatever else is queued. Each
+// frame's Release recycles it into the plane it came from.
+func (d *Dual) RecvBatch(ctx context.Context, frames []Frame) (int, error) {
+	return recvQueued(ctx, d.recvq, d.done, frames)
 }
 
 // Close closes both planes and waits for the pumps to drain out.

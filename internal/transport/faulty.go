@@ -43,6 +43,7 @@ type FaultStats struct {
 // probabilities make it a transparent pass-through.
 type Faulty struct {
 	inner Endpoint
+	rx    BatchReceiver // Batched(inner)
 
 	mu          sync.Mutex
 	rng         *rand.Rand
@@ -63,6 +64,7 @@ type Faulty struct {
 
 var (
 	_ Endpoint       = (*Faulty)(nil)
+	_ BatchReceiver  = (*Faulty)(nil)
 	_ Instrumentable = (*Faulty)(nil)
 )
 
@@ -70,6 +72,7 @@ var (
 func NewFaulty(inner Endpoint, cfg FaultConfig) *Faulty {
 	return &Faulty{
 		inner:       inner,
+		rx:          Batched(inner),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		cfg:         cfg,
 		blockedSend: make(map[string]bool),
@@ -191,36 +194,73 @@ func (f *Faulty) Send(ctx context.Context, to string, msg []byte) error {
 
 // Recv injects inbound faults: frames from partitioned peers and coin
 // losses are consumed silently, and the next surviving frame is returned.
+// It is the one-frame case of RecvBatch; the buffer is the caller's.
 func (f *Faulty) Recv(ctx context.Context) (string, []byte, error) {
+	var fs [1]Frame
+	if _, err := f.RecvBatch(ctx, fs[:]); err != nil {
+		return "", nil, err
+	}
+	return fs[0].From, fs[0].Msg, nil
+}
+
+// RecvBatch implements BatchReceiver: it reads a batch from the wrapped
+// endpoint and filters it in place, releasing the frames it drops, until
+// a frame survives. With a RecvDelay it hands over one frame per call, so
+// the delay stays per frame.
+func (f *Faulty) RecvBatch(ctx context.Context, frames []Frame) (int, error) {
+	if f.cfg.RecvDelay > 0 && len(frames) > 1 {
+		frames = frames[:1]
+	}
 	for {
-		from, msg, err := f.inner.Recv(ctx)
+		n, err := f.rx.RecvBatch(ctx, frames)
 		if err != nil {
-			return "", nil, err
+			return 0, err
 		}
-		f.mu.Lock()
-		blocked := f.blockedRecv[from]
-		f.mu.Unlock()
-		if blocked {
-			f.partitioned.Add(1)
-			f.metrics.Load().Dropped()
-			continue
+		kept := 0
+		for i := 0; i < n; i++ {
+			if f.lost(frames[i].From) {
+				frames[i].Release()
+				continue
+			}
+			if kept != i {
+				frames[kept], frames[i] = frames[i], Frame{}
+			}
+			kept++
 		}
-		if f.coin(f.cfg.RecvLoss) {
-			f.recvDropped.Add(1)
-			f.metrics.Load().Dropped()
+		if kept == 0 {
 			continue
 		}
 		if f.cfg.RecvDelay > 0 {
 			if err := sleepCtx(ctx, f.cfg.RecvDelay); err != nil {
 				// The frame was consumed from the inner endpoint but never
 				// delivered to the caller: lost in flight on a dying link.
+				frames[0].Release()
 				f.recvDropped.Add(1)
 				f.metrics.Load().Dropped()
-				return "", nil, err
+				return 0, err
 			}
 		}
-		return from, msg, nil
+		return kept, nil
 	}
+}
+
+// lost decides an inbound frame's fate: dropped when its sender is
+// partitioned or the loss coin says so, with the drop counted.
+func (f *Faulty) lost(from string) bool {
+	f.mu.Lock()
+	blocked := f.blockedRecv[from]
+	f.mu.Unlock()
+	if blocked {
+		f.partitioned.Add(1)
+		f.metrics.Load().Dropped()
+		return true
+	}
+	if f.coin(f.cfg.RecvLoss) {
+		f.recvDropped.Add(1)
+		f.metrics.Load().Dropped()
+		return true
+	}
+	return false
 }
 
 // sleepCtx waits d or until the context ends.

@@ -42,6 +42,14 @@ type mmsgIO struct {
 	sendIovs []syscall.Iovec
 	recvHdrs []mmsghdr
 	recvIovs []syscall.Iovec
+
+	// The RawConn callbacks are bound once, and pass their count in and
+	// their result out through these fields, so a batch allocates no
+	// closure.
+	sendFn, recvFn   func(fd uintptr) bool
+	sendN, sent      int
+	recvN, got       int
+	sendErr, recvErr error
 }
 
 func newBatchIO(conn *net.UDPConn, batch int) (udpBatchIO, error) {
@@ -50,14 +58,16 @@ func newBatchIO(conn *net.UDPConn, batch int) (udpBatchIO, error) {
 		return nil, err
 	}
 	la, _ := conn.LocalAddr().(*net.UDPAddr)
-	return &mmsgIO{
+	io := &mmsgIO{
 		rc:       rc,
 		v6:       la != nil && la.IP.To4() == nil,
 		sendHdrs: make([]mmsghdr, batch),
 		sendIovs: make([]syscall.Iovec, batch),
 		recvHdrs: make([]mmsghdr, batch),
 		recvIovs: make([]syscall.Iovec, batch),
-	}, nil
+	}
+	io.sendFn, io.recvFn = io.sendmmsg, io.recvmmsg
+	return io, nil
 }
 
 // destSockaddr builds the raw sockaddr bytes for ua once, at peer-cache
@@ -103,26 +113,27 @@ func (io *mmsgIO) sendBatch(batch []outDatagram) (int, error) {
 		h.hdr.Iovlen = 1
 		h.len = 0
 	}
-	var sent int
-	var opErr error
-	err := io.rc.Write(func(fd uintptr) bool {
-		r, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-			uintptr(unsafe.Pointer(&io.sendHdrs[0])), uintptr(n),
-			uintptr(syscall.MSG_DONTWAIT), 0, 0)
-		if errno == syscall.EAGAIN {
-			return false // socket buffer full: park on the netpoller
-		}
-		if errno != 0 {
-			opErr = errno // errno implies zero datagrams sent (batch[0] failed)
-			return true
-		}
-		sent = int(r)
-		return true
-	})
-	if err != nil {
-		return sent, err
+	io.sendN, io.sent, io.sendErr = n, 0, nil
+	if err := io.rc.Write(io.sendFn); err != nil {
+		return io.sent, err
 	}
-	return sent, opErr
+	return io.sent, io.sendErr
+}
+
+// sendmmsg is the RawConn write callback of sendBatch.
+func (io *mmsgIO) sendmmsg(fd uintptr) bool {
+	r, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+		uintptr(unsafe.Pointer(&io.sendHdrs[0])), uintptr(io.sendN),
+		uintptr(syscall.MSG_DONTWAIT), 0, 0)
+	if errno == syscall.EAGAIN {
+		return false // socket buffer full: park on the netpoller
+	}
+	if errno != 0 {
+		io.sendErr = errno // errno implies zero datagrams sent (batch[0] failed)
+		return true
+	}
+	io.sent = int(r)
+	return true
 }
 
 // recvBatch blocks for at least one datagram, then drains up to
@@ -143,30 +154,31 @@ func (io *mmsgIO) recvBatch(bufs [][]byte, lens []int) (int, error) {
 		h.hdr.Iovlen = 1
 		h.len = 0
 	}
-	var got int
-	var opErr error
-	err := io.rc.Read(func(fd uintptr) bool {
-		r, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&io.recvHdrs[0])), uintptr(n),
-			uintptr(syscall.MSG_DONTWAIT), 0, 0)
-		if errno == syscall.EAGAIN {
-			return false // nothing queued: park on the netpoller
-		}
-		if errno != 0 {
-			opErr = errno
-			return true
-		}
-		got = int(r)
-		return true
-	})
-	if err != nil {
+	io.recvN, io.got, io.recvErr = n, 0, nil
+	if err := io.rc.Read(io.recvFn); err != nil {
 		return 0, err
 	}
-	if opErr != nil {
-		return 0, opErr
+	if io.recvErr != nil {
+		return 0, io.recvErr
 	}
-	for i := 0; i < got; i++ {
+	for i := 0; i < io.got; i++ {
 		lens[i] = int(io.recvHdrs[i].len)
 	}
-	return got, nil
+	return io.got, nil
+}
+
+// recvmmsg is the RawConn read callback of recvBatch.
+func (io *mmsgIO) recvmmsg(fd uintptr) bool {
+	r, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
+		uintptr(unsafe.Pointer(&io.recvHdrs[0])), uintptr(io.recvN),
+		uintptr(syscall.MSG_DONTWAIT), 0, 0)
+	if errno == syscall.EAGAIN {
+		return false // nothing queued: park on the netpoller
+	}
+	if errno != 0 {
+		io.recvErr = errno
+		return true
+	}
+	io.got = int(r)
+	return true
 }

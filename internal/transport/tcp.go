@@ -21,7 +21,7 @@ import (
 type TCPEndpoint struct {
 	ln      net.Listener
 	addr    string
-	recv    chan memFrame
+	recv    chan Frame
 	mu      sync.Mutex
 	conns   map[string]*Conn
 	inbound map[*Conn]struct{}
@@ -29,10 +29,14 @@ type TCPEndpoint struct {
 	wg      sync.WaitGroup
 	done    chan struct{}
 	metrics atomic.Pointer[obs.TransportMetrics]
+	// pool holds the buffers inbound frames are read into, refilled by
+	// Frame.Release.
+	pool framePool
 }
 
 var (
 	_ Endpoint       = (*TCPEndpoint)(nil)
+	_ BatchReceiver  = (*TCPEndpoint)(nil)
 	_ Instrumentable = (*TCPEndpoint)(nil)
 )
 
@@ -48,7 +52,7 @@ func ListenTCP(addr string) (*TCPEndpoint, error) {
 	e := &TCPEndpoint{
 		ln:      ln,
 		addr:    ln.Addr().String(),
-		recv:    make(chan memFrame, 256),
+		recv:    make(chan Frame, 256),
 		conns:   make(map[string]*Conn),
 		inbound: make(map[*Conn]struct{}),
 		done:    make(chan struct{}),
@@ -90,17 +94,21 @@ func (e *TCPEndpoint) readLoop(c *Conn) {
 		delete(e.inbound, c)
 		e.mu.Unlock()
 	}()
+	// The connection's one reader reads each frame into a pooled buffer and
+	// interns the sender, which on one connection rarely changes.
+	var hdr [4]byte
+	var senders senderCache
 	for {
-		frame, err := c.Recv()
+		frame, err := readFrame(c.c, &hdr, &e.pool)
 		if err != nil {
 			return
 		}
-		from, payload, err := splitSender(frame)
+		from, payload, err := senders.split(frame)
 		if err != nil {
 			return // malformed peer; drop the connection
 		}
 		select {
-		case e.recv <- memFrame{from: from, msg: payload}:
+		case e.recv <- Frame{From: from, Msg: payload, buf: frame, pool: &e.pool}:
 			e.metrics.Load().Received(len(payload))
 		case <-e.done:
 			return
@@ -108,26 +116,37 @@ func (e *TCPEndpoint) readLoop(c *Conn) {
 	}
 }
 
+// splitSender splits a [4B len][sender addr][payload] frame.
 func splitSender(frame []byte) (string, []byte, error) {
+	n, err := senderLen(frame)
+	if err != nil {
+		return "", nil, err
+	}
+	return string(frame[4 : 4+n]), frame[4+n:], nil
+}
+
+// split is splitSender with the sender address interned in c.
+func (c *senderCache) split(frame []byte) (string, []byte, error) {
+	n, err := senderLen(frame)
+	if err != nil {
+		return "", nil, err
+	}
+	return c.intern(frame[4 : 4+n]), frame[4+n:], nil
+}
+
+// senderLen returns the sender-address length of a sender-prefixed frame.
+func senderLen(frame []byte) (int, error) {
 	if len(frame) < 4 {
-		return "", nil, errors.New("transport: short sender-prefixed frame")
+		return 0, errors.New("transport: short sender-prefixed frame")
 	}
 	n := binary.BigEndian.Uint32(frame)
 	// Compare in uint64 space: a peer-controlled length near MaxUint32
 	// converted with int(n) goes negative on 32-bit platforms, slips past
 	// a signed bounds check, and panics on the slice below.
 	if uint64(n) > uint64(len(frame)-4) {
-		return "", nil, errors.New("transport: bad sender length")
+		return 0, errors.New("transport: bad sender length")
 	}
-	return string(frame[4 : 4+n]), frame[4+n:], nil
-}
-
-func prependSender(from string, msg []byte) []byte {
-	out := make([]byte, 4+len(from)+len(msg))
-	binary.BigEndian.PutUint32(out, uint32(len(from)))
-	copy(out[4:], from)
-	copy(out[4+len(from):], msg)
-	return out
+	return int(n), nil
 }
 
 // Send implements Endpoint. It dials the peer on first use and reuses the
@@ -141,7 +160,7 @@ func (e *TCPEndpoint) Send(ctx context.Context, to string, msg []byte) error {
 		m.Dropped()
 		return err
 	}
-	if err := conn.Send(ctx, prependSender(e.addr, msg)); err != nil {
+	if err := conn.sendFrom(ctx, e.addr, msg); err != nil {
 		e.dropConn(to, conn)
 		m.Dropped()
 		return fmt.Errorf("transport: send to %s: %w", to, err)
@@ -198,16 +217,17 @@ func (e *TCPEndpoint) dropConn(to string, c *Conn) {
 	c.Close()
 }
 
-// Recv implements Endpoint.
+// Recv implements Endpoint: the one-frame case of RecvBatch. The returned
+// buffer is the caller's to keep.
 func (e *TCPEndpoint) Recv(ctx context.Context) (string, []byte, error) {
-	select {
-	case f := <-e.recv:
-		return f.from, f.msg, nil
-	case <-e.done:
-		return "", nil, ErrClosed
-	case <-ctx.Done():
-		return "", nil, ctx.Err()
-	}
+	return recvQueuedOne(ctx, e.recv, e.done)
+}
+
+// RecvBatch implements BatchReceiver: it blocks for one frame from any
+// connection, then takes whatever else the readers have queued. Its
+// frames lie in the endpoint's pool; Release recycles them.
+func (e *TCPEndpoint) RecvBatch(ctx context.Context, frames []Frame) (int, error) {
+	return recvQueued(ctx, e.recv, e.done, frames)
 }
 
 // Close implements Endpoint: it stops the listener, closes cached

@@ -10,6 +10,12 @@ import (
 	"time"
 )
 
+// prependSender builds a sender-prefixed frame, the inverse of
+// splitSender.
+func prependSender(from string, msg []byte) []byte {
+	return appendSender(nil, from, msg)
+}
+
 func TestTCPEndpointRoundTrip(t *testing.T) {
 	t.Parallel()
 	a, err := ListenTCP("127.0.0.1:0")

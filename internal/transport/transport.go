@@ -92,6 +92,9 @@ type Endpoint interface {
 	// may reuse the buffer as soon as Send returns.
 	Send(ctx context.Context, to string, msg []byte) error
 	// Recv blocks for the next message, returning the sender's address.
+	// msg is the caller's to keep. Endpoints that can hand over several
+	// frames per call, in buffers they recycle, also implement
+	// BatchReceiver; see Batched.
 	Recv(ctx context.Context) (from string, msg []byte, err error)
 	// Close releases the endpoint; pending and future Recv calls fail.
 	Close() error
@@ -224,7 +227,8 @@ type memFrame struct {
 	// to is the full destination address; it differs from the receiving
 	// endpoint's own address when the frame was prefix-routed to a mux
 	// endpoint, which demultiplexes on it.
-	to  string
+	to string
+	// msg lies in a buffer from the receiving endpoint's pool.
 	msg []byte
 	// due is when the frame may be delivered (enqueue time + latency);
 	// the zero value means immediately.
@@ -239,15 +243,24 @@ type memEndpoint struct {
 	ch  chan memFrame
 	// done signals closure; the data channel itself is never closed, so
 	// concurrent senders can never hit a closed-channel panic — they
-	// select on done instead.
+	// select on done instead. closed is set just before done is closed,
+	// so a sender checks it without a select.
 	done    chan struct{}
-	mu      sync.Mutex
-	closed  bool
+	closed  atomic.Bool
 	metrics atomic.Pointer[obs.TransportMetrics]
+	// pool recycles the buffers senders copy frames for this endpoint
+	// into; frames handed out by RecvBatch return to it on Release.
+	pool framePool
+	// held is a frame RecvBatch took off the channel before it was due on
+	// a fabric with latency; the next receive delivers it first. Only the
+	// endpoint's single reader touches it.
+	held    memFrame
+	hasHeld bool
 }
 
 var (
 	_ Endpoint       = (*memEndpoint)(nil)
+	_ BatchReceiver  = (*memEndpoint)(nil)
 	_ Instrumentable = (*memEndpoint)(nil)
 )
 
@@ -289,7 +302,13 @@ func (e *memEndpoint) sendFrom(ctx context.Context, from, to string, msg []byte)
 		m.Dropped()
 		return nil // silently lost, like a UDP frame on a congested link
 	}
-	frame := memFrame{from: from, to: to, msg: append([]byte(nil), msg...)}
+	if dst.closed.Load() {
+		m.Dropped()
+		return nil // receiver gone: frame lost
+	}
+	buf := dst.pool.get(len(msg))
+	copy(buf, msg)
+	frame := memFrame{from: from, to: to, msg: buf}
 	if latency > 0 {
 		// Latency is applied on the delivery side (Recv waits until the
 		// frame is due), so concurrent frames pipeline like packets on a
@@ -302,9 +321,6 @@ func (e *memEndpoint) sendFrom(ctx context.Context, from, to string, msg []byte)
 	case dst.ch <- frame:
 		m.Sent(len(msg))
 		return nil
-	case <-dst.done:
-		m.Dropped()
-		return nil // receiver gone: frame lost
 	default:
 	}
 	// The queue is full. Only now is a timer worth its cost, and only
@@ -315,55 +331,110 @@ func (e *memEndpoint) sendFrom(ctx context.Context, from, to string, msg []byte)
 		defer timer.Stop()
 		expired = timer.C
 	}
+	var err error
 	select {
 	case dst.ch <- frame:
 		m.Sent(len(msg))
 		return nil
-	case <-dst.done:
-		m.Dropped()
-		return nil // receiver gone: frame lost
-	case <-expired:
-		m.Dropped()
-		return nil // still full after QueueWait: dropped, like a congested link
+	case <-dst.done: // receiver gone: frame lost
+	case <-expired: // still full after QueueWait: dropped, like a congested link
 	case <-ctx.Done():
-		m.Dropped()
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	dst.pool.put(buf)
+	m.Dropped()
+	return err
 }
 
+// Recv implements Endpoint: the one-frame case of RecvBatch. The returned
+// buffer is the caller's to keep.
 func (e *memEndpoint) Recv(ctx context.Context) (string, []byte, error) {
-	f, err := e.recvFrame(ctx)
-	if err != nil {
+	var fs [1]Frame
+	if _, err := e.recv(ctx, fs[:]); err != nil {
 		return "", nil, err
 	}
-	return f.from, f.msg, nil
+	return fs[0].From, fs[0].Msg, nil
 }
 
-func (e *memEndpoint) recvFrame(ctx context.Context) (memFrame, error) {
-	select {
-	case f := <-e.ch:
-		// A fabric without latency leaves due zero: skip the clock.
+// RecvBatch implements BatchReceiver: it blocks for one frame, then takes
+// whatever else is already queued, as long as it is due, with no further
+// wait. Its frames lie in the endpoint's pool; Release recycles them.
+func (e *memEndpoint) RecvBatch(ctx context.Context, frames []Frame) (int, error) {
+	n, err := e.recv(ctx, frames)
+	if n > 0 {
+		e.metrics.Load().ObserveRecvBatch(n)
+	}
+	return n, err
+}
+
+func (e *memEndpoint) recv(ctx context.Context, frames []Frame) (int, error) {
+	if len(frames) == 0 {
+		return 0, nil
+	}
+	f, err := e.recvFrame(ctx)
+	if err != nil {
+		return 0, err
+	}
+	frames[0] = Frame{From: f.from, Msg: f.msg, buf: f.msg, pool: &e.pool}
+	n, bytes := 1, len(f.msg)
+	var now time.Time
+	for n < len(frames) {
+		select {
+		case f = <-e.ch:
+		default:
+			e.metrics.Load().ReceivedBatch(n, bytes)
+			return n, nil
+		}
 		if !f.due.IsZero() {
-			if wait := time.Until(f.due); wait > 0 {
-				timer := time.NewTimer(wait)
-				defer timer.Stop()
-				select {
-				case <-timer.C:
-				case <-ctx.Done():
-					// The frame is consumed but undelivered: model it as
-					// lost in flight, like a datagram on a dying link.
-					e.metrics.Load().Dropped()
-					return memFrame{}, ctx.Err()
-				}
+			if now.IsZero() {
+				now = time.Now()
+			}
+			if f.due.After(now) {
+				// Not yet due: hold it over for the next receive rather
+				// than deliver it early.
+				e.held, e.hasHeld = f, true
+				break
 			}
 		}
-		e.metrics.Load().Received(len(f.msg))
-		return f, nil
-	case <-e.done:
-		return memFrame{}, ErrClosed
-	case <-ctx.Done():
-		return memFrame{}, ctx.Err()
+		frames[n] = Frame{From: f.from, Msg: f.msg, buf: f.msg, pool: &e.pool}
+		n++
+		bytes += len(f.msg)
 	}
+	e.metrics.Load().ReceivedBatch(n, bytes)
+	return n, nil
+}
+
+// recvFrame blocks for the next frame, the held-over one first, and waits
+// until it is due. It does not count the frame as received.
+func (e *memEndpoint) recvFrame(ctx context.Context) (memFrame, error) {
+	var f memFrame
+	if e.hasHeld {
+		f, e.held, e.hasHeld = e.held, memFrame{}, false
+	} else {
+		select {
+		case f = <-e.ch:
+		case <-e.done:
+			return memFrame{}, ErrClosed
+		case <-ctx.Done():
+			return memFrame{}, ctx.Err()
+		}
+	}
+	// A fabric without latency leaves due zero: skip the clock.
+	if !f.due.IsZero() {
+		if wait := time.Until(f.due); wait > 0 {
+			timer := time.NewTimer(wait)
+			defer timer.Stop()
+			select {
+			case <-timer.C:
+			case <-ctx.Done():
+				// The frame is consumed but undelivered: model it as
+				// lost in flight, like a datagram on a dying link.
+				e.metrics.Load().Dropped()
+				return memFrame{}, ctx.Err()
+			}
+		}
+	}
+	return f, nil
 }
 
 // MuxEndpoint is an in-memory endpoint that carries many virtual peers:
@@ -382,6 +453,7 @@ func (e *MuxEndpoint) RecvTo(ctx context.Context) (from, to string, msg []byte, 
 	if err != nil {
 		return "", "", nil, err
 	}
+	e.metrics.Load().Received(len(f.msg))
 	to = f.to
 	if to == "" {
 		to = e.addr
@@ -415,10 +487,7 @@ func (e *memEndpoint) Close() error {
 }
 
 func (e *memEndpoint) closeLocked() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.closed {
-		e.closed = true
+	if e.closed.CompareAndSwap(false, true) {
 		close(e.done)
 	}
 }
@@ -442,6 +511,12 @@ func WriteFrame(w io.Writer, msg []byte) error {
 // ReadFrame reads a length-prefixed frame from r.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
+	return readFrame(r, &hdr, nil)
+}
+
+// readFrame reads a length-prefixed frame from r into a buffer from pool,
+// or a fresh one when pool is nil; hdr is scratch for the length prefix.
+func readFrame(r io.Reader, hdr *[4]byte, pool *framePool) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err // io.EOF passes through for clean shutdown
 	}
@@ -449,7 +524,12 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	msg := make([]byte, n)
+	var msg []byte
+	if pool != nil {
+		msg = pool.get(int(n))
+	} else {
+		msg = make([]byte, n)
+	}
 	if _, err := io.ReadFull(r, msg); err != nil {
 		return nil, fmt.Errorf("transport: read frame body: %w", err)
 	}
@@ -461,6 +541,8 @@ type Conn struct {
 	c  net.Conn
 	wm sync.Mutex
 	rm sync.Mutex
+	// wbuf is sendFrom's frame buffer, guarded by wm.
+	wbuf []byte
 }
 
 // NewConn wraps a net.Conn with frame semantics.
@@ -476,6 +558,38 @@ func NewConn(c net.Conn) *Conn { return &Conn{c: c} }
 func (c *Conn) Send(ctx context.Context, msg []byte) error {
 	c.wm.Lock()
 	defer c.wm.Unlock()
+	if err := c.armWriteLocked(ctx); err != nil {
+		return err
+	}
+	return WriteFrame(c.c, msg)
+}
+
+// sendFrom is Send of a sender-prefixed frame, [4B addr len][from][msg],
+// built in the connection's write buffer and written in one call.
+func (c *Conn) sendFrom(ctx context.Context, from string, msg []byte) error {
+	c.wm.Lock()
+	defer c.wm.Unlock()
+	n := 4 + len(from) + len(msg)
+	if n > maxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+	}
+	if err := c.armWriteLocked(ctx); err != nil {
+		return err
+	}
+	c.wbuf = appendSender(binary.BigEndian.AppendUint32(c.wbuf[:0], uint32(n)), from, msg)
+	_, err := c.c.Write(c.wbuf)
+	if cap(c.wbuf) > maxPooledBuf {
+		c.wbuf = nil
+	}
+	if err != nil {
+		return fmt.Errorf("transport: write frame: %w", err)
+	}
+	return nil
+}
+
+// armWriteLocked fails on a done ctx, else sets the write deadline to
+// ctx's, or QueueWait from now. Callers hold c.wm.
+func (c *Conn) armWriteLocked(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -486,7 +600,7 @@ func (c *Conn) Send(ctx context.Context, msg []byte) error {
 	if err := c.c.SetWriteDeadline(deadline); err != nil {
 		return fmt.Errorf("transport: set write deadline: %w", err)
 	}
-	return WriteFrame(c.c, msg)
+	return nil
 }
 
 // Recv reads one frame. Safe for concurrent use with Send.

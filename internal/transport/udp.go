@@ -17,7 +17,8 @@ import (
 // endpoint whose hot path batches syscalls. Outbound frames are coalesced
 // by a one-batch send queue and flushed with sendmmsg (one syscall for up
 // to BatchSize datagrams); inbound datagrams are drained with recvmmsg
-// into per-slot buffers that are handed to the receiver without copying.
+// into per-slot buffers that are handed to the receiver without copying
+// and come back to the slots when the receiver releases its frames.
 // On platforms without the mmsg syscalls a portable shim degrades to one
 // syscall per datagram with identical semantics (see mmsg_portable.go).
 //
@@ -113,7 +114,7 @@ type UDPEndpoint struct {
 	bio  udpBatchIO
 
 	sendq chan outDatagram
-	recvq chan memFrame
+	recvq chan Frame
 	done  chan struct{}
 
 	mu     sync.Mutex
@@ -123,11 +124,15 @@ type UDPEndpoint struct {
 	wg      sync.WaitGroup
 	metrics atomic.Pointer[obs.TransportMetrics]
 
-	bufPool sync.Pool
+	// bufPool holds send buffers; recvPool holds the MTU buffers the
+	// receive slots are armed with, refilled by Frame.Release.
+	bufPool  sync.Pool
+	recvPool framePool
 }
 
 var (
 	_ Endpoint       = (*UDPEndpoint)(nil)
+	_ BatchReceiver  = (*UDPEndpoint)(nil)
 	_ Instrumentable = (*UDPEndpoint)(nil)
 )
 
@@ -163,7 +168,7 @@ func newUDPEndpoint(conn *net.UDPConn, cfg UDPConfig, bio udpBatchIO) *UDPEndpoi
 		// instead of queueing frames the receivers' socket buffers would
 		// drop.
 		sendq: make(chan outDatagram, cfg.BatchSize),
-		recvq: make(chan memFrame, cfg.QueueLen),
+		recvq: make(chan Frame, cfg.QueueLen),
 		done:  make(chan struct{}),
 		dests: make(map[string]*udpDest),
 	}
@@ -341,16 +346,19 @@ func (e *UDPEndpoint) transmit(batch []outDatagram) {
 }
 
 // recvLoop drains the socket with batched reads. Each datagram lands in
-// its own buffer which is handed to the protocol layer as-is — ownership
-// moves, no copy — and the slot is re-armed with a fresh buffer.
+// its own slot buffer, which is handed to the protocol layer as-is — no
+// copy — and the slot is re-armed from the receive pool, which released
+// frames refill. A datagram that is malformed or dropped on a full queue
+// leaves its buffer in the slot.
 func (e *UDPEndpoint) recvLoop() {
 	defer e.wg.Done()
 	bufs := make([][]byte, e.cfg.BatchSize)
 	lens := make([]int, e.cfg.BatchSize)
+	var senders senderCache
 	for {
 		for i := range bufs {
 			if bufs[i] == nil {
-				bufs[i] = make([]byte, e.cfg.MTU)
+				bufs[i] = e.recvPool.get(e.cfg.MTU)
 			}
 		}
 		n, err := e.bio.recvBatch(bufs, lens)
@@ -368,15 +376,14 @@ func (e *UDPEndpoint) recvLoop() {
 		m := e.metrics.Load()
 		m.ObserveRecvBatch(n)
 		for i := 0; i < n; i++ {
-			frame := bufs[i][:lens[i]]
-			from, payload, err := splitSender(frame)
+			from, payload, err := senders.split(bufs[i][:lens[i]])
 			if err != nil {
 				m.Dropped() // malformed datagram: ignore, slot is reused
 				continue
 			}
-			bufs[i] = nil // ownership moved to the receiver
 			select {
-			case e.recvq <- memFrame{from: from, msg: payload}:
+			case e.recvq <- Frame{From: from, Msg: payload, buf: bufs[i], pool: &e.recvPool}:
+				bufs[i] = nil // the buffer is the receiver's until Release
 				m.Received(len(payload))
 			case <-e.done:
 				return
@@ -387,16 +394,17 @@ func (e *UDPEndpoint) recvLoop() {
 	}
 }
 
-// Recv implements Endpoint.
+// Recv implements Endpoint: the one-frame case of RecvBatch. The returned
+// buffer is the caller's to keep.
 func (e *UDPEndpoint) Recv(ctx context.Context) (string, []byte, error) {
-	select {
-	case f := <-e.recvq:
-		return f.from, f.msg, nil
-	case <-e.done:
-		return "", nil, ErrClosed
-	case <-ctx.Done():
-		return "", nil, ctx.Err()
-	}
+	return recvQueuedOne(ctx, e.recvq, e.done)
+}
+
+// RecvBatch implements BatchReceiver: it blocks for one datagram, then
+// takes whatever else the receive loop has queued. Its frames lie in the
+// slot buffers; Release re-arms the slots with them.
+func (e *UDPEndpoint) RecvBatch(ctx context.Context, frames []Frame) (int, error) {
+	return recvQueued(ctx, e.recvq, e.done, frames)
 }
 
 // Close implements Endpoint: it stops both loops and closes the socket.

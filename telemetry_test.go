@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ncast/internal/obs"
+	"ncast/internal/transport"
 )
 
 // metricNameRE is the repository's metric naming contract: every exported
@@ -91,6 +92,76 @@ func TestSessionMetricNames(t *testing.T) {
 			t.Errorf("metric %q violates %s", p.Name, metricNameRE)
 		}
 	}
+}
+
+// TestSessionRecvBatchHistogram runs a broadcast on one fabric and on two
+// planes and reads ncast_transport_recv_batch_size: each endpoint whose
+// frames all arrive through RecvBatch (the nodes', and every plane of a
+// two-plane session, which its pumps read) must account for each frame it
+// received in exactly one batch, of at most RecvBatchLen frames.
+func TestSessionRecvBatchHistogram(t *testing.T) {
+	t.Parallel()
+	for _, datagram := range []bool{false, true} {
+		t.Run(map[bool]string{false: "fabric", true: "dual"}[datagram], func(t *testing.T) {
+			t.Parallel()
+			cfg := testConfig()
+			if datagram {
+				WithDatagramData()(&cfg)
+			}
+			sess, err := NewSession(testContent(4*8*64), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			for i := 0; i < 3; i++ {
+				c, err := sess.AddClient(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Wait(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Closing stops every receive loop, so the counters are final.
+			sess.Close()
+			points := sess.Observability().Snapshot()
+			recv := map[string]float64{}
+			for _, p := range points {
+				if p.Name == "ncast_transport_frames_recv_total" {
+					recv[labelString(p.Labels)] = p.Value
+				}
+			}
+			batched, data := 0, false
+			for _, p := range points {
+				if p.Name != "ncast_transport_recv_batch_size" || p.Count == 0 {
+					continue
+				}
+				batched++
+				data = data || p.Labels["transport"] == "data"
+				mean := p.Sum / float64(p.Count)
+				t.Logf("%v: %d batches, mean %.2f frames", p.Labels, p.Count, mean)
+				if mean < 1 || mean > transport.RecvBatchLen {
+					t.Errorf("%v: mean batch %.2f outside [1, %d]", p.Labels, mean, transport.RecvBatchLen)
+				}
+				if got := recv[labelString(p.Labels)]; p.Sum != got {
+					t.Errorf("%v: batches hold %.0f frames, endpoint received %.0f", p.Labels, p.Sum, got)
+				}
+			}
+			if batched < 3 {
+				t.Errorf("%d endpoints observed batches, want one per client at least", batched)
+			}
+			if datagram && !data {
+				t.Error("no data plane observed a batch")
+			}
+		})
+	}
+}
+
+// labelString renders a label set in a fixed order, as a map key.
+func labelString(labels map[string]string) string {
+	return labels["endpoint"] + "|" + labels["transport"]
 }
 
 // TestTraceLive runs a real broadcast with tracing on every generation
