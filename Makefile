@@ -70,10 +70,14 @@ race:
 # Run, a clamped tiny ComplaintTimeout, keepalives, forwarding and the
 # first hello behind a stalled tracker, a first hello whose dial failed,
 # keepalive beats behind a stalled child), a client's goroutine count,
-# and completion feedback (a lying child, a child that stops probing, a
-# decoded overlay gone quiet without a complaint).
+# completion feedback (a lying child, a child that stops probing, a
+# decoded overlay gone quiet without a complaint), and the node's
+# telemetry under its one lock (stats reports while two decode workers
+# judge traced frames). Each suite's -run pattern is defined once; poison
+# composes them.
+CHURN_RUN := Churn|Lease|Stalled|Faulty|Goodbye|SendDeadline|LeafCrash|Telemetry|Timeline|ClusterSnapshot|TraceLive|Rejoin|Footprint|Clamp|FirstHello|Feedback
 churn:
-	$(GO) test -race -run 'Churn|Lease|Stalled|Faulty|Goodbye|SendDeadline|LeafCrash|Telemetry|Timeline|ClusterSnapshot|TraceLive|Rejoin|Footprint|Clamp|FirstHello|Feedback' ./internal/protocol ./internal/transport .
+	$(GO) test -race -run '$(CHURN_RUN)' ./internal/protocol ./internal/transport .
 
 # Datagram-plane suite under the race detector: the UDP endpoint, its
 # batched I/O and its send contract (a one-batch queue with a yield per
@@ -84,8 +88,9 @@ churn:
 # decode workers each, the link-telemetry drill that must localize a
 # 10%-lossy peer to ±3pp, and the completion-feedback suite, whose
 # reports ride the keepalives of the datagram plane.
+LOSSY_RUN := UDP|SamePort|Dual|Datagram|SplitSender|Lossy|Link|Feedback
 lossy:
-	$(GO) test -race -run 'UDP|SamePort|Dual|Datagram|SplitSender|Lossy|Link|Feedback' ./internal/transport ./internal/protocol ./internal/obs .
+	$(GO) test -race -run '$(LOSSY_RUN)' ./internal/transport ./internal/protocol ./internal/obs .
 
 # Use-after-release gate: with -tags ncastpoison, Frame.Release overwrites
 # every released receive buffer, so a handler that keeps a frame past its
@@ -93,7 +98,7 @@ lossy:
 # (freeloader, entropy attacker) and the batched-receive tests run over
 # the poisoned build under the race detector.
 poison:
-	$(GO) test -race -tags ncastpoison -run 'Churn|Lease|Stalled|Faulty|Goodbye|SendDeadline|LeafCrash|Telemetry|Timeline|ClusterSnapshot|TraceLive|Rejoin|Footprint|Clamp|FirstHello|Feedback|UDP|SamePort|Dual|Datagram|SplitSender|Lossy|Link|Freeloader|Entropy|Poison|RecvBatch|Batched|Forward' ./internal/protocol ./internal/transport .
+	$(GO) test -race -tags ncastpoison -run '$(CHURN_RUN)|$(LOSSY_RUN)|Freeloader|Entropy|Poison|RecvBatch|Batched|Forward' ./internal/protocol ./internal/transport .
 
 # Short deterministic fuzz budgets over the wire decoders and the stream
 # framing; go's fuzzer accepts one -fuzz pattern per invocation, so each

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -87,9 +86,8 @@ func (s *linkScore) seq(thread int) *threadSeq {
 // LinkTracker maintains one node's per-peer link scorecards. It is
 // called from the data-frame receive path, so the steady state (known
 // peer, known thread) must not allocate; all methods are no-ops on a nil
-// receiver.
+// receiver. It has no lock: the node scores and compacts under its own.
 type LinkTracker struct {
-	mu      sync.Mutex
 	cap     int
 	peers   map[string]*linkScore
 	dropped uint64
@@ -130,10 +128,8 @@ func (t *LinkTracker) ObserveFrame(peer string, thread int, seq int32, frameByte
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	s := t.score(peer)
 	if s == nil {
-		t.mu.Unlock()
 		return
 	}
 	s.frames++
@@ -162,7 +158,6 @@ func (t *LinkTracker) ObserveFrame(peer string, thread int, seq int32, frameByte
 			s.received++
 		}
 	}
-	t.mu.Unlock()
 }
 
 // ObservePacket accounts one decoded coding-layer verdict for a packet
@@ -171,7 +166,6 @@ func (t *LinkTracker) ObservePacket(peer string, innovative bool) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	if s := t.score(peer); s != nil {
 		if innovative {
 			s.innovative++
@@ -179,7 +173,6 @@ func (t *LinkTracker) ObservePacket(peer string, innovative bool) {
 			s.redundant++
 		}
 	}
-	t.mu.Unlock()
 }
 
 // ObserveRTT folds one keepalive round-trip sample into the peer's
@@ -188,7 +181,6 @@ func (t *LinkTracker) ObserveRTT(peer string, rttNanos int64) {
 	if t == nil || rttNanos <= 0 {
 		return
 	}
-	t.mu.Lock()
 	if s := t.score(peer); s != nil {
 		rtt := float64(rttNanos)
 		if s.rttSamples == 0 {
@@ -204,7 +196,6 @@ func (t *LinkTracker) ObserveRTT(peer string, rttNanos int64) {
 		}
 		s.rttSamples++
 	}
-	t.mu.Unlock()
 }
 
 // Dropped reports how many observations were discarded because the peer
@@ -213,8 +204,6 @@ func (t *LinkTracker) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.dropped
 }
 
@@ -236,7 +225,6 @@ func (t *LinkTracker) Compact(max int) []LinkReport {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
 	out := make([]LinkReport, 0, len(t.peers))
 	for peer, s := range t.peers {
 		r := LinkReport{
@@ -260,7 +248,6 @@ func (t *LinkTracker) Compact(max int) []LinkReport {
 		}
 		out = append(out, r)
 	}
-	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Frames != out[j].Frames {
 			return out[i].Frames > out[j].Frames

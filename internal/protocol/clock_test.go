@@ -25,6 +25,12 @@ var scriptedWelcome = Welcome{ID: 1, K: 1, Degree: 1, Threads: []int{0},
 // runs at cleanup.
 func joinScripted(t *testing.T, net *transport.Network, cfg NodeConfig) (node *Node, tracker transport.Endpoint, stop func()) {
 	t.Helper()
+	return joinScriptedWith(t, net, cfg, scriptedWelcome)
+}
+
+// joinScriptedWith is joinScripted with the welcome w.
+func joinScriptedWith(t *testing.T, net *transport.Network, cfg NodeConfig, w Welcome) (node *Node, tracker transport.Endpoint, stop func()) {
+	t.Helper()
 	tracker, err := net.Endpoint("tracker")
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +48,7 @@ func joinScripted(t *testing.T, net *transport.Network, cfg NodeConfig) (node *N
 	t.Cleanup(stop)
 
 	nextControl(t, tracker, MsgHello)
-	sendControl(t, tracker, "node", MsgWelcome, scriptedWelcome)
+	sendControl(t, tracker, "node", MsgWelcome, w)
 	select {
 	case err := <-node.Joined():
 		if err != nil {

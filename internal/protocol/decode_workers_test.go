@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ncast/internal/gf"
 	"ncast/internal/obs"
 	"ncast/internal/rlnc"
 	"ncast/internal/transport"
@@ -53,10 +55,11 @@ func TestGenIndexSlots(t *testing.T) {
 }
 
 // TestStatsReportRedundantExcludesDecodeDrops: a frame that a saturated
-// decode worker drops, or that still waits in its queue, was received but
-// never absorbed, so it is neither innovative nor redundant. The stats
-// report must agree with the node's own ncast_node_redundant_total rather
-// than count every frame that was not innovative as redundant.
+// decode worker drops was received but never absorbed, so it is neither
+// innovative nor redundant, and a frame still waiting in the queue is not
+// counted yet. The stats report must agree with the node's own
+// ncast_node_redundant_total rather than count every frame that was not
+// innovative as redundant.
 func TestStatsReportRedundantExcludesDecodeDrops(t *testing.T) {
 	t.Parallel()
 	net := transport.NewNetwork()
@@ -76,9 +79,11 @@ func TestStatsReportRedundantExcludesDecodeDrops(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 5*time.Second, "the node to receive the flood", func() bool {
-		received, _ := node.Stats()
-		return received == flood
+	// The stalled worker holds its first frame, counted, and its queue the
+	// frames not counted yet; every other frame was dropped and counted.
+	waitFor(t, 5*time.Second, "the node to take in the flood", func() bool {
+		r := node.buildStatsReport()
+		return r.Received+uint64(r.QueueDepth) == flood
 	})
 	close(release)
 	// Let the worker drain what its queue held.
@@ -167,5 +172,155 @@ func TestLossyDecodeWorkersRecodeConcurrently(t *testing.T) {
 	}
 	if err := s.tracker.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeWorkerTelemetryConsistent pins the node's lock discipline
+// under the race detector: a node that absorbs traced frames of four
+// generations on two decode workers, recodes them for a child, answers
+// its parent's probes and measures its own probes' echoes, while its
+// clock sends a stats report every 2 ms. Every report must be one
+// consistent snapshot: Received − Innovative − Redundant (the frames
+// dropped before a verdict) never shrinks from one report to the next,
+// the parent's link scorecard holds the same verdicts as the node's
+// counters, and the hop cells drained so far count exactly the frames
+// judged so far. At the end every delivered frame is counted, and every
+// generation decoded once.
+func TestDecodeWorkerTelemetryConsistent(t *testing.T) {
+	t.Parallel()
+	net := transport.NewNetwork()
+	defer net.Close()
+	parent, child := newEndpoint(t, net, "parent"), newEndpoint(t, net, "child")
+	w := scriptedWelcome
+	w.Session.ContentLen = 4 * w.Session.GenSize * w.Session.PacketSize
+	w.StatsMillis = 2
+	var decodedEvents atomic.Int64
+	sink := func(e obs.GenEvent) {
+		if e.Phase == obs.PhaseDecoded {
+			decodedEvents.Add(1)
+		}
+	}
+	m := obs.NewNodeMetrics(obs.NewRegistry(), "node")
+	cfg := NodeConfig{Seed: 1, DecodeWorkers: 2, ComplaintTimeout: 40 * time.Millisecond, Obs: m, GenSink: sink}
+	_, tracker, _ := joinScriptedWith(t, net, cfg, w)
+	sendControl(t, tracker, "node", MsgRedirect, Redirect{Thread: 0, ChildAddr: "child"})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+	// The checks below need every report, in order, so the buffer holds
+	// all of a run's reports (one every 2 ms).
+	reports := make(chan StatsReport, 1<<14)
+	wg.Add(3)
+	go func() { // the tracker: collect the stats reports in order
+		defer wg.Done()
+		for {
+			_, frame, err := tracker.Recv(ctx)
+			if err != nil {
+				return
+			}
+			var r StatsReport
+			if typ, body, err := SplitControl(frame); err == nil && typ == MsgStatsReport &&
+				UnmarshalControl(typ, body, &r) == nil {
+				select {
+				case reports <- r:
+				case <-ctx.Done():
+					return
+				}
+			}
+		}
+	}()
+	go func() { // the parent: echo the node's probes
+		defer wg.Done()
+		for {
+			_, frame, err := parent.Recv(ctx)
+			if err != nil {
+				return
+			}
+			if ki, err := DecodeKeepaliveEcho(frame); err == nil && ki.IsProbe() {
+				_ = parent.Send(ctx, "node", EncodeKeepaliveEcho(ki.Thread, 0, ki.TxNanos, 0))
+			}
+		}
+	}()
+	go func() { // the child: take what the node forwards
+		defer wg.Done()
+		for {
+			if _, _, err := child.Recv(ctx); err != nil {
+				return
+			}
+		}
+	}()
+
+	// The parent sends traced frames of the four generations, round robin,
+	// with a probe of its own and a short pause every 32 frames, so the
+	// reports land while frames are judged. Each send waits for room in
+	// the node's queue, so every frame is delivered.
+	const frames = 2000
+	rng := rand.New(rand.NewSource(1))
+	g := w.Session
+	for i := 0; i < frames; i++ {
+		p := &rlnc.Packet{Gen: uint32(i % 4), Coeff: make([]byte, g.GenSize), Payload: make([]byte, g.PacketSize)}
+		for j := range p.Coeff {
+			p.Coeff[j] = byte(1 + rng.Intn(255))
+		}
+		rng.Read(p.Payload)
+		frame := EncodeDataSeq(gf.F256, 0, int32(i), time.Now().UnixNano(), TraceContext{ID: 7, Hop: 1}, p)
+		if err := parent.Send(ctx, "node", frame); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if i%32 == 0 {
+			if err := parent.Send(ctx, "node", EncodeKeepaliveEcho(0, time.Now().UnixNano(), 0, 0)); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(500 * time.Microsecond)
+		}
+	}
+
+	var dropped, cellsReceived, cellsInnovative uint64
+	seen := 0
+	for {
+		var r StatsReport
+		select {
+		case r = <-reports:
+		case <-ctx.Done():
+			t.Fatalf("no report counted all %d frames after %d reports", frames, seen)
+		}
+		seen++
+		for _, h := range r.TraceHops {
+			cellsReceived += uint64(h.Received)
+			cellsInnovative += uint64(h.Innovative)
+		}
+		judged := r.Innovative + r.Redundant
+		if r.Received < judged || r.Received-judged < dropped {
+			t.Fatalf("report %d: received %d, innovative %d, redundant %d: drops before a verdict fell below %d",
+				seen, r.Received, r.Innovative, r.Redundant, dropped)
+		}
+		dropped = r.Received - judged
+		if cellsReceived != judged || cellsInnovative != r.Innovative {
+			t.Fatalf("report %d: hop cells so far hold %d frames, %d innovative; counters %d, %d",
+				seen, cellsReceived, cellsInnovative, judged, r.Innovative)
+		}
+		var link obs.LinkReport
+		for _, l := range r.Links {
+			if l.Peer == "parent" {
+				link = l
+			}
+		}
+		if link.Innovative != r.Innovative || link.Redundant != r.Redundant {
+			t.Fatalf("report %d: parent link %d/%d, node %d/%d",
+				seen, link.Innovative, link.Redundant, r.Innovative, r.Redundant)
+		}
+		if r.Received < frames || r.QueueDepth > 0 || link.RTTSamples == 0 {
+			continue
+		}
+		if r.Received != frames || m.Received.Value() != frames {
+			t.Fatalf("received %d, ncast_node_received_total %d, want %d delivered", r.Received, m.Received.Value(), frames)
+		}
+		if !r.Complete || decodedEvents.Load() != 4 {
+			t.Fatalf("complete %v with %d decoded events, want 4", r.Complete, decodedEvents.Load())
+		}
+		t.Logf("%d reports; %d frames dropped before a verdict", seen, dropped)
+		return
 	}
 }

@@ -243,6 +243,10 @@ type StatsReport struct {
 	TotalGens int   `json:"total_gens"`
 	Complete  bool  `json:"complete"`
 
+	// Received counts the frames of session generations that got a
+	// verdict, innovative or redundant, or were dropped before one (by a
+	// saturated decode worker); a frame still queued for a decode worker
+	// is not counted yet, so Received = Innovative + Redundant + drops.
 	Received   uint64 `json:"received"`
 	Innovative uint64 `json:"innovative"`
 	Redundant  uint64 `json:"redundant"`
@@ -260,7 +264,7 @@ type StatsReport struct {
 	DelayP99Nanos    int64 `json:"delay_p99_ns,omitempty"`
 	OverheadPermille int   `json:"overhead_permille,omitempty"`
 
-	// TraceHops are the node's compacted dissemination-trace hop spans
+	// TraceHops are the node's dissemination-trace hop cells recorded
 	// since the previous report (present only when trace sampling is on
 	// and traced frames arrived); the tracker's TraceCollector assembles
 	// them into per-generation dissemination trees.

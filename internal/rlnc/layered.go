@@ -13,7 +13,9 @@ import (
 // stream is weighted toward lower (more important) layers. A receiver
 // with the full bandwidth decodes everything; a degraded or low-degree
 // receiver still decodes the base layer first — graceful degradation
-// instead of a cliff.
+// instead of a cliff. A receiver decodes each generation of each layer in
+// its own recoder, exactly as it decodes a flat session; the layer sizes
+// it needs to reassemble the content ride the session's welcome.
 //
 // Layer l's generations are namespaced into the packet Gen field as
 // (l << layerShift) | g, so layered packets flow through the same
@@ -74,10 +76,9 @@ func (lp LayeredParams) Layers() int { return len(lp.Weights) }
 // into contiguous layer slabs of equal size (the last padded), layer 0
 // first — in a video use case layer 0 is the base resolution.
 type LayeredEncoder struct {
-	params LayeredParams
-	encs   []*FileEncoder
-	sizes  []int
-	cum    []float64 // cumulative normalised weights for sampling
+	encs  []*FileEncoder
+	sizes []int
+	cum   []float64 // cumulative normalised weights for sampling
 }
 
 // NewLayeredEncoder splits content into len(Weights) layers and prepares
@@ -91,7 +92,7 @@ func NewLayeredEncoder(params LayeredParams, content []byte) (*LayeredEncoder, e
 	}
 	layers := params.Layers()
 	per := (len(content) + layers - 1) / layers
-	le := &LayeredEncoder{params: params}
+	le := &LayeredEncoder{}
 	var total float64
 	for _, w := range params.Weights {
 		total += w
@@ -128,13 +129,6 @@ func (le *LayeredEncoder) Layers() int { return len(le.encs) }
 // LayerSize returns layer l's byte length.
 func (le *LayeredEncoder) LayerSize(l int) int { return le.sizes[l] }
 
-// Manifest describes the layered stream for receivers.
-func (le *LayeredEncoder) Manifest() LayeredManifest {
-	m := LayeredManifest{Params: le.params}
-	m.LayerSizes = append(m.LayerSizes, le.sizes...)
-	return m
-}
-
 // Packet emits one coded packet: a layer is sampled by weight, a
 // generation within it round-robin by a second random draw, and the
 // packet's Gen field carries the (layer, generation) namespace.
@@ -155,101 +149,4 @@ func (le *LayeredEncoder) Packet(r *rand.Rand) (*Packet, error) {
 	}
 	p.Gen = LayerGen(layer, g)
 	return p, nil
-}
-
-// LayeredManifest is the receiver-side description of a layered stream.
-type LayeredManifest struct {
-	Params     LayeredParams
-	LayerSizes []int
-}
-
-// LayeredDecoder reassembles layers independently, completing the most
-// important (and most frequently coded) layers first.
-type LayeredDecoder struct {
-	manifest LayeredManifest
-	decs     []*FileDecoder
-}
-
-// NewLayeredDecoder prepares decoding from a manifest.
-func NewLayeredDecoder(m LayeredManifest) (*LayeredDecoder, error) {
-	if err := m.Params.Validate(); err != nil {
-		return nil, err
-	}
-	if len(m.LayerSizes) != m.Params.Layers() {
-		return nil, fmt.Errorf("rlnc: manifest has %d sizes for %d layers", len(m.LayerSizes), m.Params.Layers())
-	}
-	ld := &LayeredDecoder{manifest: m}
-	for l, size := range m.LayerSizes {
-		fd, err := NewFileDecoder(m.Params.Params, size)
-		if err != nil {
-			return nil, fmt.Errorf("rlnc: layer %d: %w", l, err)
-		}
-		ld.decs = append(ld.decs, fd)
-	}
-	return ld, nil
-}
-
-// Add absorbs a layered packet. The Gen field is temporarily rewritten to
-// the within-layer index for the duration of the call (the underlying
-// decoder copies the packet, so no clone is needed); the packet must not
-// be shared with another goroutine while Add runs.
-func (ld *LayeredDecoder) Add(p *Packet) (innovative bool, err error) {
-	layer := LayerOf(p.Gen)
-	if layer >= len(ld.decs) {
-		return false, fmt.Errorf("rlnc: packet for layer %d of %d", layer, len(ld.decs))
-	}
-	orig := p.Gen
-	p.Gen = uint32(GenOf(orig))
-	innovative, err = ld.decs[layer].Add(p)
-	p.Gen = orig
-	return innovative, err
-}
-
-// LayerComplete reports whether layer l has fully decoded.
-func (ld *LayeredDecoder) LayerComplete(l int) bool { return ld.decs[l].Complete() }
-
-// CompletedLayers returns the count of consecutively complete layers
-// starting from the base — the "resolution" the receiver can play.
-func (ld *LayeredDecoder) CompletedLayers() int {
-	n := 0
-	for _, d := range ld.decs {
-		if !d.Complete() {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// Complete reports whether every layer decoded.
-func (ld *LayeredDecoder) Complete() bool {
-	return ld.CompletedLayers() == len(ld.decs)
-}
-
-// LayerProgress returns layer l's rank fraction.
-func (ld *LayeredDecoder) LayerProgress(l int) float64 { return ld.decs[l].Progress() }
-
-// Layer returns the decoded bytes of layer l; it errors until the layer
-// completes.
-func (ld *LayeredDecoder) Layer(l int) ([]byte, error) {
-	if l < 0 || l >= len(ld.decs) {
-		return nil, fmt.Errorf("rlnc: layer %d out of range [0,%d)", l, len(ld.decs))
-	}
-	return ld.decs[l].Bytes()
-}
-
-// Bytes reassembles the full content once every layer completes.
-func (ld *LayeredDecoder) Bytes() ([]byte, error) {
-	if !ld.Complete() {
-		return nil, fmt.Errorf("%w: %d of %d layers decoded", ErrIncomplete, ld.CompletedLayers(), len(ld.decs))
-	}
-	var out []byte
-	for l := range ld.decs {
-		b, err := ld.decs[l].Bytes()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b...)
-	}
-	return out, nil
 }

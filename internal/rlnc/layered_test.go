@@ -59,6 +59,59 @@ func TestLayerNamespace(t *testing.T) {
 	}
 }
 
+// layerDecoders returns one FileDecoder per layer of enc, as a receiver
+// that knows the layer sizes builds them.
+func layerDecoders(t *testing.T, enc *LayeredEncoder, params LayeredParams) []*FileDecoder {
+	t.Helper()
+	decs := make([]*FileDecoder, enc.Layers())
+	for l := range decs {
+		fd, err := NewFileDecoder(params.Params, enc.LayerSize(l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decs[l] = fd
+	}
+	return decs
+}
+
+// addLayered feeds a layered packet to its layer's decoder, under its
+// within-layer generation index.
+func addLayered(t *testing.T, decs []*FileDecoder, p *Packet) {
+	t.Helper()
+	q := *p
+	q.Gen = uint32(GenOf(p.Gen))
+	if _, err := decs[LayerOf(p.Gen)].Add(&q); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// layersComplete returns how many consecutive layers, from the base,
+// have decoded.
+func layersComplete(decs []*FileDecoder) int {
+	n := 0
+	for _, d := range decs {
+		if !d.Complete() {
+			break
+		}
+		n++
+	}
+	return n
+}
+
+// layeredBytes reassembles the content from fully decoded layers.
+func layeredBytes(t *testing.T, decs []*FileDecoder) []byte {
+	t.Helper()
+	var out []byte
+	for _, d := range decs {
+		b, err := d.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b...)
+	}
+	return out
+}
+
 func TestLayeredRoundTrip(t *testing.T) {
 	t.Parallel()
 	r := rand.New(rand.NewSource(1))
@@ -69,12 +122,9 @@ func TestLayeredRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewLayeredDecoder(enc.Manifest())
-	if err != nil {
-		t.Fatal(err)
-	}
+	decs := layerDecoders(t, enc, params)
 	guard := 0
-	for !dec.Complete() {
+	for layersComplete(decs) < len(decs) {
 		if guard++; guard > 100000 {
 			t.Fatal("decode did not converge")
 		}
@@ -82,22 +132,19 @@ func TestLayeredRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := dec.Add(p); err != nil {
-			t.Fatal(err)
-		}
+		addLayered(t, decs, p)
 	}
-	got, err := dec.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, content) {
+	if got := layeredBytes(t, decs); !bytes.Equal(got, content) {
 		t.Fatal("layered content mismatch")
 	}
 	// Per-layer extraction matches the slabs.
 	per := (len(content) + 2) / 3
 	for l := 0; l < 3; l++ {
 		want := content[l*per : min((l+1)*per, len(content))]
-		lb, err := dec.Layer(l)
+		if enc.LayerSize(l) != len(want) {
+			t.Fatalf("layer %d size %d, want %d", l, enc.LayerSize(l), len(want))
+		}
+		lb, err := decs[l].Bytes()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,54 +169,22 @@ func TestLayeredGracefulDegradation(t *testing.T) {
 	}
 	trials, baseFirst := 30, 0
 	for trial := 0; trial < trials; trial++ {
-		dec, err := NewLayeredDecoder(enc.Manifest())
-		if err != nil {
-			t.Fatal(err)
-		}
+		decs := layerDecoders(t, enc, params)
 		// Stop as soon as ANY layer completes; it should almost always
 		// be the base.
-		for dec.CompletedLayers() == 0 && !dec.LayerComplete(1) && !dec.LayerComplete(2) {
+		for !decs[0].Complete() && !decs[1].Complete() && !decs[2].Complete() {
 			p, err := enc.Packet(r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := dec.Add(p); err != nil {
-				t.Fatal(err)
-			}
+			addLayered(t, decs, p)
 		}
-		if dec.LayerComplete(0) {
+		if decs[0].Complete() {
 			baseFirst++
 		}
 	}
 	if baseFirst < trials*3/4 {
 		t.Fatalf("base layer finished first in only %d/%d trials", baseFirst, trials)
-	}
-}
-
-func TestLayeredDecoderRejectsUnknownLayer(t *testing.T) {
-	t.Parallel()
-	params := layeredParams(2)
-	ld, err := NewLayeredDecoder(LayeredManifest{Params: params, LayerSizes: []int{64, 64}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &Packet{Gen: LayerGen(7, 0), Coeff: make([]byte, 4), Payload: make([]byte, 16)}
-	if _, err := ld.Add(p); err == nil {
-		t.Fatal("packet for unknown layer accepted")
-	}
-	if _, err := ld.Layer(5); err == nil {
-		t.Fatal("unknown layer extraction accepted")
-	}
-	if _, err := ld.Bytes(); err == nil {
-		t.Fatal("Bytes before completion accepted")
-	}
-}
-
-func TestLayeredManifestMismatch(t *testing.T) {
-	t.Parallel()
-	params := layeredParams(2)
-	if _, err := NewLayeredDecoder(LayeredManifest{Params: params, LayerSizes: []int{64}}); err == nil {
-		t.Fatal("manifest with wrong size count accepted")
 	}
 }
 
@@ -185,13 +200,10 @@ func TestLayeredThroughRecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewLayeredDecoder(enc.Manifest())
-	if err != nil {
-		t.Fatal(err)
-	}
+	decs := layerDecoders(t, enc, params)
 	recoders := make(map[uint32]*Recoder)
 	guard := 0
-	for !dec.Complete() {
+	for layersComplete(decs) < len(decs) {
 		if guard++; guard > 100000 {
 			t.Fatal("no convergence through recoder")
 		}
@@ -211,16 +223,13 @@ func TestLayeredThroughRecoder(t *testing.T) {
 			t.Fatal(err)
 		}
 		if out, ok := rc.Packet(r); ok {
-			if _, err := dec.Add(out); err != nil {
-				t.Fatal(err)
+			if out.Gen != p.Gen {
+				t.Fatalf("recoded packet of %#x carries %#x", p.Gen, out.Gen)
 			}
+			addLayered(t, decs, out)
 		}
 	}
-	got, err := dec.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, content) {
+	if got := layeredBytes(t, decs); !bytes.Equal(got, content) {
 		t.Fatal("recoded layered content mismatch")
 	}
 }

@@ -100,10 +100,16 @@ type Endpoint interface {
 	Close() error
 }
 
-// Network is an in-memory message fabric connecting named endpoints.
+// Network is an in-memory message fabric connecting named endpoints. A
+// send read-locks mu for the address lookup; registering and closing
+// endpoints write-lock it. The loss coin has a lock of its own, taken
+// only on a lossy fabric, so seeded loss stays replayable. loss and
+// latency are fixed by NewNetwork's options, so a send reads them
+// without a lock.
 type Network struct {
-	mu        sync.Mutex
+	mu        sync.RWMutex
 	endpoints map[string]*memEndpoint
+	coinMu    sync.Mutex
 	rng       *rand.Rand
 	loss      float64
 	latency   time.Duration
@@ -276,9 +282,9 @@ func (e *memEndpoint) Send(ctx context.Context, to string, msg []byte) error {
 func (e *memEndpoint) sendFrom(ctx context.Context, from, to string, msg []byte) error {
 	m := e.metrics.Load()
 	n := e.net
-	n.mu.Lock()
+	n.mu.RLock()
 	if n.closed {
-		n.mu.Unlock()
+		n.mu.RUnlock()
 		return ErrClosed
 	}
 	dst, ok := n.endpoints[to]
@@ -292,9 +298,8 @@ func (e *memEndpoint) sendFrom(ctx context.Context, from, to string, msg []byte)
 			}
 		}
 	}
-	drop := n.loss > 0 && n.rng.Float64() < n.loss
-	latency := n.latency
-	n.mu.Unlock()
+	n.mu.RUnlock()
+	drop := n.lost()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownPeer, to)
 	}
@@ -309,7 +314,7 @@ func (e *memEndpoint) sendFrom(ctx context.Context, from, to string, msg []byte)
 	buf := dst.pool.get(len(msg))
 	copy(buf, msg)
 	frame := memFrame{from: from, to: to, msg: buf}
-	if latency > 0 {
+	if latency := n.latency; latency > 0 {
 		// Latency is applied on the delivery side (Recv waits until the
 		// frame is due), so concurrent frames pipeline like packets on a
 		// real link instead of serialising their senders. Enqueueing
@@ -344,6 +349,16 @@ func (e *memEndpoint) sendFrom(ctx context.Context, from, to string, msg []byte)
 	dst.pool.put(buf)
 	m.Dropped()
 	return err
+}
+
+// lost flips the loss coin of a lossy fabric.
+func (n *Network) lost() bool {
+	if n.loss <= 0 {
+		return false
+	}
+	n.coinMu.Lock()
+	defer n.coinMu.Unlock()
+	return n.rng.Float64() < n.loss
 }
 
 // Recv implements Endpoint: the one-frame case of RecvBatch. The returned

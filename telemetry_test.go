@@ -31,10 +31,10 @@ func TestMetricNameLint(t *testing.T) {
 	obs.NewTraceMetrics(reg)
 	obs.NewLinkMetrics(reg)
 	obs.NewRuntimeMetrics(reg)
-	// The lifecycle tracker registers the decode-delay and overhead
-	// histograms lazily on the first decode; force both.
-	gt := obs.NewGenTracker("lint-node", 1, 1, func(gen uint32) (int, bool) { return 0, gen == 0 }, nm, nil)
-	gt.Observe(0, time.Now().Add(-time.Millisecond).UnixNano(), 1)
+	// A generation's lifecycle record feeds the decode-delay and overhead
+	// histograms on its decode; force both.
+	var life obs.GenLife
+	life.Observe("lint-node", 0, 1, time.Now().Add(-time.Millisecond).UnixNano(), 1, nm, nil)
 
 	points := reg.Snapshot()
 	if len(points) == 0 {
