@@ -71,11 +71,12 @@ race:
 # first hello behind a stalled tracker, a first hello whose dial failed,
 # keepalive beats behind a stalled child), a client's goroutine count,
 # completion feedback (a lying child, a child that stops probing, a
-# decoded overlay gone quiet without a complaint), and the node's
-# telemetry under its one lock (stats reports while two decode workers
-# judge traced frames). Each suite's -run pattern is defined once; poison
-# composes them.
-CHURN_RUN := Churn|Lease|Stalled|Faulty|Goodbye|SendDeadline|LeafCrash|Telemetry|Timeline|ClusterSnapshot|TraceLive|Rejoin|Footprint|Clamp|FirstHello|Feedback
+# decoded overlay gone quiet without a complaint), the node's telemetry
+# under its one lock (stats reports while two decode workers judge traced
+# frames), the outbox's retry ladder on a full queue, and the §5
+# congestion episode, whose congested/uncongested messages no other suite
+# sends. Each suite's -run pattern is defined once; poison composes them.
+CHURN_RUN := Churn|Lease|Stalled|Faulty|Goodbye|SendDeadline|LeafCrash|Telemetry|Timeline|ClusterSnapshot|TraceLive|Rejoin|Footprint|Clamp|FirstHello|Feedback|Congest
 churn:
 	$(GO) test -race -run '$(CHURN_RUN)' ./internal/protocol ./internal/transport .
 
@@ -117,16 +118,20 @@ fuzz:
 # and frame buffers, one routing buffer across rounds, and no per-send
 # context), a node's forward path must allocate about nothing (at most
 # 0.01 objects a frame: both hops copy into receive buffers that their
-# receivers release, and no per-frame context), a frame over loopback
-# UDP or TCP, or the in-memory fabric, must allocate about nothing when
-# its receiver releases it and exactly its one buffer when it does not,
-# and a hello+welcome round trip through the control codec must allocate
-# only its two frames, the address and the thread list.
+# receivers release, and no per-frame context), a control message sent
+# by the tracker's outbox or a swarm shard must allocate about nothing
+# beyond its encoded frame (at most 0.01 objects: one send window per
+# loop, no per-message context), a frame over loopback UDP or TCP, or the
+# in-memory fabric, must allocate about nothing when its receiver
+# releases it and exactly its one buffer when it does not, and a
+# hello+welcome round trip through the control codec must allocate only
+# its two frames, the address and the thread list.
 allocguard:
 	$(GO) test ./internal/protocol -run TestTracedHotPathAllocs -count=1
 	$(GO) test ./internal/protocol -run TestLinkHotPathAllocs -count=1
 	$(GO) test ./internal/protocol -run TestSourceEmitAllocs -count=1
 	$(GO) test ./internal/protocol -run TestForwardPathAllocs -count=1
+	$(GO) test ./internal/protocol ./internal/swarm -run TestControlDeliverAllocs -count=1
 	$(GO) test ./internal/transport -run 'TestUDPRecvBatchAllocs|TestTCPRecvBatchAllocs|TestMemRecvBatchAllocs|TestMemRecvWithoutReleaseAllocatesOnce' -count=1
 	$(GO) test ./internal/protocol -run TestControlCodecAllocs -count=1
 	$(GO) test ./internal/rlnc -run TestDecodeHotPathAllocs -count=1

@@ -216,7 +216,7 @@ func TestGoodbyeRacesQueuedDuplicateHello(t *testing.T) {
 	}
 
 	var pending []pendingHello
-	pending = tr.ingest(ctx, "a", hello, pending)
+	pending = tr.ingest(ctx, time.Now(), "a", hello, pending)
 	if len(pending) != 1 {
 		t.Fatalf("hello not queued: %d pending", len(pending))
 	}
@@ -228,12 +228,12 @@ func TestGoodbyeRacesQueuedDuplicateHello(t *testing.T) {
 	// goodbye is a non-hello, so ingest flushes the queue first — the dup
 	// re-welcomes against the still-live row — then dispatches the
 	// goodbye, which removes it. Arrival order is preserved end to end.
-	pending = tr.ingest(ctx, "a", hello, pending)
+	pending = tr.ingest(ctx, time.Now(), "a", hello, pending)
 	goodbye, err := EncodeControl(MsgGoodbye, Goodbye{ID: uint64(id1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pending = tr.ingest(ctx, "a", goodbye, pending)
+	pending = tr.ingest(ctx, time.Now(), "a", goodbye, pending)
 	if len(pending) != 0 {
 		t.Fatalf("goodbye left %d hellos queued", len(pending))
 	}
@@ -247,7 +247,7 @@ func TestGoodbyeRacesQueuedDuplicateHello(t *testing.T) {
 
 	// Ordering 2: the row is already gone when the retried hello flushes —
 	// a fresh admission under a new identity, never a resurrection of id1.
-	pending = tr.ingest(ctx, "a", hello, pending)
+	pending = tr.ingest(ctx, time.Now(), "a", hello, pending)
 	pending = tr.flushHellos(ctx, pending)
 	_ = pending
 	id2 := trackerID(t, tr, "a")
@@ -284,7 +284,7 @@ func TestExpireSweepsNodeWithQueuedDuplicateHello(t *testing.T) {
 	}
 
 	var pending []pendingHello
-	pending = tr.ingest(ctx, "a", hello, pending)
+	pending = tr.ingest(ctx, time.Now(), "a", hello, pending)
 	pending = tr.flushHellos(ctx, pending)
 	id1 := trackerID(t, tr, "a")
 	nextEvent(t, tr, "join")
@@ -292,7 +292,7 @@ func TestExpireSweepsNodeWithQueuedDuplicateHello(t *testing.T) {
 	// The node retries its hello (welcome lost, say), and before the next
 	// flush its lease expires: the sweep splices the row out under the
 	// queued duplicate.
-	pending = tr.ingest(ctx, "a", hello, pending)
+	pending = tr.ingest(ctx, time.Now(), "a", hello, pending)
 	tr.expire(ctx, id1)
 	if ev := nextEvent(t, tr, "expire"); ev.ID != id1 {
 		t.Fatalf("expire event for %d, want %d", ev.ID, id1)

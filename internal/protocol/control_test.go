@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"ncast/internal/obs"
 )
@@ -378,7 +379,7 @@ func TestLegacyJSONControlFrameIgnored(t *testing.T) {
 		t.Fatal("JSON view accepted a legacy frame")
 	}
 	tr, _ := newAdmissionTracker(t, 8, 2)
-	if pending := tr.ingest(context.Background(), "old", legacy, nil); len(pending) != 0 {
+	if pending := tr.ingest(context.Background(), time.Now(), "old", legacy, nil); len(pending) != 0 {
 		t.Fatalf("legacy frame queued %d hellos", len(pending))
 	}
 	if n := tr.NumNodes(); n != 0 {

@@ -229,12 +229,10 @@ type pendingHello struct {
 	h    Hello
 }
 
-// inFrame is one received frame handed from the recv goroutine to the
-// dispatch loop.
-type inFrame struct {
-	from  string
-	frame []byte
-}
+// recvBatches is how many receive batches circulate between Run's pump and
+// its dispatch loop: together they hold one admission batch of frames, so
+// the pump reads ahead while the loop admits a hello burst.
+const recvBatches = admissionBatchMax / transport.RecvBatchLen
 
 // Run processes control messages until the context is cancelled or the
 // endpoint closes. It always returns a non-nil error explaining why.
@@ -257,21 +255,32 @@ func (t *Tracker) Run(ctx context.Context) error {
 		defer ticker.Stop()
 		sweep = ticker.C
 	}
-	frames := make(chan inFrame, admissionBatchMax)
+	// The pump fills a free batch in one RecvBatch and hands it over in
+	// one channel operation; the loop hands it back once every frame in it
+	// is ingested and released. Both channels hold every batch, so neither
+	// side blocks on a send.
+	free := make(chan []transport.Frame, recvBatches)
+	batches := make(chan []transport.Frame, recvBatches)
+	for i := 0; i < recvBatches; i++ {
+		free <- make([]transport.Frame, transport.RecvBatchLen)
+	}
 	recvErr := make(chan error, 1)
 	go func() {
+		rx := transport.Batched(t.ep)
 		for {
-			from, frame, err := t.ep.Recv(ctx)
-			if err != nil {
-				recvErr <- err
-				return
-			}
+			var b []transport.Frame
 			select {
-			case frames <- inFrame{from: from, frame: frame}:
+			case b = <-free:
 			case <-ctx.Done():
 				recvErr <- ctx.Err()
 				return
 			}
+			n, err := rx.RecvBatch(ctx, b[:cap(b)])
+			if err != nil {
+				recvErr <- err
+				return
+			}
+			batches <- b[:n]
 		}
 	}()
 	var pending []pendingHello
@@ -281,15 +290,17 @@ func (t *Tracker) Run(ctx context.Context) error {
 			return fmt.Errorf("protocol: tracker recv: %w", err)
 		case <-sweep:
 			t.expireSilent(ctx)
-		case f := <-frames:
-			pending = t.ingest(ctx, f.from, f.frame, pending)
+		case b := <-batches:
+			pending = t.ingestBatch(ctx, b, pending)
+			free <- b
 			// Coalesce whatever else already arrived, so a hello burst
 			// becomes one matrix transaction per dispatch round.
 		drain:
 			for len(pending) < admissionBatchMax {
 				select {
-				case f = <-frames:
-					pending = t.ingest(ctx, f.from, f.frame, pending)
+				case b = <-batches:
+					pending = t.ingestBatch(ctx, b, pending)
+					free <- b
 				default:
 					break drain
 				}
@@ -300,10 +311,23 @@ func (t *Tracker) Run(ctx context.Context) error {
 	}
 }
 
-// ingest routes one raw frame: hellos are queued for the next batch
-// flush; anything else flushes the queue and dispatches immediately so
-// message effects stay in arrival order.
-func (t *Tracker) ingest(ctx context.Context, from string, frame []byte, pending []pendingHello) []pendingHello {
+// ingestBatch ingests one received batch in arrival order, on one clock
+// read, and releases each frame once it is ingested.
+func (t *Tracker) ingestBatch(ctx context.Context, b []transport.Frame, pending []pendingHello) []pendingHello {
+	now := time.Now()
+	for i := range b {
+		pending = t.ingest(ctx, now, b[i].From, b[i].Msg, pending)
+		b[i].Release()
+	}
+	return pending
+}
+
+// ingest routes one raw frame received at now: hellos are queued for the
+// next batch flush, which runs first when the queue already holds
+// admissionBatchMax; anything else flushes the queue and dispatches
+// immediately so message effects stay in arrival order. Nothing it queues
+// or stores aliases frame.
+func (t *Tracker) ingest(ctx context.Context, now time.Time, from string, frame []byte, pending []pendingHello) []pendingHello {
 	if IsData(frame) {
 		return pending // trackers do not carry data
 	}
@@ -330,20 +354,23 @@ func (t *Tracker) ingest(ctx context.Context, from string, frame []byte, pending
 	}
 	// Any control message proves the sender is alive; the dedicated
 	// MsgLease only matters for nodes with nothing else to say.
-	t.touchLease(from)
+	t.touchLease(from, now)
 	if typ == MsgHello {
 		var h Hello
 		if err := UnmarshalControl(typ, body, &h); err != nil {
 			return pending
 		}
+		if len(pending) >= admissionBatchMax {
+			pending = t.flushHellos(ctx, pending)
+		}
 		return append(pending, pendingHello{from: from, h: h})
 	}
 	pending = t.flushHellos(ctx, pending)
-	t.dispatch(ctx, from, typ, body)
+	t.dispatch(ctx, now, from, typ, body)
 	return pending
 }
 
-func (t *Tracker) dispatch(ctx context.Context, from string, typ MsgType, body []byte) {
+func (t *Tracker) dispatch(ctx context.Context, now time.Time, from string, typ MsgType, body []byte) {
 	switch typ {
 	case MsgGoodbye:
 		var g Goodbye
@@ -380,7 +407,7 @@ func (t *Tracker) dispatch(ctx context.Context, from string, typ MsgType, body [
 		if err := UnmarshalControl(typ, body, &l); err != nil {
 			return
 		}
-		t.handleLease(ctx, from, l)
+		t.handleLease(ctx, now, from, l)
 	case MsgStatsReport:
 		var r StatsReport
 		if err := UnmarshalControl(typ, body, &r); err != nil {
@@ -586,7 +613,7 @@ func (t *Tracker) outboxCap() int {
 // peer's outbox (keyed by transport.PeerKey, so every virtual sub-address
 // behind one transport peer shares a worker and its ordering). It never
 // blocks: a peer with a clogged TCP buffer stalls only its own worker,
-// for at most outboxAttempts * (sendDeadline + backoff).
+// for at most outboxAttempts * sendDeadline plus backoff.
 func (t *Tracker) sendControl(ctx context.Context, to string, typ MsgType, payload interface{}) {
 	frame, err := EncodeControl(typ, payload)
 	if err != nil {
@@ -611,48 +638,53 @@ func (t *Tracker) sendControl(ctx context.Context, to string, typ MsgType, paylo
 	}
 }
 
-// outboxLoop drains one peer's control queue, bounding each attempt with
-// the send deadline and retrying transient errors with exponential
-// backoff. It retires after outboxIdle with an empty queue; the
-// empty-check and map delete happen under outMu, where enqueues also
-// happen, so a frame can never be stranded in a retired worker's queue.
+// outboxLoop drains one peer's control queue on one send window (see
+// deliver). It retires once a whole outboxIdle period passed without a
+// message: the idle timer is armed once and, when it fires after a busy
+// period, re-armed rather than reset on every message. The empty-check
+// and map delete happen under outMu, where enqueues also happen, so a
+// frame can never be stranded in a retired worker's queue.
 func (t *Tracker) outboxLoop(ctx context.Context, key string, ch chan outMsg) {
+	w := transport.NewSendWindow(ctx, t.sendDeadline())
+	defer w.Stop()
 	idle := time.NewTimer(outboxIdle)
 	defer idle.Stop()
+	busy := false
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case m := <-ch:
-			t.deliver(ctx, m.to, m.frame)
-			if !idle.Stop() {
-				select {
-				case <-idle.C:
-				default:
-				}
-			}
-			idle.Reset(outboxIdle)
+			t.deliver(ctx, &w, m.to, m.frame)
+			busy = true
 		case <-idle.C:
-			t.outMu.Lock()
-			if len(ch) == 0 && t.outboxes[key] == ch {
-				delete(t.outboxes, key)
+			if !busy {
+				t.outMu.Lock()
+				if len(ch) == 0 && t.outboxes[key] == ch {
+					delete(t.outboxes, key)
+					t.outMu.Unlock()
+					return
+				}
 				t.outMu.Unlock()
-				return
 			}
-			t.outMu.Unlock()
+			busy = false
 			idle.Reset(outboxIdle)
 		}
 	}
 }
 
-// deliver performs the bounded-retry send of one frame to one peer.
-func (t *Tracker) deliver(ctx context.Context, to string, frame []byte) {
+// deliver performs the bounded-retry send of one frame to one peer. Each
+// attempt sends on the worker's window w, so it waits on a full queue for
+// between sendDeadline/2 and sendDeadline and builds no timer of its own;
+// an attempt that timed out expired the window, so the retry gets a fresh
+// one. The first attempt carries the deadline too: with none, the fabric
+// and UDP drop a frame after QueueWait on a full queue and return nil, and
+// the retries below would never run.
+func (t *Tracker) deliver(ctx context.Context, w *transport.SendWindow, to string, frame []byte) {
 	m := t.cfg.Obs
 	backoff := outboxBackoff
 	for attempt := 0; attempt < outboxAttempts; attempt++ {
-		sendCtx, cancel := context.WithTimeout(ctx, t.sendDeadline())
-		err := t.ep.Send(sendCtx, to, frame)
-		cancel()
+		err := t.ep.Send(w.Context(), to, frame)
 		if err == nil {
 			return
 		}
@@ -679,10 +711,10 @@ func (t *Tracker) deliver(ctx context.Context, to string, frame []byte) {
 }
 
 // touchLease refreshes the sender's liveness lease, if it is a known node.
-func (t *Tracker) touchLease(from string) {
+func (t *Tracker) touchLease(from string, now time.Time) {
 	t.mu.Lock()
 	if id, ok := t.idOf[from]; ok {
-		t.lastSeen[id] = time.Now()
+		t.lastSeen[id] = now
 	}
 	t.mu.Unlock()
 }
@@ -783,7 +815,7 @@ func (t *Tracker) linkRowsLocked() ([]obs.LinkRow, map[string]uint64) {
 // handleLease renews a node's lease. A lease from an unknown id means the
 // node was already swept (it was partitioned past the timeout): tell it,
 // so it re-joins immediately instead of waiting to starve.
-func (t *Tracker) handleLease(ctx context.Context, from string, l Lease) {
+func (t *Tracker) handleLease(ctx context.Context, now time.Time, from string, l Lease) {
 	if m := t.cfg.Obs; m != nil {
 		m.Leases.Inc()
 	}
@@ -791,7 +823,7 @@ func (t *Tracker) handleLease(ctx context.Context, from string, l Lease) {
 	t.mu.Lock()
 	_, known := t.addrOf[id]
 	if known {
-		t.lastSeen[id] = time.Now()
+		t.lastSeen[id] = now
 	}
 	t.mu.Unlock()
 	if !known {
@@ -886,7 +918,7 @@ func (t *Tracker) flushHellos(ctx context.Context, pending []pendingHello) []pen
 		if m != nil {
 			m.Hellos.Inc()
 		}
-		opStart := time.Now()
+		opStart := time.Now() // also the hello's lease stamp
 		addr := ph.h.Addr
 		if addr == "" {
 			addr = ph.from
@@ -903,7 +935,7 @@ func (t *Tracker) flushHellos(ctx context.Context, pending []pendingHello) []pen
 			// the transport sender and misses when Hello.Addr differs from
 			// it, and without this a joiner stuck re-helloing through a slow
 			// admission wave could be lease-expired while provably present.
-			t.lastSeen[id] = time.Now()
+			t.lastSeen[id] = opStart
 			threads, err := t.curtain.Threads(id)
 			if err != nil {
 				continue
@@ -926,7 +958,7 @@ func (t *Tracker) flushHellos(ctx context.Context, pending []pendingHello) []pen
 		}
 		t.addrOf[id] = addr
 		t.idOf[addr] = id
-		t.lastSeen[id] = time.Now()
+		t.lastSeen[id] = opStart
 		threads, terr := t.curtain.Threads(id)
 		parents, perr := t.curtain.Parents(id)
 		if terr != nil || perr != nil {

@@ -179,12 +179,19 @@ type shard struct {
 
 	// notify wakes the event loop; inbox and cmds are appended by
 	// outsiders (the pump, the public API) under their mutexes and
-	// swapped out wholesale by the loop.
-	notify chan struct{}
-	inMu   sync.Mutex
-	inbox  []inFrame
-	cmdMu  sync.Mutex
-	cmds   []command
+	// swapped by the loop for its spare, emptied, slice of each, so both
+	// keep their backing arrays from round to round.
+	notify    chan struct{}
+	inMu      sync.Mutex
+	inbox     []inFrame
+	cmdMu     sync.Mutex
+	cmds      []command
+	spareIn   []inFrame
+	spareCmds []command
+
+	// send is the event loop's deadline for every control send (see
+	// sendControl); only the loop touches it.
+	send transport.SendWindow
 
 	wheel *wheel
 	nodes map[int32]*vnode
@@ -371,23 +378,28 @@ func (sh *shard) pump(ctx context.Context) {
 // wheel, sleep until woken or the next tick.
 func (sh *shard) run(ctx context.Context) {
 	defer sh.s.wg.Done()
+	sh.send = transport.NewSendWindow(ctx, controlSendBound)
+	defer sh.send.Stop()
 	tick := time.NewTimer(sh.s.cfg.Tick)
 	defer tick.Stop()
 	for {
 		sh.inMu.Lock()
 		frames := sh.inbox
-		sh.inbox = nil
+		sh.inbox = sh.spareIn
 		sh.inMu.Unlock()
 		for i := range frames {
 			sh.handleFrame(ctx, &frames[i])
 		}
+		clear(frames) // let the handled messages go
+		sh.spareIn = frames[:0]
 		sh.cmdMu.Lock()
 		cmds := sh.cmds
-		sh.cmds = nil
+		sh.cmds = sh.spareCmds
 		sh.cmdMu.Unlock()
 		for _, c := range cmds {
 			sh.handleCommand(ctx, c)
 		}
+		sh.spareCmds = cmds[:0]
 		sh.wheel.advance(time.Now(), func(e timerEntry) { sh.fire(ctx, e) })
 
 		if !tick.Stop() {
@@ -527,19 +539,22 @@ func (sh *shard) sendHello(ctx context.Context, v *vnode) {
 	sh.sendControl(ctx, v, protocol.MsgHello, protocol.Hello{Addr: v.addr, Degree: v.degree})
 }
 
+// controlSendBound bounds how long one control send waits on the
+// tracker's full receive queue; on the loop's send window a send waits
+// between half of it and all of it.
+const controlSendBound = 2 * time.Second
+
 func (sh *shard) sendControl(ctx context.Context, v *vnode, typ protocol.MsgType, payload interface{}) {
 	frame, err := protocol.EncodeControl(typ, payload)
 	if err != nil {
 		sh.s.c.sendErrors.Add(1)
 		return
 	}
-	// A bounded wait: if the tracker's receive queue is saturated the
-	// frame is dropped and the protocol's retry machinery (hello retry,
-	// goodbye retry, next lease tick) recovers — exactly the lossy-link
-	// semantics real nodes live with.
-	sendCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	err = sh.ep.SendAs(sendCtx, v.addr, sh.s.cfg.TrackerAddr, frame)
-	cancel()
+	// A bounded wait on the loop's send window: if the tracker's receive
+	// queue stays saturated the frame is dropped and the protocol's retry
+	// machinery (hello retry, goodbye retry, next lease tick) recovers —
+	// exactly the lossy-link semantics real nodes live with.
+	err = sh.ep.SendAs(sh.send.Context(), v.addr, sh.s.cfg.TrackerAddr, frame)
 	if err != nil && ctx.Err() == nil {
 		sh.s.c.sendErrors.Add(1)
 	}

@@ -73,8 +73,48 @@ func Instrument(ep Endpoint, m *obs.TransportMetrics) {
 // QueueWait bounds how long Send waits for room in a full send queue when
 // its context carries no deadline. Data-plane senders pass such a context
 // and so get drop-on-full after QueueWait without paying for a timer on
-// every frame; control senders that must wait longer pass a deadline.
+// every frame; control senders that must wait longer send on a
+// SendWindow, one deadline per sending loop.
 const QueueWait = 50 * time.Millisecond
+
+// SendWindow is a sending loop's one deadline context. Every send of the
+// loop reuses it while at least half its bound remains, and Context
+// replaces it once less remains or it has expired, so a send on a full
+// queue waits between bound/2 and bound, and the loop builds one timer per
+// bound/2 of wall time at most instead of one per message. A window
+// belongs to one goroutine; Stop releases its timer.
+type SendWindow struct {
+	parent   context.Context
+	bound    time.Duration
+	ctx      context.Context
+	cancel   context.CancelFunc
+	deadline time.Time
+}
+
+// NewSendWindow returns a window of the given bound under parent; its
+// first Context call builds the deadline.
+func NewSendWindow(parent context.Context, bound time.Duration) SendWindow {
+	return SendWindow{parent: parent, bound: bound}
+}
+
+// Context returns the deadline context for the next send.
+func (w *SendWindow) Context() context.Context {
+	now := time.Now()
+	if w.ctx == nil || w.deadline.Sub(now) < w.bound/2 {
+		w.Stop()
+		w.deadline = now.Add(w.bound)
+		w.ctx, w.cancel = context.WithDeadline(w.parent, w.deadline)
+	}
+	return w.ctx
+}
+
+// Stop releases the window's timer; a later Context builds a new one.
+func (w *SendWindow) Stop() {
+	if w.cancel != nil {
+		w.cancel()
+		w.ctx, w.cancel = nil, nil
+	}
+}
 
 // Endpoint is one side of a transport: it can send framed messages to
 // named peers and receive messages addressed to it.
