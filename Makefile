@@ -136,8 +136,9 @@ allocguard:
 	$(GO) test ./internal/protocol -run TestControlCodecAllocs -count=1
 	$(GO) test ./internal/rlnc -run TestDecodeHotPathAllocs -count=1
 
-# Perf regression gate: emit paths stay zero-alloc, and a 64 B GF(2^8)
-# AddMulSlice costs at most half a 1 KiB one (no per-call fixed cost).
+# Perf regression gate: emit paths and the fused four-row gf.Dot stay
+# zero-alloc, and a 64 B GF(2^8) AddMulSlice costs at most half a 1 KiB
+# one (no per-call fixed cost).
 bench-gate:
 	$(GO) run ./cmd/ncast-perf -gate
 

@@ -8,7 +8,16 @@
 // layout, operated on in bulk with the slice kernels (AddMulSlice and
 // friends); the RLNC codec runs a packet's coefficients and its payload
 // through the same kernels, which is where virtually all of the cycles go
-// during encoding, recoding, and decoding.
+// during encoding, recoding, and decoding. Dot is the fused form of a run
+// of AddMulSlice calls into one destination, dst += sum of c_i*src_i,
+// the dot product each coded packet is.
+//
+// The kernels are chosen once at package load, in the order purego →
+// generic → avx2 → gfni (see Accel): the purego build tag pins the scalar
+// reference kernels; otherwise the word-at-a-time Go kernels stand,
+// amd64 with AVX2 upgrades to PSHUFB nibble-table assembly (arm64 to its
+// NEON mirror), and an amd64 CPU that also has GFNI multiplies GF(2^8)
+// with one VGF2P8AFFINEQB per 32 bytes and runs Dot four rows per pass.
 //
 // GF(2^8) uses the AES-adjacent primitive polynomial x^8+x^4+x^3+x^2+1
 // (0x11D); GF(2^16) uses x^16+x^12+x^3+x+1 (0x1100B). Both are generated
@@ -65,7 +74,10 @@ type Field interface {
 
 // Accel names the bulk-kernel implementation selected at package load:
 // "purego" (scalar reference, forced by the purego build tag), "generic"
-// (word-at-a-time pure Go), or "avx2" (amd64 vector assembly).
+// (word-at-a-time pure Go), "neon" (arm64 vector assembly), "avx2" (amd64
+// vector assembly), or "gfni" (amd64 with GFNI: the avx2 kernels, with
+// GF(2^8) multiplies through the affine instruction and Dot fused four
+// rows per pass).
 func Accel() string { return accelName }
 
 // Compile-time interface conformance checks.
@@ -76,12 +88,18 @@ var (
 )
 
 // checkLen panics when a bulk kernel is invoked with mismatched slices.
-// Length mismatches are programming errors, never data errors.
+// Length mismatches are programming errors, never data errors. Symbol
+// sizes are powers of two, so the test is a mask, small enough to inline
+// into every kernel entry point; the message is built out of line.
 func checkLen(dst, src []byte, symbol int) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("gf: slice length mismatch: dst=%d src=%d", len(dst), len(src)))
+	if len(dst) != len(src) || len(dst)&(symbol-1) != 0 {
+		badLen(len(dst), len(src), symbol)
 	}
-	if symbol > 1 && len(dst)%symbol != 0 {
-		panic(fmt.Sprintf("gf: slice length %d not a multiple of symbol size %d", len(dst), symbol))
+}
+
+func badLen(dst, src, symbol int) {
+	if dst != src {
+		panic(fmt.Sprintf("gf: slice length mismatch: dst=%d src=%d", dst, src))
 	}
+	panic(fmt.Sprintf("gf: slice length %d not a multiple of symbol size %d", dst, symbol))
 }

@@ -18,12 +18,13 @@ var F256 = GF256{}
 // initializer (no init function) from the primitive polynomial, so they are
 // immutable after package load and safe for concurrent readers.
 var (
-	exp256 [512]byte          // exp256[i] = alpha^i, doubled to avoid mod 255 in Mul
-	log256 [256]uint16        // log256[x] = i such that alpha^i = x; log256[0] unused
-	inv256 [256]byte          // inv256[x] = x^-1; inv256[0] unused
-	mul256 [256][256]byte     // full product table
-	nib256 [256][32]byte      // nib256[c] = {c*n | n<16} ++ {c*(n<<4) | n<16}
-	_      = buildTables256() // force table construction at package load
+	exp256    [512]byte          // exp256[i] = alpha^i, doubled to avoid mod 255 in Mul
+	log256    [256]uint16        // log256[x] = i such that alpha^i = x; log256[0] unused
+	inv256    [256]byte          // inv256[x] = x^-1; inv256[0] unused
+	mul256    [256][256]byte     // full product table
+	nib256    [256][32]byte      // nib256[c] = {c*n | n<16} ++ {c*(n<<4) | n<16}
+	affine256 [256]uint64        // affine256[c] = GF(2) bit matrix of x -> c*x
+	_         = buildTables256() // force table construction at package load
 )
 
 func buildTables256() struct{} {
@@ -58,6 +59,21 @@ func buildTables256() struct{} {
 			nib256[c][n] = mul256[c][n]
 			nib256[c][16+n] = mul256[c][n<<4]
 		}
+	}
+	// Multiplication by c is GF(2)-linear in the bits of x, so it is one
+	// 8x8 bit matrix, the operand of the GFNI affine instruction
+	// (VGF2P8AFFINEQB): output bit i is the parity of x AND byte 7-i of
+	// the qword. Bit j of that byte is therefore bit i of c*2^j.
+	for c := 0; c < 256; c++ {
+		var m uint64
+		for i := 0; i < 8; i++ {
+			var row uint64
+			for j := 0; j < 8; j++ {
+				row |= uint64(mul256[c][1<<j]>>i&1) << j
+			}
+			m |= row << (8 * (7 - i))
+		}
+		affine256[c] = m
 	}
 	return struct{}{}
 }

@@ -211,3 +211,159 @@ addmul65536loop:
 	JNZ     addmul65536loop
 	VZEROUPPER
 	RET
+
+// GFNI GF(2^8) kernels. Multiplication by c is the GF(2) bit matrix
+// affine256[c]; VGF2P8AFFINEQB applies it to 32 bytes at once (Go operand
+// order: imm8, matrix, source, destination). VEX-256 only: no ZMM, so no
+// AVX-512 frequency licence and the VEX-only rule above still holds.
+
+// func mulSlice256GFNI(dst, src *byte, n int, m uint64)
+// dst[i] = c*src[i]; n is a positive multiple of 32. dst may equal src.
+TEXT ·mulSlice256GFNI(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VPBROADCASTQ m+24(FP), Y1
+
+gfnimulloop:
+	VMOVDQU        (SI), Y0
+	VGF2P8AFFINEQB $0, Y1, Y0, Y0
+	VMOVDQU        Y0, (DI)
+	ADDQ           $32, SI
+	ADDQ           $32, DI
+	SUBQ           $32, CX
+	JNZ            gfnimulloop
+	VZEROUPPER
+	RET
+
+// func addMulSlice256GFNI(dst, src *byte, n int, c uint16)
+// dst[i] ^= c*src[i] for any n >= 0, so the Go wrapper is a bare call:
+// 64 bytes a turn, then a 32-byte block, then the bytes left one at a
+// time through the product-table row mul256[c]. c < 256.
+TEXT ·addMulSlice256GFNI(SB), NOSPLIT, $0-26
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	MOVWQZX      c+24(FP), R8
+	LEAQ         ·affine256(SB), R9
+	VPBROADCASTQ (R9)(R8*8), Y2
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-64, DX
+	JZ           gfniaddmul32
+
+gfniaddmulloop:
+	VMOVDQU        (SI)(AX*1), Y0
+	VMOVDQU        32(SI)(AX*1), Y1
+	VGF2P8AFFINEQB $0, Y2, Y0, Y0
+	VGF2P8AFFINEQB $0, Y2, Y1, Y1
+	VPXOR          (DI)(AX*1), Y0, Y0
+	VPXOR          32(DI)(AX*1), Y1, Y1
+	VMOVDQU        Y0, (DI)(AX*1)
+	VMOVDQU        Y1, 32(DI)(AX*1)
+	ADDQ           $64, AX
+	CMPQ           AX, DX
+	JNE            gfniaddmulloop
+
+gfniaddmul32:
+	MOVQ           CX, DX
+	SUBQ           AX, DX
+	CMPQ           DX, $32
+	JLT            gfniaddmulbytes
+	VMOVDQU        (SI)(AX*1), Y0
+	VGF2P8AFFINEQB $0, Y2, Y0, Y0
+	VPXOR          (DI)(AX*1), Y0, Y0
+	VMOVDQU        Y0, (DI)(AX*1)
+	ADDQ           $32, AX
+
+gfniaddmulbytes:
+	CMPQ    AX, CX
+	JEQ     gfniaddmuldone
+	SHLQ    $8, R8
+	LEAQ    ·mul256(SB), R9
+	ADDQ    R8, R9
+
+gfniaddmulbyteloop:
+	MOVBLZX (SI)(AX*1), BX
+	MOVB    (R9)(BX*1), BX
+	XORB    BX, (DI)(AX*1)
+	INCQ    AX
+	CMPQ    AX, CX
+	JNE     gfniaddmulbyteloop
+
+gfniaddmuldone:
+	VZEROUPPER
+	RET
+
+// func addMulRows256GFNI(dst *byte, n int, s0, s1, s2, s3 *byte, m0, m1, m2, m3 uint64)
+// dst[i] ^= c0*s0[i] ^ c1*s1[i] ^ c2*s2[i] ^ c3*s3[i], one load and one
+// store of dst per 32 bytes for four source rows. n is a positive
+// multiple of 32. Every pointer advances by the one index AX; the loop
+// takes 64 bytes a turn and a last 32-byte block on its own.
+TEXT ·addMulRows256GFNI(SB), NOSPLIT, $0-80
+	MOVQ         dst+0(FP), DI
+	MOVQ         n+8(FP), CX
+	MOVQ         s0+16(FP), R8
+	MOVQ         s1+24(FP), R9
+	MOVQ         s2+32(FP), R10
+	MOVQ         s3+40(FP), R11
+	VPBROADCASTQ m0+48(FP), Y12
+	VPBROADCASTQ m1+56(FP), Y13
+	VPBROADCASTQ m2+64(FP), Y14
+	VPBROADCASTQ m3+72(FP), Y15
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-64, DX
+	JZ           gfnirowstail
+
+gfnirowsloop:
+	VMOVDQU        (R8)(AX*1), Y0
+	VMOVDQU        32(R8)(AX*1), Y1
+	VMOVDQU        (R9)(AX*1), Y2
+	VMOVDQU        32(R9)(AX*1), Y3
+	VMOVDQU        (R10)(AX*1), Y4
+	VMOVDQU        32(R10)(AX*1), Y5
+	VMOVDQU        (R11)(AX*1), Y6
+	VMOVDQU        32(R11)(AX*1), Y7
+	VGF2P8AFFINEQB $0, Y12, Y0, Y0
+	VGF2P8AFFINEQB $0, Y12, Y1, Y1
+	VGF2P8AFFINEQB $0, Y13, Y2, Y2
+	VGF2P8AFFINEQB $0, Y13, Y3, Y3
+	VGF2P8AFFINEQB $0, Y14, Y4, Y4
+	VGF2P8AFFINEQB $0, Y14, Y5, Y5
+	VGF2P8AFFINEQB $0, Y15, Y6, Y6
+	VGF2P8AFFINEQB $0, Y15, Y7, Y7
+	VPXOR          Y2, Y0, Y0
+	VPXOR          Y3, Y1, Y1
+	VPXOR          Y6, Y4, Y4
+	VPXOR          Y7, Y5, Y5
+	VPXOR          (DI)(AX*1), Y0, Y0
+	VPXOR          32(DI)(AX*1), Y1, Y1
+	VPXOR          Y4, Y0, Y0
+	VPXOR          Y5, Y1, Y1
+	VMOVDQU        Y0, (DI)(AX*1)
+	VMOVDQU        Y1, 32(DI)(AX*1)
+	ADDQ           $64, AX
+	CMPQ           AX, DX
+	JNE            gfnirowsloop
+	CMPQ           AX, CX
+	JEQ            gfnirowsdone
+
+gfnirowstail:
+	VMOVDQU        (R8)(AX*1), Y0
+	VMOVDQU        (R9)(AX*1), Y2
+	VMOVDQU        (R10)(AX*1), Y4
+	VMOVDQU        (R11)(AX*1), Y6
+	VGF2P8AFFINEQB $0, Y12, Y0, Y0
+	VGF2P8AFFINEQB $0, Y13, Y2, Y2
+	VGF2P8AFFINEQB $0, Y14, Y4, Y4
+	VGF2P8AFFINEQB $0, Y15, Y6, Y6
+	VPXOR          Y2, Y0, Y0
+	VPXOR          Y6, Y4, Y4
+	VPXOR          (DI)(AX*1), Y0, Y0
+	VPXOR          Y4, Y0, Y0
+	VMOVDQU        Y0, (DI)(AX*1)
+
+gfnirowsdone:
+	VZEROUPPER
+	RET

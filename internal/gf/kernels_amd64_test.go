@@ -3,6 +3,8 @@
 package gf
 
 import (
+	"bytes"
+	"math/rand"
 	"os"
 	"regexp"
 	"strings"
@@ -129,5 +131,102 @@ TEXT ·sseOnly(SB), NOSPLIT, $0-8
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("detector flagged %q, want %q", got, want)
+	}
+}
+
+// gfniLens are the lengths every amd64 GF(2^8) kernel is checked at:
+// empty, a tail alone, one block, a block and a tail, the 64-byte
+// unroll, an odd block count, and the 1 KiB payload with and without
+// a tail.
+var gfniLens = []int{0, 1, 31, 32, 33, 64, 96, 1024, 1056}
+
+// checkKernels256 compares one pair of single-row GF(2^8) kernels with
+// the scalar reference for every coefficient, including MulSlice with
+// dst == src.
+func checkKernels256(t *testing.T, mul, addMul func(dst, src []byte, c uint16)) {
+	t.Helper()
+	r := rand.New(rand.NewSource(23))
+	for _, n := range gfniLens {
+		src := randBytes(F256, n, r)
+		base := randBytes(F256, n, r)
+		for c := uint16(0); c < 256; c++ {
+			got, want := bytes.Clone(base), bytes.Clone(base)
+			addMul(got, src, c)
+			refAddMulSlice256(want, src, c)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("AddMulSlice(c=%d, n=%d) != reference", c, n)
+			}
+			mul(got, src, c)
+			refMulSlice256(want, src, c)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("MulSlice(c=%d, n=%d) != reference", c, n)
+			}
+			got, want = bytes.Clone(src), bytes.Clone(src)
+			mul(got, got, c)
+			refMulSlice256(want, want, c)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("aliased MulSlice(c=%d, n=%d) != reference", c, n)
+			}
+		}
+	}
+}
+
+// TestAVX2Kernels256MatchReference calls the PSHUFB kernels directly: on
+// a GFNI host the dispatcher no longer reaches them, and a CPU without
+// GFNI still runs them.
+func TestAVX2Kernels256MatchReference(t *testing.T) {
+	if !cpuHasAVX2() {
+		t.Skip("CPU or OS lacks AVX2: the PSHUFB kernels cannot run here")
+	}
+	checkKernels256(t, mulSlice256Asm, addMulSlice256Asm)
+}
+
+func TestGFNIKernels256MatchReference(t *testing.T) {
+	if !cpuHasAVX2() || !cpuHasGFNI() {
+		t.Skip("CPU lacks GFNI (CPUID leaf 7 ECX bit 8) or AVX2: the affine kernels cannot run here")
+	}
+	checkKernels256(t, mulSlice256GFNIAsm, addMulSlice256GFNIAsm)
+}
+
+// TestGFNIRowsKernelMatchesReference drives the four-row kernel through
+// Dot.flushFused with every coefficient in every slot and every row
+// count from one to four, against a loop of the scalar reference.
+func TestGFNIRowsKernelMatchesReference(t *testing.T) {
+	if !cpuHasAVX2() || !cpuHasGFNI() {
+		t.Skip("CPU lacks GFNI (CPUID leaf 7 ECX bit 8) or AVX2: the affine kernels cannot run here")
+	}
+	r := rand.New(rand.NewSource(29))
+	for _, n := range gfniLens {
+		rows := make([][]byte, 4)
+		for i := range rows {
+			rows[i] = randBytes(F256, n, r)
+		}
+		base := randBytes(F256, n, r)
+		for k := 1; k <= 4; k++ {
+			for c := 0; c < 256; c++ {
+				got, want := bytes.Clone(base), bytes.Clone(base)
+				var d Dot
+				d.Reset(F256, got)
+				d.fused = true
+				for i := 0; i < k; i++ {
+					ci := uint16((c+67*i)%255 + 1) // nonzero, distinct per slot
+					d.Add(rows[i], ci)
+					refAddMulSlice256(want, rows[i], ci)
+				}
+				d.Flush()
+				if !bytes.Equal(got, want) {
+					t.Fatalf("fused rows=%d c=%d n=%d != reference", k, c, n)
+				}
+			}
+		}
+	}
+}
+
+func TestAccelNamesGFNI(t *testing.T) {
+	if !cpuHasAVX2() || !cpuHasGFNI() {
+		t.Skip("CPU lacks GFNI (CPUID leaf 7 ECX bit 8) or AVX2: dispatch stays below gfni")
+	}
+	if Accel() != "gfni" || !fused256 {
+		t.Fatalf("Accel() = %q, fused = %v on a GFNI host; want \"gfni\", true", Accel(), fused256)
 	}
 }

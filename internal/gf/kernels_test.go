@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -413,6 +414,120 @@ func TestTab65536CacheStable(t *testing.T) {
 		buildNibTab65536(c, &want)
 		if *first != want {
 			t.Fatalf("c=%#x: cached table differs from fresh build", c)
+		}
+	}
+}
+
+// dotLens are the row lengths for the Dot tests: empty, a tail alone,
+// whole 32-byte blocks, and blocks with a tail. GF(2^16) rounds them
+// down to even.
+var dotLens = []int{0, 1, 31, 32, 33, 64, 96, 1024, 1056}
+
+// TestDotMatchesRowLoop checks Dot against a loop of RefAddMulSlice on
+// every field, for every row count from 0 to h+1 (h = 16) with zero and
+// unit coefficients mixed in, through both flush paths: the platform's
+// choice (fused on a GFNI host) and the per-row loop.
+func TestDotMatchesRowLoop(t *testing.T) {
+	t.Parallel()
+	const h = 16
+	r := rand.New(rand.NewSource(17))
+	for _, f := range fields {
+		for _, n := range dotLens {
+			n = evenLen(f, n)
+			rows := make([][]byte, h+1)
+			for i := range rows {
+				rows[i] = randBytes(f, n, r)
+			}
+			base := randBytes(f, n, r)
+			for k := 0; k <= h+1; k++ {
+				cs := make([]uint16, k)
+				for i := range cs {
+					switch r.Intn(4) {
+					case 0:
+						cs[i] = 0
+					case 1:
+						cs[i] = 1
+					default:
+						cs[i] = f.Rand(r)
+					}
+				}
+				want := bytes.Clone(base)
+				for i, c := range cs {
+					RefAddMulSlice(f, want, rows[i], c)
+				}
+				for _, loop := range []bool{false, true} {
+					got := bytes.Clone(base)
+					var d Dot
+					d.Reset(f, got)
+					if loop {
+						d.fused = false
+					}
+					for i, c := range cs {
+						d.Add(rows[i], c)
+					}
+					d.Flush()
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s Dot(rows=%d, n=%d, loop=%v) != row loop", f.Name(), k, n, loop)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAffine256MatchesMul emulates VGF2P8AFFINEQB in Go on every
+// coefficient and byte, so the matrix layout is checked on any host,
+// GFNI or not: output bit i is the parity of x AND byte 7-i.
+func TestAffine256MatchesMul(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		m := affine256[c]
+		for x := 0; x < 256; x++ {
+			var y byte
+			for i := 0; i < 8; i++ {
+				row := byte(m >> (8 * (7 - i)))
+				y |= byte(bits.OnesCount8(row&byte(x))&1) << i
+			}
+			if y != mul256[c][x] {
+				t.Fatalf("affine256[%d] maps %#x to %#x, want %#x", c, x, y, mul256[c][x])
+			}
+		}
+	}
+}
+
+func TestDotLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Dot.Add with a short row did not panic")
+		}
+	}()
+	var d Dot
+	d.Reset(F256, make([]byte, 64))
+	d.Add(make([]byte, 63), 7)
+}
+
+// BenchmarkDot256 times four-row GF(2^8) dot products at the
+// tiny-packets and bulk payload sizes, through the platform's flush and
+// through the per-row loop. b.SetBytes counts every source byte.
+func BenchmarkDot256(b *testing.B) {
+	for _, n := range []int{64, 1024} {
+		for _, loop := range []bool{false, true} {
+			b.Run(fmt.Sprintf("rows=4/n=%d/loop=%v", n, loop), func(b *testing.B) {
+				dst := make([]byte, n)
+				rows := make([][]byte, 4)
+				for i := range rows {
+					_, rows[i] = benchSlices(n)
+				}
+				b.SetBytes(int64(4 * n))
+				var d Dot
+				for i := 0; i < b.N; i++ {
+					d.Reset(F256, dst)
+					d.fused = d.fused && !loop
+					for j, row := range rows {
+						d.Add(row, uint16(0x57+j))
+					}
+					d.Flush()
+				}
+			})
 		}
 	}
 }

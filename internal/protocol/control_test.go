@@ -336,9 +336,10 @@ func TestControlFrameGoldenLayout(t *testing.T) {
 
 // TestControlHostileLengths: a string or slice count larger than the
 // bytes left is rejected before anything is allocated for it, whichever
-// field carries it.
+// field carries it. Not parallel: AllocsPerRun counts the whole
+// process's mallocs, so a parallel test allocating beside it reads as
+// this rejection allocating.
 func TestControlHostileLengths(t *testing.T) {
-	t.Parallel()
 	for _, h := range hostileControlFrames(t) {
 		name := h.name
 		typ, body, err := SplitControl(h.frame)

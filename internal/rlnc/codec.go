@@ -48,13 +48,16 @@ func (e *Encoder) PayloadSize() int { return e.size }
 // when done to keep the emit path allocation-free.
 func (e *Encoder) Packet(r *rand.Rand) *Packet {
 	p := getPacket(e.gen, len(e.src)*e.f.SymbolSize(), e.size)
+	var d gf.Dot
+	d.Reset(e.f, p.Payload)
 	for i, s := range e.src {
 		c := e.f.Rand(r)
 		if c != 0 {
 			setCoeff(e.f, p.Coeff, i, c)
-			e.f.AddMulSlice(p.Payload, s, c)
+			d.Add(s, c)
 		}
 	}
+	d.Flush()
 	return p
 }
 
@@ -225,14 +228,15 @@ func (rc *Recoder) packetLocked(r *rand.Rand) *Packet {
 	}
 	// Any spanning set of the received subspace serves: echelon rows before
 	// full rank, the source packets themselves after. A packet's row has
-	// the arena's layout, so each step mixes payload and coefficients in
-	// one kernel call.
+	// the arena's layout, so the whole emit is one dot product over
+	// payload and coefficients together.
 	p := getPacket(rc.gen, e.clen, e.size)
+	var d gf.Dot
+	d.Reset(e.f, p.row)
 	for s := 0; s < e.rank; s++ {
-		if c := e.f.Rand(r); c != 0 {
-			e.f.AddMulSlice(p.row, e.row(s), c)
-		}
+		d.Add(e.row(s), e.f.Rand(r))
 	}
+	d.Flush()
 	return p
 }
 

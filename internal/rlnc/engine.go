@@ -9,7 +9,7 @@ import (
 // genDecoder is the package's one elimination engine: one generation's
 // linear system, with no locks and no per-packet allocation. Decoder,
 // Recoder, FileDecoder and ParallelFileDecoder all reach it through
-// codec (codec.go), which adds the mutex. Three choices matter for
+// codec (codec.go), which adds the mutex. Four choices matter for
 // throughput:
 //
 //   - One row per packet. Row s of a single arena holds the payload, then
@@ -26,6 +26,10 @@ import (
 //     wider — is touched only if the packet turns out innovative. A
 //     redundant packet, the steady state of a flooded overlay, costs
 //     zero payload work.
+//   - One pass per four rows. Every payload combination (the replay of
+//     an innovative packet's steps, back-substitution, and a recoder's
+//     emit) is one gf.Dot, dst += sum of c_i*row_i, which on a GFNI host
+//     loads and stores the destination once per four source rows.
 //   - Deferred back-substitution. Rows are kept in row-echelon form
 //     (not reduced); the upper triangle is cleared once, inside the add
 //     that closes rank, using fully-reduced source rows. A complete
@@ -170,9 +174,12 @@ func (e *genDecoder) eliminate(payload []byte) bool {
 	}
 	dst := e.row(e.rank)
 	copy(dst, payload)
+	var d gf.Dot
+	d.Reset(e.f, dst[:e.size])
 	for _, st := range e.steps {
-		e.f.AddMulSlice(dst[:e.size], e.row(st.slot)[:e.size], st.factor)
+		d.Add(e.row(st.slot)[:e.size], st.factor)
 	}
+	d.Flush()
 	if v := coeffAt(e.f, stage, lead); v != 1 {
 		e.f.MulSlice(dst, dst, e.f.Inv(v))
 	}
@@ -187,14 +194,17 @@ func (e *genDecoder) eliminate(payload []byte) bool {
 // at that column, so the kernel runs on the payload alone and the
 // target's coefficients right of its pivot are cleared once at the end.
 func (e *genDecoder) reduce() {
+	var d gf.Dot
 	for p := e.h - 2; p >= 0; p-- {
 		dst := e.row(int(e.pivotOf[p]))
 		coeff := dst[e.size : e.size+e.clen]
+		d.Reset(e.f, dst[:e.size])
 		for c := p + 1; c < e.h; c++ {
 			if v := coeffAt(e.f, coeff, c); v != 0 {
-				e.f.AddMulSlice(dst[:e.size], e.row(int(e.pivotOf[c]))[:e.size], v)
+				d.Add(e.row(int(e.pivotOf[c]))[:e.size], v)
 			}
 		}
+		d.Flush()
 		clear(coeff[(p+1)*e.sym:])
 	}
 }
