@@ -87,9 +87,10 @@ churn:
 # broadcasts that run at 5% injected datagram loss (the loss-as-normal
 # regime), one of them through nodes that absorb and recode on two
 # decode workers each, the link-telemetry drill that must localize a
-# 10%-lossy peer to ±3pp, and the completion-feedback suite, whose
-# reports ride the keepalives of the datagram plane.
-LOSSY_RUN := UDP|SamePort|Dual|Datagram|SplitSender|Lossy|Link|Feedback
+# 10%-lossy peer to ±3pp, the completion-feedback suite, whose
+# reports ride the keepalives of the datagram plane, and a paced stream
+# over the lossy in-memory datagram plane that must decode in order.
+LOSSY_RUN := UDP|SamePort|Dual|Datagram|SplitSender|Lossy|Link|Feedback|Stream
 lossy:
 	$(GO) test -race -run '$(LOSSY_RUN)' ./internal/transport ./internal/protocol ./internal/obs .
 
@@ -114,9 +115,10 @@ fuzz:
 # must allocate nothing beyond the untraced baseline, and a recoder
 # must allocate nothing after a generation's first packet (systematic
 # installs, redundant packets, emits), the source's send path must
-# allocate about nothing (at most 0.05 objects a frame: pooled packets
-# and frame buffers, one routing buffer across rounds, and no per-send
-# context), a node's forward path must allocate about nothing (at most
+# allocate about nothing, unpaced and paced (at most 0.05 objects a
+# frame: pooled packets and frame buffers, one routing buffer across
+# rounds, no per-send context and one reusable timer across paced
+# rounds), a node's forward path must allocate about nothing (at most
 # 0.01 objects a frame: both hops copy into receive buffers that their
 # receivers release, and no per-frame context), a control message sent
 # by the tracker's outbox or a swarm shard must allocate about nothing

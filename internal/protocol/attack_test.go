@@ -244,6 +244,13 @@ func TestEntropyAttackerAmongHonestPeers(t *testing.T) {
 // returned context lives until the test's cleanup.
 func newBareSession(t *testing.T, content []byte, k, d int, opts ...transport.NetworkOption) (*session, context.Context) {
 	t.Helper()
+	return newPacedSession(t, content, k, d, 0, opts...)
+}
+
+// newPacedSession is newBareSession with the source paced at one round
+// per interval (0 = unpaced).
+func newPacedSession(t *testing.T, content []byte, k, d int, interval time.Duration, opts ...transport.NetworkOption) (*session, context.Context) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	net := transport.NewNetwork(opts...)
 	trackerEP, err := net.Endpoint("tracker")
@@ -255,6 +262,7 @@ func newBareSession(t *testing.T, content []byte, k, d int, opts ...transport.Ne
 	if err != nil {
 		t.Fatal(err)
 	}
+	source.RoundInterval = interval
 	tracker, err := NewTracker(trackerEP, source, TrackerConfig{
 		K: k, D: d,
 		Session: source.Session(),

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/bits"
+	"slices"
 )
 
 // Completion feedback. A child's probe to its parent on a thread may carry
@@ -118,6 +119,23 @@ func foldWords(words []uint64) genSet {
 		above = above[:len(above)-1]
 	}
 	return genSet{low: uint32(64 * lw), bits: append([]uint64(nil), above...)}
+}
+
+// equal reports whether s and o carry the same low-water mark and bitmap.
+func (s genSet) equal(o genSet) bool {
+	return s.low == o.low && slices.Equal(s.bits, o.bits)
+}
+
+// firstOpen returns the first slot not set in words, bit i of words[w]
+// for slot 64w+i: the exact low-water mark, which foldWords rounds down
+// to a word.
+func firstOpen(words []uint64) int {
+	for w, x := range words {
+		if x != ^uint64(0) {
+			return 64*w + bits.TrailingZeros64(^x)
+		}
+	}
+	return 64 * len(words)
 }
 
 // empty reports whether the set marks nothing full.

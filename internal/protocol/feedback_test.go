@@ -29,12 +29,6 @@ func randomWords(rng *rand.Rand, n int, p float64) []uint64 {
 	return words
 }
 
-// sameReport reports whether two reports carry the same low-water mark
-// and bitmap.
-func sameReport(a, b genSet) bool {
-	return a.low == b.low && slices.Equal(a.bits, b.bits)
-}
-
 // refFull is genSet.full from the definition, one slot at a time.
 func refFull(s genSet, slot int) bool {
 	if slot < int(s.low) {
@@ -71,7 +65,7 @@ func TestFeedbackReportRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: %d-byte probe over the cap", trial, len(frame))
 		}
 		got, err := decodeReport(frame)
-		if err != nil || !sameReport(got, s) {
+		if err != nil || !got.equal(s) {
 			t.Fatalf("trial %d: tail round trip %+v -> %+v, err %v", trial, s, got, err)
 		}
 		for w := range words {
@@ -537,12 +531,12 @@ var allFullLiar = probeRewriter(func(_ string, frame []byte) []byte {
 	return appendReport(frame[:keepaliveEchoLen:keepaliveEchoLen], genSet{low: ^uint32(0)})
 })
 
-// feedbackOverlay joins 20 nodes at k=16, d=4 to a fresh session, the
-// i-th behind wrap(i) when that is non-nil, and returns the session and
-// its nodes in join order.
-func feedbackOverlay(t *testing.T, content []byte, wrap func(i int) func(transport.Endpoint) transport.Endpoint) (*session, []*Node) {
+// feedbackOverlay joins 20 nodes at k=16, d=4 to a fresh session whose
+// source is paced at interval (0 = unpaced), the i-th behind wrap(i) when
+// that is non-nil, and returns the session and its nodes in join order.
+func feedbackOverlay(t *testing.T, content []byte, interval time.Duration, wrap func(i int) func(transport.Endpoint) transport.Endpoint) (*session, []*Node) {
 	t.Helper()
-	s, ctx := newBareSession(t, content, 16, 4)
+	s, ctx := newPacedSession(t, content, 16, 4, interval)
 	nodes := make([]*Node, 20)
 	for i := range nodes {
 		var w func(transport.Endpoint) transport.Endpoint
@@ -607,8 +601,20 @@ func coveredBy(nodes []*Node, i int) []int {
 // that the overlay holds none.
 func TestFeedbackLiarCostsOnlyItsThreads(t *testing.T) {
 	t.Parallel()
+	liarCostsOnlyItsThreads(t, 0)
+}
+
+// TestFeedbackPacedLiarCostsOnlyItsThreads is the liar against a paced
+// source, which streams in order and skips what the liar's threads
+// report full.
+func TestFeedbackPacedLiarCostsOnlyItsThreads(t *testing.T) {
+	t.Parallel()
+	liarCostsOnlyItsThreads(t, time.Millisecond)
+}
+
+func liarCostsOnlyItsThreads(t *testing.T, interval time.Duration) {
 	const liar = 6
-	s, nodes := feedbackOverlay(t, randContent(16<<10), func(i int) func(transport.Endpoint) transport.Endpoint {
+	s, nodes := feedbackOverlay(t, randContent(16<<10), interval, func(i int) func(transport.Endpoint) transport.Endpoint {
 		if i == liar {
 			return allFullLiar
 		}
@@ -638,12 +644,38 @@ func TestFeedbackLiarCostsOnlyItsThreads(t *testing.T) {
 // exactly.
 func TestFeedbackSilentProberKeepsContent(t *testing.T) {
 	t.Parallel()
+	silentProberKeepsContent(t, 0, false)
+}
+
+// TestFeedbackPacedSilentProberKeepsContent is the same against a paced
+// source.
+func TestFeedbackPacedSilentProberKeepsContent(t *testing.T) {
+	t.Parallel()
+	silentProberKeepsContent(t, time.Millisecond, false)
+}
+
+// TestFeedbackPacedSilentFromStartKeepsContent: a node that never probes
+// its parents keeps every report on its threads from marking anything
+// full, since each parent folds in its empty report, while the source
+// hears reports on the other threads and measures a lag from them. The
+// paced source must still stream: the threads whose reports close
+// nothing re-send what they parked, but never so often that the
+// generations after it stop, so every honest node decodes.
+func TestFeedbackPacedSilentFromStartKeepsContent(t *testing.T) {
+	t.Parallel()
+	silentProberKeepsContent(t, time.Millisecond, true)
+}
+
+// silentProberKeepsContent runs the silent prober against a source paced
+// at interval (0 = unpaced); the prober is silent from the start, or
+// once the first ten nodes have decoded.
+func silentProberKeepsContent(t *testing.T, interval time.Duration, fromStart bool) {
 	content := randContent(16 << 10)
-	s, ctx := newBareSession(t, content, 16, 4)
+	s, ctx := newPacedSession(t, content, 16, 4, interval)
 	// A probe goes up to a parent unless the node has sent its
 	// destination data, which makes the destination a child.
 	var mu sync.Mutex
-	silent := false
+	silent := fromStart
 	children := map[string]bool{}
 	quiet := func(ep transport.Endpoint) transport.Endpoint {
 		return &adversary{Endpoint: ep, rewrite: func(to string, frame []byte) []byte {
@@ -691,7 +723,7 @@ func TestFeedbackSilentProberKeepsContent(t *testing.T) {
 // parents alive by keepalives alone, and a host loaded enough to stall a
 // parent's clock for a complaint timeout would fail it for that.
 func TestFeedbackDecodedOverlayGoesQuiet(t *testing.T) {
-	s, nodes := feedbackOverlay(t, randContent(16<<10), nil)
+	s, nodes := feedbackOverlay(t, randContent(16<<10), 0, nil)
 	requireContent(t, s, nodes, nil)
 	received := func() (total int) {
 		for _, n := range nodes {
@@ -745,20 +777,25 @@ func TestFeedbackDecodedOverlayGoesQuiet(t *testing.T) {
 
 // TestFeedbackEarlyProbeRule pins when a node probes a parent early: the
 // first time, then only once its report marks full an eighth of the slots
-// the last one left open (at least one), when a reset below takes back a
-// slot the last one marked full, or when the parent changes.
+// the last one left open (at least one), when its first open slot (the
+// low-water mark) rises, when a reset below takes back a slot the last
+// one marked full, or when the parent changes.
 func TestFeedbackEarlyProbeRule(t *testing.T) {
 	t.Parallel()
 	n := NewNode(&emitCounter{}, NodeConfig{})
 	n.joined, n.totalGens = true, 256
 	n.done = make([]uint64, 4)
 	n.parentOf[0] = "parent"
-	decoded := 0
-	decode := func(k int) {
-		for ; k > 0; k-- {
-			n.done[decoded>>6] |= 1 << (decoded & 63)
-			decoded++
+	decode := func(slots ...int) {
+		for _, slot := range slots {
+			n.done[slot>>6] |= 1 << (slot & 63)
 		}
+	}
+	span := func(from, to int) (slots []int) {
+		for slot := from; slot < to; slot++ {
+			slots = append(slots, slot)
+		}
+		return slots
 	}
 	early := func() bool { return len(n.probesLocked(nil, true)) == 1 }
 	steps := []struct {
@@ -768,16 +805,19 @@ func TestFeedbackEarlyProbeRule(t *testing.T) {
 	}{
 		{"first report", func() {}, true},
 		{"nothing new", func() {}, false},
-		{"31 of 256 open newly full", func() { decode(31) }, false},
-		{"32 of 256 open newly full", func() { decode(1) }, true},
+		{"31 of 256 open newly full above the mark", func() { decode(span(1, 32)...) }, false},
+		{"32 of 256 open newly full above the mark", func() { decode(32) }, true},
+		{"the mark rises by one slot", func() { decode(0) }, true},
+		{"one slot above the mark", func() { decode(40) }, false},
+		{"the mark rises to the next gap", func() { decode(33) }, true},
 		{"a child that holds everything", func() {
 			n.childOf[0] = "child"
 			n.childFull[0] = genSet{low: ^uint32(0)}
 		}, false},
 		{"the child's report reset", func() { delete(n.childFull, 0) }, true},
 		{"the child's report back", func() { n.childFull[0] = genSet{low: ^uint32(0)} }, true},
-		{"down to 3 open", func() { decode(256 - 3 - decoded) }, true},
-		{"one more of 3", func() { decode(1) }, true},
+		{"down to 3 open", func() { decode(span(34, 253)...) }, true},
+		{"one more of 3", func() { decode(253) }, true},
 		{"a new parent", func() { n.parentOf[0] = "parent-2" }, true},
 	}
 	for _, s := range steps {

@@ -180,7 +180,7 @@ func FuzzDecodeKeepalive(f *testing.F) {
 			}
 		}
 		rep2, err := decodeReport(appendReport(EncodeKeepaliveEcho(ki.Thread, ki.TxNanos, 0, 0), rep))
-		if err != nil || !sameReport(rep2, rep) {
+		if err != nil || !rep2.equal(rep) {
 			t.Fatalf("report round trip: %+v -> %+v, err %v", rep, rep2, err)
 		}
 	})

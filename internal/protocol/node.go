@@ -149,11 +149,13 @@ type decodeJob struct {
 }
 
 // sentReport is the completion report a node last sent up a thread, the
-// parent it sent it to, and how many slots it left open.
+// parent it sent it to, how many slots it left open and its first open
+// slot.
 type sentReport struct {
-	to   string
-	set  genSet
-	open int
+	to    string
+	set   genSet
+	open  int
+	first int
 }
 
 // genSlot is the node's state for one generation: its recoder, nil until
@@ -1003,12 +1005,14 @@ func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte, n
 
 // Clock timing. An un-joined node re-sends its hello, and a leaving node
 // its good-bye, every retryEvery. A probing node checks every reportEvery
-// whether the completion report it sends up a thread has changed.
+// whether the completion report it sends up a thread has moved: a paced
+// source streams in order, so its re-sends wait on how soon the first
+// open slot's completion climbs.
 // clockPoll bounds the clock's sleep, so a duty that wakes up (after a
 // welcome or a Leave) is noticed within it.
 const (
 	retryEvery  = 500 * time.Millisecond
-	reportEvery = 10 * time.Millisecond
+	reportEvery = 2 * time.Millisecond
 	clockPoll   = 250 * time.Millisecond
 	// reportShare sets how far a report must move before it goes up
 	// early: by 1/reportShare of the slots the last one left open.
@@ -1180,11 +1184,12 @@ func (n *Node) report(ctx context.Context) {
 // of every thread or, when changed is set, of every thread whose report
 // has moved enough since the last one sent to that parent: it went to
 // another parent, no longer marks full a slot the last one did (a reset
-// below), or marks full at least 1/reportShare of the slots the last one
-// left open, and at least one. Early probes thus grow with the
-// generations decoded, not with time: a thread whose data trickles in
-// sends few, and the last open slots still go up one by one. Callers
-// hold n.mu.
+// below), its first open slot (the low-water mark) rose, or it marks full
+// at least 1/reportShare of the slots the last one left open, and at
+// least one. Early probes thus grow with the generations decoded, not
+// with time: a thread whose data trickles in sends few, an in-order
+// stream's completions go up as they happen, and the last open slots
+// still go up one by one. Callers hold n.mu.
 func (n *Node) probesLocked(beats []beat, changed bool) []beat {
 	if !n.joined {
 		return beats
@@ -1194,12 +1199,13 @@ func (n *Node) probesLocked(beats []beat, changed bool) []beat {
 			continue
 		}
 		words, open := n.foldLocked(th)
-		if last, ok := n.reported[th]; changed && ok && last.to == parent &&
-			last.set.within(words) && last.open-open < max(1, last.open/reportShare) {
+		first := firstOpen(words)
+		if last, ok := n.reported[th]; changed && ok && last.to == parent && last.set.within(words) &&
+			first <= last.first && last.open-open < max(1, last.open/reportShare) {
 			continue
 		}
 		rep := foldWords(words)
-		n.reported[th] = sentReport{to: parent, set: rep, open: open}
+		n.reported[th] = sentReport{to: parent, set: rep, open: open, first: first}
 		beats = append(beats, beat{th: th, to: parent, tail: rep})
 	}
 	return beats

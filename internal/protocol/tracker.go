@@ -121,7 +121,9 @@ type TrackerEvent struct {
 }
 
 // NewTracker builds a tracker bound to ep. The source, when non-nil, is
-// notified of redirections on server-owned threads (it shares ep).
+// notified of redirections on server-owned threads (it shares ep), and
+// takes its paced share from the overlay's degree cfg.D: call NewTracker
+// before the source's Run.
 func NewTracker(ep transport.Endpoint, source *Source, cfg TrackerConfig) (*Tracker, error) {
 	mode := cfg.InsertMode
 	if mode == 0 {
@@ -138,6 +140,9 @@ func NewTracker(ep transport.Endpoint, source *Source, cfg TrackerConfig) (*Trac
 	genIDs, err := sessionGenIDs(cfg.Session, params)
 	if err != nil {
 		return nil, err
+	}
+	if source != nil {
+		source.share = (source.params.GenSize + cfg.D - 1) / cfg.D
 	}
 	var traceObs *obs.TraceMetrics
 	if cfg.Obs != nil {

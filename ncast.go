@@ -101,7 +101,12 @@ type Config struct {
 	LeaseTimeout time.Duration
 	// Seed drives the server's randomness (thread assignment).
 	Seed int64
-	// SourceInterval throttles the source pump (0 = backpressure only).
+	// SourceInterval paces the source pump at one round per interval,
+	// kept on a deadline, and a paced source streams in order: each thread
+	// gives a generation its share of ⌈GenSize/D⌉ frames and moves on, in
+	// lockstep with the other threads, and re-sends one its subtree still
+	// lacks after a measured report lag. 0 leaves the pump to transport
+	// backpressure, sweeping every open generation.
 	SourceInterval time.Duration
 	// LayerWeights, when non-empty, enables §5 priority-layered
 	// broadcasting: the content is split into len(LayerWeights) equal
@@ -347,7 +352,8 @@ func WithSeed(seed int64) Option {
 	return func(c *Config) { c.Seed = seed }
 }
 
-// WithSourceInterval throttles the source pump.
+// WithSourceInterval paces the source pump at one round per d, in order
+// (see Config.SourceInterval).
 func WithSourceInterval(d time.Duration) Option {
 	return func(c *Config) { c.SourceInterval = d }
 }
