@@ -23,7 +23,6 @@ func main() {
 	server := flag.String("server", "", "server address (required)")
 	obsAddr := flag.String("obs-addr", "", "observability HTTP address serving /metrics and /debug/overlay (empty = off)")
 	obsPprof := flag.Bool("obs-pprof", false, "also mount net/http/pprof under /debug/pprof/ on the observability address")
-	traceCap := flag.Int("obs-trace", 0, "trace-event ring capacity (0 = default 256)")
 	listen := flag.String("listen", "127.0.0.1:0", "local listen address")
 	out := flag.String("out", "", "output file (required)")
 	degree := flag.Int("degree", 0, "requested degree (0 = session default)")
@@ -32,7 +31,7 @@ func main() {
 	seed := flag.Int64("seed", time.Now().UnixNano(), "recoding seed")
 	datagram := flag.Bool("datagram", false, "receive coded data frames over UDP on the listen port (must match the server)")
 	mtu := flag.Int("mtu", 0, "datagram payload budget in bytes (0 = 1452 default; must match the server)")
-	dataLoss := flag.Float64("data-loss", 0, "inject seeded random loss on outbound datagrams (chaos testing)")
+	dataLoss := flag.Float64("data-loss", 0, "inject seeded random loss on outbound datagrams (chaos testing; needs -datagram)")
 	flag.Parse()
 
 	if *server == "" || *out == "" {
@@ -43,7 +42,6 @@ func main() {
 	cfg := ncast.DefaultConfig()
 	cfg.ComplaintTimeout = time.Second
 	cfg.Seed = *seed
-	cfg.TraceCap = *traceCap
 	if *datagram {
 		ncast.WithDatagramData()(&cfg)
 	}
@@ -51,6 +49,10 @@ func main() {
 		ncast.WithDatagramMTU(*mtu)(&cfg)
 	}
 	cfg.DataLoss = *dataLoss
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()

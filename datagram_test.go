@@ -23,7 +23,7 @@ func TestDatagramBroadcastWithLoss(t *testing.T) {
 	cfg.SourceInterval = time.Millisecond
 	cfg.Seed = 42
 	WithDatagramData()(&cfg)
-	WithDataLoss(0.05)(&cfg)
+	cfg.DataLoss = 0.05
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}

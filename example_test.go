@@ -90,3 +90,43 @@ func ExampleConfig_layered() {
 	// layers: 2
 	// base layer ok: true
 }
+
+// ExampleWithDatagramData splits a socket session into two planes on one
+// port: control stays on TCP while coded frames ride UDP, here with 5 %
+// of the datagrams dropped on purpose. Nothing is retransmitted; the
+// rateless code absorbs the loss.
+func ExampleWithDatagramData() {
+	content := make([]byte, 4096)
+	rand.New(rand.NewSource(3)).Read(content)
+
+	cfg := ncast.DefaultConfig()
+	cfg.K, cfg.D = 8, 2
+	cfg.GenSize, cfg.PacketSize = 8, 64
+	cfg.SourceInterval = time.Millisecond
+	ncast.WithDatagramData()(&cfg) // UDP data plane, TCP control plane
+	cfg.DataLoss = 0.05            // optional chaos: drop 5 % of datagrams
+
+	srv, err := ncast.ListenAndServe("127.0.0.1:0", content, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	peer, err := ncast.Dial(ctx, srv.Addr(), "127.0.0.1:0", cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer peer.Close()
+	if err := peer.Wait(ctx); err != nil {
+		log.Fatal(err)
+	}
+	got, err := peer.Content()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("decoded ok:", bytes.Equal(got, content))
+	// Output:
+	// decoded ok: true
+}

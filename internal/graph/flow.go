@@ -185,12 +185,6 @@ func (fs *FlowSolver) MinCutSide(s, t int, extra ...Edge) ([]bool, int) {
 	return side, flow
 }
 
-// EdgeConnectivity returns the number of edge-disjoint s->t paths,
-// computed as a unit-capacity max flow with no limit.
-func (fs *FlowSolver) EdgeConnectivity(s, t int) int {
-	return fs.MaxFlow(s, t, -1)
-}
-
 // ConnectivityAll returns λ(s, v) for every node v (with λ(s,s) = 0 by
 // convention) capped at limit when limit >= 0.
 func (fs *FlowSolver) ConnectivityAll(s, limit int) []int {

@@ -83,10 +83,6 @@ func (g *Digraph) InDegree(u int) int { return len(g.in[u]) }
 // state; callers must not modify it.
 func (g *Digraph) OutEdges(u int) []int32 { return g.out[u] }
 
-// InEdges returns the edge ids entering u. The slice aliases internal
-// state; callers must not modify it.
-func (g *Digraph) InEdges(u int) []int32 { return g.in[u] }
-
 // Clone returns a deep copy of the graph.
 func (g *Digraph) Clone() *Digraph {
 	c := NewDigraph(g.n)

@@ -98,76 +98,6 @@ func (s *Summary) Quantile(q float64) float64 {
 // Median returns the 0.5 quantile.
 func (s *Summary) Median() float64 { return s.Quantile(0.5) }
 
-// StdErr returns the standard error of the mean.
-func (s *Summary) StdErr() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.Std() / math.Sqrt(float64(s.n))
-}
-
-// Histogram counts observations into fixed-width buckets over [lo, hi);
-// out-of-range observations land in clamped edge buckets.
-type Histogram struct {
-	lo, hi  float64
-	buckets []int
-	n       int
-}
-
-// NewHistogram creates a histogram with the given range and bucket count.
-func NewHistogram(lo, hi float64, buckets int) (*Histogram, error) {
-	if buckets <= 0 {
-		return nil, fmt.Errorf("metrics: bucket count %d, want > 0", buckets)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("metrics: invalid range [%v,%v)", lo, hi)
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int, buckets)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i]++
-	h.n++
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() int { return h.n }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int { return h.buckets[i] }
-
-// NumBuckets returns the bucket count.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// String renders a compact ASCII bar chart.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	maxC := 0
-	for _, c := range h.buckets {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	width := (h.hi - h.lo) / float64(len(h.buckets))
-	for i, c := range h.buckets {
-		bar := 0
-		if maxC > 0 {
-			bar = c * 40 / maxC
-		}
-		fmt.Fprintf(&b, "[%8.3g,%8.3g) %6d %s\n",
-			h.lo+float64(i)*width, h.lo+float64(i+1)*width, c, strings.Repeat("#", bar))
-	}
-	return b.String()
-}
-
 // Table renders experiment results as an aligned fixed-width text table,
 // the output format of every E-experiment in the harness.
 type Table struct {

@@ -103,40 +103,6 @@ func TestQuantileCacheInvalidation(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	t.Parallel()
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-5, 0, 1.9, 2, 9.9, 10, 100} {
-		h.Add(x)
-	}
-	if h.N() != 7 {
-		t.Fatalf("N = %d", h.N())
-	}
-	// -5, 0, 1.9 in bucket 0; 2 in bucket 1; 9.9, 10, 100 in bucket 4.
-	if h.Bucket(0) != 3 || h.Bucket(1) != 1 || h.Bucket(4) != 3 {
-		t.Fatalf("buckets: %d %d %d %d %d", h.Bucket(0), h.Bucket(1), h.Bucket(2), h.Bucket(3), h.Bucket(4))
-	}
-	if h.NumBuckets() != 5 {
-		t.Fatal("NumBuckets")
-	}
-	if !strings.Contains(h.String(), "#") {
-		t.Fatal("String has no bars")
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	t.Parallel()
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero buckets accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range accepted")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	t.Parallel()
 	tb := NewTable("demo", "name", "value")

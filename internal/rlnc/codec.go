@@ -37,12 +37,6 @@ func NewEncoder(f gf.Field, gen uint32, src [][]byte) (*Encoder, error) {
 	return &Encoder{f: f, gen: gen, src: src, size: size}, nil
 }
 
-// GenerationSize returns the number of source packets h.
-func (e *Encoder) GenerationSize() int { return len(e.src) }
-
-// PayloadSize returns the per-packet payload length in bytes.
-func (e *Encoder) PayloadSize() int { return e.size }
-
 // Packet emits a fresh uniformly random linear combination of the
 // generation's source packets. The returned packet is pooled; Release it
 // when done to keep the emit path allocation-free.

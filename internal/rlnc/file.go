@@ -55,7 +55,6 @@ func (p Params) Generations(contentLen int) int {
 // It is the server-side source of a broadcast.
 type FileEncoder struct {
 	params Params
-	length int
 	gens   []*Encoder
 }
 
@@ -70,7 +69,7 @@ func NewFileEncoder(params Params, content []byte) (*FileEncoder, error) {
 		return nil, errors.New("rlnc: empty content")
 	}
 	n := params.Generations(len(content))
-	fe := &FileEncoder{params: params, length: len(content), gens: make([]*Encoder, 0, n)}
+	fe := &FileEncoder{params: params, gens: make([]*Encoder, 0, n)}
 	for g := 0; g < n; g++ {
 		src := make([][]byte, params.GenSize)
 		base := g * params.genBytes()
@@ -92,9 +91,6 @@ func NewFileEncoder(params Params, content []byte) (*FileEncoder, error) {
 
 // Params returns the session coding parameters.
 func (fe *FileEncoder) Params() Params { return fe.params }
-
-// Length returns the original content length in bytes.
-func (fe *FileEncoder) Length() int { return fe.length }
 
 // NumGenerations returns the generation count.
 func (fe *FileEncoder) NumGenerations() int { return len(fe.gens) }
@@ -186,9 +182,6 @@ func (fd *FileDecoder) Add(p *Packet) (innovative bool, err error) {
 
 // NumGenerations returns the generation count.
 func (fd *FileDecoder) NumGenerations() int { return len(fd.gens) }
-
-// GenerationRank returns the current rank of generation g's decoder.
-func (fd *FileDecoder) GenerationRank(g int) int { return fd.gens[g].Rank() }
 
 // GenerationComplete reports whether generation g has been decoded.
 func (fd *FileDecoder) GenerationComplete(g int) bool { return fd.gens[g].Complete() }

@@ -522,18 +522,3 @@ func RunAdversarialBatch(cfg DrillConfig) (DrillResult, error) {
 	res.metric("recovery_seconds", recovery.Seconds())
 	return res, nil
 }
-
-// RunAllDrills executes the four scenarios with a shared base config.
-func RunAllDrills(cfg DrillConfig) ([]DrillResult, error) {
-	var out []DrillResult
-	for _, run := range []func(DrillConfig) (DrillResult, error){
-		RunFlashCrowd, RunChurnRejoin, RunHeterogeneous, RunAdversarialBatch,
-	} {
-		r, err := run(cfg)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

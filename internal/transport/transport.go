@@ -667,6 +667,3 @@ func (c *Conn) Recv() ([]byte, error) {
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.c.Close() }
-
-// RemoteAddr exposes the peer address.
-func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }

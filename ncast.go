@@ -24,8 +24,10 @@
 package ncast
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"ncast/internal/core"
@@ -73,8 +75,8 @@ const (
 	InsertRandom InsertMode = InsertMode(core.InsertRandom)
 )
 
-// Config collects session parameters. The zero value is unusable; obtain
-// defaults through the options on NewSession / ListenAndServe.
+// Config collects session parameters. The zero value is unusable; start
+// from DefaultConfig and set the fields that differ.
 type Config struct {
 	// K is the server's bandwidth in unit streams (threads).
 	K int
@@ -212,6 +214,9 @@ func (c Config) Validate() error {
 	if c.DataLoss < 0 || c.DataLoss >= 1 {
 		return fmt.Errorf("ncast: data loss %v outside [0,1)", c.DataLoss)
 	}
+	if c.DataLoss > 0 && !c.DatagramData {
+		return fmt.Errorf("ncast: data loss %v needs DatagramData (it drops datagrams only)", c.DataLoss)
+	}
 	if c.DatagramData {
 		if maxPkt := MaxPacketSize(c.mtu(), c.Field, c.GenSize); c.PacketSize > maxPkt {
 			return fmt.Errorf("ncast: packet size %d exceeds %d, the largest fitting a %d-byte datagram (shrink packets or raise the MTU)",
@@ -259,13 +264,27 @@ func (c Config) registry() *obs.Registry {
 	return obs.NewRegistry(obs.WithTraceCapacity(c.TraceCap))
 }
 
-// newServer builds the server side of a session on ep: the flat or
-// layered data source and the tracker routing it, both instrumented into
-// reg (nil leaves them uninstrumented). The caller runs both.
-func (c Config) newServer(ep transport.Endpoint, content []byte, reg *obs.Registry) (*protocol.Source, *protocol.Tracker, error) {
+// serverCore is the server role both server shells share: the tracker
+// and the data source on one endpoint, the registry they report into, and
+// the goroutines running them.
+type serverCore struct {
+	tracker      *protocol.Tracker
+	source       *protocol.Source
+	obs          *obs.Registry
+	cancel       context.CancelFunc
+	sourceCancel context.CancelFunc
+	wg           sync.WaitGroup
+}
+
+// start builds the flat or layered data source and the tracker routing
+// it on ep, both instrumented into s.obs (nil leaves them
+// uninstrumented), and runs them until cancel; sourceCancel stops the
+// source alone.
+func (s *serverCore) start(ep transport.Endpoint, content []byte, c Config) error {
+	reg := s.obs
 	f, err := c.Field.field()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	params := rlnc.Params{Field: f, GenSize: c.GenSize, PacketSize: c.PacketSize}
 	var source *protocol.Source
@@ -276,7 +295,7 @@ func (c Config) newServer(ep transport.Endpoint, content []byte, reg *obs.Regist
 		source, err = protocol.NewSource(ep, c.K, params, content, c.Seed)
 	}
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	source.RoundInterval = c.SourceInterval
 	source.Obs = obs.NewSourceMetrics(reg)
@@ -293,10 +312,67 @@ func (c Config) newServer(ep transport.Endpoint, content []byte, reg *obs.Regist
 		Obs:           obs.NewTrackerMetrics(reg),
 	})
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	obs.NewRuntimeMetrics(reg)
-	return source, tracker, nil
+	s.tracker, s.source = tracker, source
+	ctx, cancel := context.WithCancel(context.Background())
+	sourceCtx, sourceCancel := context.WithCancel(ctx)
+	s.cancel, s.sourceCancel = cancel, sourceCancel
+	s.wg.Add(2)
+	go func() { defer s.wg.Done(); _ = tracker.Run(ctx) }()
+	go func() { defer s.wg.Done(); _ = source.Run(sourceCtx) }()
+	return nil
+}
+
+// NumNodes returns the current overlay population.
+func (s *serverCore) NumNodes() int { return s.tracker.NumNodes() }
+
+// CompletedCount returns how many clients reported a full decode.
+func (s *serverCore) CompletedCount() int { return s.tracker.CompletedCount() }
+
+// Events exposes tracker events (join/leave/repair/complete).
+func (s *serverCore) Events() <-chan protocol.TrackerEvent { return s.tracker.Events() }
+
+// Observability returns the server's metrics registry (nil when disabled
+// via DisableObs). Pass it to obs.Serve to expose /metrics and
+// /debug/overlay over HTTP.
+func (s *serverCore) Observability() *obs.Registry { return s.obs }
+
+// Snapshot captures the server's current health: overlay matrix-M state
+// (population, degree distribution, hanging threads), every metric series,
+// and the most recent trace events.
+func (s *serverCore) Snapshot() obs.OverlaySnapshot {
+	snap := registrySnapshot(s.obs)
+	h := s.tracker.Health()
+	snap.Overlay = &h
+	return snap
+}
+
+// ClusterSnapshot returns the server-aggregated fleet telemetry view:
+// every node's latest stats report with freshness, per-generation decode
+// status with straggler detection, and fleet-wide decode-delay quantiles.
+// Nodes report only when Config.StatsInterval is positive. Pass it to
+// obs.WithClusterSnapshot to serve it at /debug/cluster.
+func (s *serverCore) ClusterSnapshot() obs.ClusterSnapshot {
+	return s.tracker.ClusterSnapshot()
+}
+
+// TraceSnapshot returns the assembled dissemination-tracing view (hop
+// trees per sampled generation, fleet hop-depth distribution). Empty
+// unless Config.TraceRate is positive and traced reports have arrived.
+// Pass it to obs.WithTraceSnapshot to serve it at /debug/trace.
+func (s *serverCore) TraceSnapshot() obs.TraceSnapshot {
+	return s.tracker.TraceSnapshot()
+}
+
+// LinkSnapshot returns the aggregated fleet link matrix: every reported
+// (reporter, peer) edge with its loss estimate, RTT/jitter EWMAs,
+// innovation rate and goodput, plus the worst-links digest, over any
+// transport. Edges appear only when Config.StatsInterval is positive.
+// Pass it to obs.WithLinkSnapshot to serve it at /debug/links.
+func (s *serverCore) LinkSnapshot() obs.LinkSnapshot {
+	return s.tracker.LinkSnapshot()
 }
 
 // registrySnapshot captures reg's metric series and recent trace events;
@@ -311,93 +387,124 @@ func registrySnapshot(reg *obs.Registry) obs.OverlaySnapshot {
 	return snap
 }
 
-// Option mutates a Config.
+// planes instruments a session endpoint under the metrics name. With no
+// data plane, ctrl carries everything under the endpoint-only label set.
+// Otherwise each plane is instrumented as its own transport kind (kinds
+// holds the control and data labels), fault (when non-nil) wraps the data
+// plane under its instrumentation, so injected drops land on the bundle
+// real losses do and control traffic never sees them, and a Dual splits
+// data frames onto the data plane.
+func planes(reg *obs.Registry, name string, ctrl, data transport.Endpoint, kinds [2]string, fault *transport.FaultConfig) transport.Endpoint {
+	if data == nil {
+		transport.Instrument(ctrl, obs.NewTransportMetrics(reg, name))
+		return ctrl
+	}
+	if fault != nil {
+		data = transport.NewFaulty(data, *fault)
+	}
+	transport.Instrument(ctrl, obs.NewTransportMetricsKind(reg, name, kinds[0]))
+	transport.Instrument(data, obs.NewTransportMetricsKind(reg, name, kinds[1]))
+	return transport.NewDual(ctrl, data, protocol.DataPlaneFrame)
+}
+
+// clientCore is the client role both client shells share: one overlay
+// node and the cancel that stops its run.
+type clientCore struct {
+	node   *protocol.Node
+	cancel context.CancelFunc
+}
+
+// join builds the node on ep, runs it under wg and waits for the tracker
+// at trackerAddr to admit it. On failure the node is stopped and ep
+// closed; wg still covers the node's exit.
+func (c *clientCore) join(ctx context.Context, wg *sync.WaitGroup, ep transport.Endpoint, trackerAddr string, cfg Config, set clientSettings, reg *obs.Registry) error {
+	c.node = protocol.NewNode(ep, protocol.NodeConfig{
+		TrackerAddr:      trackerAddr,
+		Degree:           set.degree,
+		ComplaintTimeout: cfg.ComplaintTimeout,
+		Seed:             set.seed,
+		DecodeWorkers:    cfg.DecodeWorkers,
+		Obs:              obs.NewNodeMetrics(reg, ep.Addr()),
+		GenSink:          set.genSink,
+	})
+	runCtx, cancel := context.WithCancel(context.Background())
+	c.cancel = cancel
+	wg.Add(1)
+	go func() { defer wg.Done(); _ = c.node.Run(runCtx) }()
+	var err error
+	select {
+	case err = <-c.node.Joined():
+		if err == nil {
+			return nil
+		}
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	cancel()
+	ep.Close()
+	return err
+}
+
+// leave performs the §3 good-bye protocol and waits for the ack.
+func (c *clientCore) leave(ctx context.Context) error {
+	if err := c.node.Leave(ctx); err != nil {
+		return err
+	}
+	select {
+	case <-c.node.Left():
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// ID returns the overlay node id assigned by the tracker.
+func (c *clientCore) ID() uint64 { return c.node.ID() }
+
+// Progress returns the decoded-rank fraction in [0,1].
+func (c *clientCore) Progress() float64 { return c.node.Progress() }
+
+// Stats returns (received, innovative) packet counts.
+func (c *clientCore) Stats() (received, innovative int) { return c.node.Stats() }
+
+// Completed closes when the full content has been decoded.
+func (c *clientCore) Completed() <-chan struct{} { return c.node.Completed() }
+
+// Wait blocks until completion or context cancellation.
+func (c *clientCore) Wait(ctx context.Context) error {
+	select {
+	case <-c.node.Completed():
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// Content returns the decoded blob once complete.
+func (c *clientCore) Content() ([]byte, error) { return c.node.Content() }
+
+// CompletedLayers returns, for layered sessions, the number of consecutive
+// priority layers fully decoded (the playable resolution; flat sessions
+// report 1 when complete).
+func (c *clientCore) CompletedLayers() int { return c.node.CompletedLayers() }
+
+// Layer returns the decoded bytes of priority layer l once complete.
+func (c *clientCore) Layer(l int) ([]byte, error) { return c.node.Layer(l) }
+
+// Congest asks for §5 congestion relief: the client drops one thread and
+// its parent is joined directly to its child. Asynchronous; observe the
+// effect via Degree.
+func (c *clientCore) Congest(ctx context.Context) error { return c.node.Congest(ctx) }
+
+// Uncongest regrows one previously dropped thread (§5 recovery).
+func (c *clientCore) Uncongest(ctx context.Context) error { return c.node.Uncongest(ctx) }
+
+// Degree returns the client's current thread count.
+func (c *clientCore) Degree() int { return c.node.Degree() }
+
+// Option mutates a Config. Set plain fields directly; the two options
+// below also clamp the packet size to what one datagram admits.
 type Option func(*Config)
-
-// WithKD sets the server thread count and default node degree.
-func WithKD(k, d int) Option {
-	return func(c *Config) { c.K, c.D = k, d }
-}
-
-// WithField selects the coding field.
-func WithField(f Field) Option {
-	return func(c *Config) { c.Field = f }
-}
-
-// WithGeneration sets the generation size (packets) and packet size
-// (bytes).
-func WithGeneration(genSize, packetSize int) Option {
-	return func(c *Config) { c.GenSize, c.PacketSize = genSize, packetSize }
-}
-
-// WithInsertMode selects append (§3) or random (§5) row insertion.
-func WithInsertMode(m InsertMode) Option {
-	return func(c *Config) { c.Insert = m }
-}
-
-// WithComplaintTimeout tunes failure detection latency.
-func WithComplaintTimeout(d time.Duration) Option {
-	return func(c *Config) { c.ComplaintTimeout = d }
-}
-
-// WithLeaseTimeout tunes (or, with 0, disables) the server's liveness
-// lease sweep — the detector for nodes that crash without a good-bye and
-// have no children to complain about them.
-func WithLeaseTimeout(d time.Duration) Option {
-	return func(c *Config) { c.LeaseTimeout = d }
-}
-
-// WithSeed makes the session deterministic.
-func WithSeed(seed int64) Option {
-	return func(c *Config) { c.Seed = seed }
-}
-
-// WithSourceInterval paces the source pump at one round per d, in order
-// (see Config.SourceInterval).
-func WithSourceInterval(d time.Duration) Option {
-	return func(c *Config) { c.SourceInterval = d }
-}
-
-// WithLayers enables §5 priority-layered broadcasting with the given
-// per-layer stream weights (base layer first).
-func WithLayers(weights ...float64) Option {
-	return func(c *Config) { c.LayerWeights = append([]float64(nil), weights...) }
-}
-
-// WithoutObservability disables the runtime metrics layer entirely.
-func WithoutObservability() Option {
-	return func(c *Config) { c.DisableObs = true }
-}
-
-// WithTraceCap sizes the trace-event ring (see Config.TraceCap).
-func WithTraceCap(n int) Option {
-	return func(c *Config) { c.TraceCap = n }
-}
-
-// WithStatsInterval sets (or, with 0, disables) the per-node telemetry
-// reporting cadence behind the fleet ClusterSnapshot view.
-func WithStatsInterval(d time.Duration) Option {
-	return func(c *Config) { c.StatsInterval = d }
-}
-
-// WithDecodeWorkers sets the per-client decode worker pool size (see
-// Config.DecodeWorkers).
-func WithDecodeWorkers(n int) Option {
-	return func(c *Config) { c.DecodeWorkers = n }
-}
-
-// WithTraceRate enables dissemination tracing at a 1-in-n generation
-// sampling rate (see Config.TraceRate; 0 disables).
-func WithTraceRate(n int) Option {
-	return func(c *Config) { c.TraceRate = n }
-}
-
-// WithSystematic toggles systematic seeding: each generation's source
-// packets are sent once uncoded before random coding begins (see
-// Config.Systematic; on by default).
-func WithSystematic(on bool) Option {
-	return func(c *Config) { c.Systematic = on }
-}
 
 // WithDatagramData moves coded data frames and keepalives onto a lossy
 // datagram data plane, keeping control traffic on the reliable transport
@@ -406,28 +513,26 @@ func WithSystematic(on bool) Option {
 func WithDatagramData() Option {
 	return func(c *Config) {
 		c.DatagramData = true
-		if maxPkt := MaxPacketSize(c.mtu(), c.Field, c.GenSize); maxPkt > 0 && c.PacketSize > maxPkt {
-			c.PacketSize = maxPkt
-		}
+		c.clampPacket()
 	}
 }
 
 // WithDatagramMTU sets the datagram payload budget (see Config.MTU) and
-// re-clamps the packet size to fit it. Apply after WithGeneration and
-// WithField so the clamp sees the final coding parameters.
+// re-clamps the packet size to fit it. Apply after setting Field, GenSize
+// and PacketSize so the clamp sees the final coding parameters.
 func WithDatagramMTU(mtu int) Option {
 	return func(c *Config) {
 		c.MTU = mtu
-		if maxPkt := MaxPacketSize(c.mtu(), c.Field, c.GenSize); maxPkt > 0 && c.PacketSize > maxPkt {
-			c.PacketSize = maxPkt
-		}
+		c.clampPacket()
 	}
 }
 
-// WithDataLoss injects seeded random loss on the datagram data plane of
-// socket sessions (see Config.DataLoss).
-func WithDataLoss(p float64) Option {
-	return func(c *Config) { c.DataLoss = p }
+// clampPacket shrinks the packet size to the largest that fits one
+// datagram of the configured MTU.
+func (c *Config) clampPacket() {
+	if maxPkt := MaxPacketSize(c.mtu(), c.Field, c.GenSize); maxPkt > 0 && c.PacketSize > maxPkt {
+		c.PacketSize = maxPkt
+	}
 }
 
 // ErrClosed is returned by operations on a closed session.

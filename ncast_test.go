@@ -58,6 +58,7 @@ func TestConfigValidate(t *testing.T) {
 		{"gf2 ok", func(c *Config) { c.Field = GF2 }, false},
 		{"gf65536 ok", func(c *Config) { c.Field = GF65536 }, false},
 		{"random insert ok", func(c *Config) { c.Insert = InsertRandom }, false},
+		{"data loss without datagram", func(c *Config) { c.DataLoss = 0.05 }, true},
 	}
 	for _, tt := range tests {
 		tt := tt

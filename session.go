@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ncast/internal/obs"
-	"ncast/internal/protocol"
 	"ncast/internal/transport"
 )
 
@@ -16,19 +15,15 @@ import (
 // Sessions are the unit of the examples and of churn simulations; the same
 // protocol runs over TCP via ListenAndServe / Dial.
 type Session struct {
+	// serverCore's wg also covers the session's client nodes.
+	serverCore
 	cfg Config
 	net *transport.Network
 	// dataNet is the second fabric of a datagram-mode session (see
 	// Config.DatagramData): data frames ride it with the session's loss,
 	// control stays on the loss-free net. Nil in single-fabric sessions.
-	dataNet      *transport.Network
-	tracker      *protocol.Tracker
-	source       *protocol.Source
-	obs          *obs.Registry
-	genSink      GenSink
-	cancel       context.CancelFunc
-	sourceCancel context.CancelFunc
-	wg           sync.WaitGroup
+	dataNet *transport.Network
+	genSink GenSink
 
 	mu      sync.Mutex
 	nextID  int
@@ -112,35 +107,22 @@ func NewSession(content []byte, cfg Config, opts ...SessionOption) (*Session, er
 		}
 	}
 
-	reg := cfg.registry()
-	ep, err := sessionEndpoint(net, dataNet, "server", reg, nil)
-	if err != nil {
-		closeNets()
-		return nil, err
-	}
-	source, tracker, err := cfg.newServer(ep, content, reg)
-	if err != nil {
-		closeNets()
-		return nil, err
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	sourceCtx, sourceCancel := context.WithCancel(ctx)
 	s := &Session{
-		cfg:          cfg,
-		net:          net,
-		dataNet:      dataNet,
-		tracker:      tracker,
-		source:       source,
-		obs:          reg,
-		genSink:      settings.genSink,
-		cancel:       cancel,
-		sourceCancel: sourceCancel,
-		clients:      make(map[string]*Client),
+		serverCore: serverCore{obs: cfg.registry()},
+		cfg:        cfg,
+		net:        net,
+		dataNet:    dataNet,
+		genSink:    settings.genSink,
+		clients:    make(map[string]*Client),
 	}
-	s.wg.Add(2)
-	go func() { defer s.wg.Done(); _ = tracker.Run(ctx) }()
-	go func() { defer s.wg.Done(); _ = source.Run(sourceCtx) }()
+	ep, err := s.endpoint("server", nil)
+	if err == nil {
+		err = s.start(ep, content, cfg)
+	}
+	if err != nil {
+		closeNets()
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -152,55 +134,6 @@ func NewSession(content []byte, cfg Config, opts ...SessionOption) (*Session, er
 // the swarm becomes self-sustaining. Irreversible for the session.
 func (s *Session) DisconnectSource() {
 	s.sourceCancel()
-}
-
-// NumNodes returns the current overlay population.
-func (s *Session) NumNodes() int { return s.tracker.NumNodes() }
-
-// CompletedCount returns how many clients reported a full decode.
-func (s *Session) CompletedCount() int { return s.tracker.CompletedCount() }
-
-// Events exposes tracker events (join/leave/repair/complete).
-func (s *Session) Events() <-chan protocol.TrackerEvent { return s.tracker.Events() }
-
-// Observability returns the session's metrics registry (nil when disabled
-// via DisableObs). Pass it to obs.Serve to expose /metrics and
-// /debug/overlay over HTTP.
-func (s *Session) Observability() *obs.Registry { return s.obs }
-
-// Snapshot captures the session's current health: overlay matrix-M state
-// (population, degree distribution, hanging threads), every metric series,
-// and the most recent trace events.
-func (s *Session) Snapshot() obs.OverlaySnapshot {
-	snap := registrySnapshot(s.obs)
-	h := s.tracker.Health()
-	snap.Overlay = &h
-	return snap
-}
-
-// ClusterSnapshot returns the server-aggregated fleet telemetry view:
-// every node's latest stats report with freshness, per-generation decode
-// status with straggler detection, and fleet-wide decode-delay quantiles.
-// Nodes report only when Config.StatsInterval is positive.
-func (s *Session) ClusterSnapshot() obs.ClusterSnapshot {
-	return s.tracker.ClusterSnapshot()
-}
-
-// TraceSnapshot returns the assembled dissemination-tracing view (hop
-// trees per sampled generation, fleet hop-depth distribution). Empty
-// unless Config.TraceRate is positive and traced reports have arrived.
-// Pass it to obs.WithTraceSnapshot to serve it at /debug/trace.
-func (s *Session) TraceSnapshot() obs.TraceSnapshot {
-	return s.tracker.TraceSnapshot()
-}
-
-// LinkSnapshot returns the aggregated fleet link matrix: every reported
-// (reporter, peer) edge with its loss estimate, RTT/jitter EWMAs,
-// innovation rate and goodput, plus the worst-links digest, over any
-// transport. Edges appear only when Config.StatsInterval is positive.
-// Pass it to obs.WithLinkSnapshot to serve it at /debug/links.
-func (s *Session) LinkSnapshot() obs.LinkSnapshot {
-	return s.tracker.LinkSnapshot()
 }
 
 // ClientOption configures one client.
@@ -272,39 +205,16 @@ func (s *Session) AddClient(ctx context.Context, opts ...ClientOption) (*Client,
 			Seed:      settings.seed,
 		}
 	}
-	ep, err := sessionEndpoint(s.net, s.dataNet, addr, s.obs, fault)
+	ep, err := s.endpoint(addr, fault)
 	if err != nil {
 		return nil, err
 	}
-	sink := settings.genSink
-	if sink == nil {
-		sink = s.genSink
+	if settings.genSink == nil {
+		settings.genSink = s.genSink
 	}
-	node := protocol.NewNode(ep, protocol.NodeConfig{
-		TrackerAddr:      "server",
-		Degree:           settings.degree,
-		ComplaintTimeout: s.cfg.ComplaintTimeout,
-		Seed:             settings.seed,
-		DecodeWorkers:    s.cfg.DecodeWorkers,
-		Obs:              obs.NewNodeMetrics(s.obs, addr),
-		GenSink:          sink,
-	})
-	runCtx, cancel := context.WithCancel(context.Background())
-	c := &Client{node: node, addr: addr, session: s, cancel: cancel}
-	s.wg.Add(1)
-	go func() { defer s.wg.Done(); _ = node.Run(runCtx) }()
-
-	select {
-	case err := <-node.Joined():
-		if err != nil {
-			cancel()
-			ep.Close()
-			return nil, err
-		}
-	case <-ctx.Done():
-		cancel()
-		ep.Close()
-		return nil, ctx.Err()
+	c := &Client{addr: addr, session: s}
+	if err := c.join(ctx, &s.wg, ep, "server", s.cfg, settings, s.obs); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	s.clients[addr] = c
@@ -337,77 +247,36 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// sessionEndpoint registers addr on the session fabric(s): a plain
-// instrumented endpoint, or — in datagram mode — a Dual splitting data
-// frames onto the lossy data fabric, each plane instrumented as its own
-// transport kind. A non-nil fault plan wraps the data plane only, so
-// per-client loss/delay injection never touches control traffic (exactly
-// like real UDP loss under a TCP control channel).
-func sessionEndpoint(ctrlNet, dataNet *transport.Network, addr string, reg *obs.Registry, fault *transport.FaultConfig) (transport.Endpoint, error) {
-	ctrl, err := ctrlNet.Endpoint(addr)
+// endpoint registers addr on the session fabric(s): one endpoint, or in
+// datagram mode a Dual over both fabrics whose data plane alone takes the
+// fault plan, so per-client loss/delay injection never touches control
+// traffic (exactly like real UDP loss under a TCP control channel).
+func (s *Session) endpoint(addr string, fault *transport.FaultConfig) (transport.Endpoint, error) {
+	ctrl, err := s.net.Endpoint(addr)
 	if err != nil {
 		return nil, err
 	}
-	if dataNet == nil {
-		transport.Instrument(ctrl, obs.NewTransportMetrics(reg, addr))
-		return ctrl, nil
+	var data transport.Endpoint
+	if s.dataNet != nil {
+		if data, err = s.dataNet.Endpoint(addr); err != nil {
+			ctrl.Close()
+			return nil, err
+		}
 	}
-	data, err := dataNet.Endpoint(addr)
-	if err != nil {
-		ctrl.Close()
-		return nil, err
-	}
-	var dataEP transport.Endpoint = data
-	if fault != nil {
-		dataEP = transport.NewFaulty(data, *fault)
-	}
-	transport.Instrument(ctrl, obs.NewTransportMetricsKind(reg, addr, "ctrl"))
-	transport.Instrument(dataEP, obs.NewTransportMetricsKind(reg, addr, "data"))
-	return transport.NewDual(ctrl, dataEP, protocol.DataPlaneFrame), nil
+	return planes(s.obs, addr, ctrl, data, [2]string{"ctrl", "data"}, fault), nil
 }
 
 // Client is one overlay node of a session.
 type Client struct {
-	node    *protocol.Node
+	clientCore
 	addr    string
 	session *Session
-	cancel  context.CancelFunc
 }
-
-// ID returns the overlay node id assigned by the tracker.
-func (c *Client) ID() uint64 { return c.node.ID() }
-
-// Progress returns the decoded-rank fraction in [0,1].
-func (c *Client) Progress() float64 { return c.node.Progress() }
-
-// Stats returns (received, innovative) packet counts.
-func (c *Client) Stats() (received, innovative int) { return c.node.Stats() }
-
-// Completed closes when the full content has been decoded.
-func (c *Client) Completed() <-chan struct{} { return c.node.Completed() }
-
-// Wait blocks until completion or context cancellation.
-func (c *Client) Wait(ctx context.Context) error {
-	select {
-	case <-c.node.Completed():
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Content returns the decoded blob once complete.
-func (c *Client) Content() ([]byte, error) { return c.node.Content() }
 
 // Leave performs the §3 good-bye protocol and waits for the ack.
 func (c *Client) Leave(ctx context.Context) error {
-	if err := c.node.Leave(ctx); err != nil {
+	if err := c.leave(ctx); err != nil {
 		return err
-	}
-	select {
-	case <-c.node.Left():
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 	c.session.detach(c)
 	return nil
@@ -430,21 +299,3 @@ func (s *Session) detach(c *Client) {
 	defer s.mu.Unlock()
 	delete(s.clients, c.addr)
 }
-
-// CompletedLayers returns, for layered sessions, the number of consecutive
-// priority layers fully decoded (the playable resolution).
-func (c *Client) CompletedLayers() int { return c.node.CompletedLayers() }
-
-// Layer returns the decoded bytes of priority layer l once complete.
-func (c *Client) Layer(l int) ([]byte, error) { return c.node.Layer(l) }
-
-// Congest asks for §5 congestion relief: the client drops one thread and
-// its parent is joined directly to its child. Asynchronous; observe the
-// effect via Degree.
-func (c *Client) Congest(ctx context.Context) error { return c.node.Congest(ctx) }
-
-// Uncongest regrows one previously dropped thread (§5 recovery).
-func (c *Client) Uncongest(ctx context.Context) error { return c.node.Uncongest(ctx) }
-
-// Degree returns the client's current thread count.
-func (c *Client) Degree() int { return c.node.Degree() }
