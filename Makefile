@@ -29,8 +29,11 @@ fmt:
 	fi
 
 # Metric naming contract: every exported series matches ^ncast_[a-z0-9_]+$.
+# Nil policy: every bundle built from a nil registry is usable, so no
+# caller compares a bundle to nil.
 lint:
 	$(GO) test -run 'TestMetricNameLint|TestSessionMetricNames' .
+	$(GO) test -run TestNilRegistryBundles ./internal/obs
 
 # Dead-package gate: every ncast/internal/... package must be reached
 # by the façade, a command, an example or the benchmark module (read

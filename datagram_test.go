@@ -85,6 +85,87 @@ func TestDatagramBroadcastWithLoss(t *testing.T) {
 	}
 }
 
+// TestDatagramClientDataLoss checks that a dialed client's fault options
+// act on its UDP data plane: half its inbound datagrams are dropped, the
+// drops land on its udp bundle, and it decodes the exact bytes anyway.
+func TestDatagramClientDataLoss(t *testing.T) {
+	t.Parallel()
+	content := testContent(4000)
+	cfg := testConfig()
+	cfg.SourceInterval = time.Millisecond
+	WithDatagramData()(&cfg)
+	srv, err := ListenAndServe("127.0.0.1:0", content, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	c, err := Dial(ctx, srv.Addr(), "127.0.0.1:0", cfg, WithClientDataLoss(0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Wait(ctx); err != nil {
+		t.Fatalf("%v (progress %.2f)", err, c.Progress())
+	}
+	got, err := c.Content()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, content) {
+		t.Fatal("content mismatch")
+	}
+	snap := c.Snapshot()
+	drops := snap.Metric("ncast_transport_frames_dropped_total", obs.Label{Key: "transport", Value: "udp"})
+	if drops == nil || drops.Value == 0 {
+		t.Fatalf("no injected drops on the client's udp bundle: %+v", drops)
+	}
+}
+
+// TestClientFaultsNeedDataPlane checks that Dial validates its config and
+// that both client constructors reject the data-plane fault options where
+// there is no data plane, instead of ignoring them. Dial fails before it
+// binds or dials, so no server is needed.
+func TestClientFaultsNeedDataPlane(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	datagram := testConfig()
+	WithDatagramData()(&datagram)
+	outOfRange := datagram
+	outOfRange.DataLoss = 2
+	lossWithoutPlane := testConfig()
+	lossWithoutPlane.DataLoss = 0.05
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		opts []ClientOption
+	}{
+		{"data loss 2", outOfRange, nil},
+		{"data loss without DatagramData", lossWithoutPlane, nil},
+		{"client data loss without DatagramData", testConfig(), []ClientOption{WithClientDataLoss(0.5)}},
+		{"client data delay without DatagramData", testConfig(), []ClientOption{WithClientDataDelay(time.Millisecond)}},
+	} {
+		if c, err := Dial(ctx, "127.0.0.1:1", "127.0.0.1:0", tc.cfg, tc.opts...); err == nil {
+			c.Close()
+			t.Errorf("Dial with %s: no error", tc.name)
+		}
+	}
+
+	s, err := NewSession(testContent(512), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.AddClient(ctx, WithClientDataLoss(0.5)); err == nil {
+		t.Error("AddClient with client data loss on a single-fabric session: no error")
+	}
+	if _, err := s.AddClient(ctx, WithClientDataDelay(time.Millisecond)); err == nil {
+		t.Error("AddClient with client data delay on a single-fabric session: no error")
+	}
+}
+
 // TestSessionDatagramMode exercises the in-memory analogue: with
 // DatagramData the session runs two fabrics, and the loss knob applies
 // only to the data fabric — control stays reliable, mirroring TCP+UDP.

@@ -1,10 +1,12 @@
 package obs
 
 // This file defines the per-layer metric bundles the stack is
-// instrumented with. Each New*Metrics constructor returns nil when the
-// registry is nil, and the bundles' helper methods are nil-safe, so a
-// component wired without observability pays a single nil check per
-// event.
+// instrumented with. A nil registry yields nil series, and every series
+// method is a no-op on nil, so the protocol bundles (tracker, node,
+// source, codec) built from a nil registry are usable bundles of nil
+// series: their holders call them unguarded and an uninstrumented
+// component pays one nil check per series call. The transport bundle is
+// nil for a nil registry instead; its helper methods are nil-safe.
 
 // TransportMetrics instruments one endpoint's frame traffic.
 type TransportMetrics struct {
@@ -133,14 +135,14 @@ type TrackerMetrics struct {
 	AdmitBatch *Histogram
 	Trace      *TraceMetrics
 	Link       *LinkMetrics
+	// reg is the registry the bundle was built from; OnCollect hooks
+	// into it.
+	reg *Registry
 }
 
 // NewTrackerMetrics registers the tracker family on r, sharing r's trace
 // ring.
 func NewTrackerMetrics(r *Registry) *TrackerMetrics {
-	if r == nil {
-		return nil
-	}
 	return &TrackerMetrics{
 		Hellos:        r.Counter("ncast_tracker_hellos_total", "Hello requests processed (joins and welcome retries)."),
 		Goodbyes:      r.Counter("ncast_tracker_goodbyes_total", "Good-bye requests processed."),
@@ -165,8 +167,14 @@ func NewTrackerMetrics(r *Registry) *TrackerMetrics {
 		AdmitBatch:    r.Histogram("ncast_tracker_admit_batch_size", "Hellos coalesced per batched-admission matrix transaction.", BatchBuckets()),
 		Trace:         NewTraceMetrics(r),
 		Link:          NewLinkMetrics(r),
+		reg:           r,
 	}
 }
+
+// OnCollect registers fn to run before each snapshot or scrape of the
+// registry the bundle was built from: the tracker computes its overlay
+// gauges there, when they are read. No-op for a nil registry.
+func (m *TrackerMetrics) OnCollect(fn func()) { m.reg.OnCollect(fn) }
 
 // BatchBuckets returns the bounds for the admission batch-size histogram:
 // 1 (no coalescing) up to the batch cap.
@@ -196,9 +204,6 @@ type NodeMetrics struct {
 // NewNodeMetrics registers the node family labeled with the node's
 // transport address.
 func NewNodeMetrics(r *Registry, node string) *NodeMetrics {
-	if r == nil {
-		return nil
-	}
 	l := Label{Key: "node", Value: node}
 	return &NodeMetrics{
 		Received:    r.Counter("ncast_node_received_total", "Data packets received.", l),
@@ -229,11 +234,16 @@ type CodecMetrics struct {
 
 // NewCodecMetrics registers the rlnc family with the given labels.
 func NewCodecMetrics(r *Registry, labels ...Label) *CodecMetrics {
-	if r == nil {
-		return nil
-	}
 	return &CodecMetrics{
 		GensComplete: r.Counter("ncast_rlnc_generations_completed_total", "Generations decoded to full rank.", labels...),
+	}
+}
+
+// Closed records one generation decoded to full rank. No-op on a nil
+// bundle: a codec built without instrumentation holds none.
+func (m *CodecMetrics) Closed() {
+	if m != nil {
+		m.GensComplete.Inc()
 	}
 }
 
@@ -245,9 +255,6 @@ type SourceMetrics struct {
 
 // NewSourceMetrics registers the source family on r.
 func NewSourceMetrics(r *Registry) *SourceMetrics {
-	if r == nil {
-		return nil
-	}
 	return &SourceMetrics{
 		Rounds:  r.Counter("ncast_source_rounds_total", "Pump rounds in which a thread had a child and a generation its subtree still needs."),
 		Packets: r.Counter("ncast_source_packets_total", "Coded packets emitted by the source."),

@@ -5,9 +5,10 @@
 //
 // The package is a leaf: transport, rlnc, protocol, and the public façade
 // all import it, never the reverse. Every constructor tolerates a nil
-// *Registry and every method tolerates a nil receiver, returning no-op
-// metrics — an uninstrumented component pays one nil check per event and
-// allocates nothing.
+// *Registry and every series method tolerates a nil receiver: a nil
+// registry hands out nil series, and the bundles built from it are
+// usable, so an uninstrumented component calls them unguarded and pays
+// one nil check per series call, allocating nothing per event.
 //
 // The paper's robustness analysis (§3–§5) is about live overlay state:
 // rows of the matrix M, hanging threads, repair traffic, per-node

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -157,10 +158,115 @@ func TestNilSafety(t *testing.T) {
 	tm.Dropped()
 	tm.ObserveSendBatch(1)
 	tm.ObserveRecvBatch(1)
-	if NewTransportMetrics(nil, "x") != nil || NewTrackerMetrics(nil) != nil ||
-		NewNodeMetrics(nil, "x") != nil || NewCodecMetrics(nil) != nil || NewSourceMetrics(nil) != nil {
-		t.Fatal("bundle constructor on nil registry returned non-nil")
+}
+
+// TestNilRegistryBundles pins the one nil policy: every bundle built from
+// a nil registry is usable. Each exported method of the bundle, of every
+// series under it and of every sub-bundle runs without panicking, and
+// every series is nil and reads zero, so nothing is recorded. The
+// transport bundle is nil itself; its methods are nil-safe.
+func TestNilRegistryBundles(t *testing.T) {
+	t.Parallel()
+	bundles := map[string]interface{}{
+		"tracker":   NewTrackerMetrics(nil),
+		"node":      NewNodeMetrics(nil, "x"),
+		"codec":     NewCodecMetrics(nil),
+		"source":    NewSourceMetrics(nil),
+		"trace":     NewTraceMetrics(nil),
+		"link":      NewLinkMetrics(nil),
+		"runtime":   NewRuntimeMetrics(nil),
+		"transport": NewTransportMetrics(nil, "x"),
 	}
+	for name, b := range bundles {
+		v := reflect.ValueOf(b)
+		if v.IsNil() && name != "transport" {
+			t.Errorf("%s: nil bundle", name)
+		}
+		exerciseNil(t, name, v)
+	}
+}
+
+// exerciseNil calls every exported method of the pointer v with non-zero
+// arguments, then walks v's exported pointer fields: a series must be
+// nil and read zero after its own methods ran, a sub-bundle is exercised
+// in turn.
+func exerciseNil(t *testing.T, path string, v reflect.Value) {
+	t.Helper()
+	for i := 0; i < v.NumMethod(); i++ {
+		name := path + "." + v.Type().Method(i).Name
+		m := v.Method(i)
+		args := make([]reflect.Value, m.Type().NumIn())
+		for j := range args {
+			args[j] = nonZeroArg(t, name, m.Type().In(j))
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s panicked: %v", name, p)
+				}
+			}()
+			m.Call(args)
+		}()
+	}
+	if v.IsNil() {
+		return
+	}
+	s := v.Elem()
+	for i := 0; i < s.NumField(); i++ {
+		f, sf := s.Field(i), s.Type().Field(i)
+		if !sf.IsExported() || f.Kind() != reflect.Ptr {
+			continue
+		}
+		name := path + "." + sf.Name
+		switch series := f.Interface().(type) {
+		case *Counter, *Gauge, *Histogram, *Ring:
+			exerciseNil(t, name, f)
+			if !f.IsNil() {
+				t.Errorf("%s is a live series on a nil registry", name)
+			}
+			var n int64
+			switch x := series.(type) {
+			case *Counter:
+				n = int64(x.Value())
+			case *Gauge:
+				n = x.Value()
+			case *Histogram:
+				n = int64(x.Count())
+			case *Ring:
+				n = int64(x.Len())
+			}
+			if n != 0 {
+				t.Errorf("%s recorded %d", name, n)
+			}
+		default:
+			if f.IsNil() {
+				t.Errorf("%s is a nil sub-bundle", name)
+				continue
+			}
+			exerciseNil(t, name, f)
+		}
+	}
+}
+
+// nonZeroArg builds an argument of type typ for a call to method name:
+// one for numbers, the current time, a fresh pointer, or a hook that
+// fails the test if it ever runs.
+func nonZeroArg(t *testing.T, name string, typ reflect.Type) reflect.Value {
+	switch typ.Kind() {
+	case reflect.Int, reflect.Int64, reflect.Uint64, reflect.Float64:
+		return reflect.ValueOf(1).Convert(typ)
+	case reflect.Ptr:
+		return reflect.New(typ.Elem())
+	case reflect.Func:
+		return reflect.MakeFunc(typ, func([]reflect.Value) []reflect.Value {
+			t.Errorf("%s ran its hook without a registry", name)
+			return nil
+		})
+	}
+	if typ == reflect.TypeOf(time.Time{}) {
+		return reflect.ValueOf(time.Now())
+	}
+	return reflect.Zero(typ)
 }
 
 func TestRingWrapAround(t *testing.T) {

@@ -37,7 +37,7 @@ type NodeConfig struct {
 	// loop (the prior behavior).
 	DecodeWorkers int
 	// Obs carries optional instrumentation; nil leaves the node (and its
-	// codecs) uninstrumented at zero cost.
+	// codecs) uninstrumented.
 	Obs *obs.NodeMetrics
 	// GenSink, when non-nil, receives every generation-lifecycle
 	// transition (first packet, rank quartiles, decode) — the feed behind
@@ -231,6 +231,9 @@ const (
 
 // NewNode creates a node bound to ep.
 func NewNode(ep transport.Endpoint, cfg NodeConfig) *Node {
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewNodeMetrics(nil, "")
+	}
 	return &Node{
 		ep:         ep,
 		cfg:        cfg,
@@ -742,9 +745,7 @@ func (n *Node) handleData(ctx context.Context, from string, frame []byte, r *ran
 			p.Release()
 			return
 		}
-		if m := n.cfg.Obs; m != nil {
-			rc.Instrument(m.Codec)
-		}
+		rc.Instrument(n.cfg.Obs.Codec)
 		gs.rc = rc
 	}
 	j := decodeJob{f: n.field, th: th, slot: slot, from: from, child: n.childOf[th],
@@ -774,9 +775,7 @@ func (n *Node) handleData(ctx context.Context, from string, frame []byte, r *ran
 // queued for a decode worker is not counted yet. Callers hold n.mu.
 func (n *Node) receivedLocked() {
 	n.received++
-	if m := n.cfg.Obs; m != nil {
-		m.Received.Inc()
-	}
+	n.cfg.Obs.Received.Inc()
 }
 
 // dropUnjudged counts a frame dropped before its verdict as received, and
@@ -826,15 +825,11 @@ func (n *Node) absorb(ctx context.Context, j *decodeJob, r *rand.Rand) {
 	n.receivedLocked()
 	if innovative {
 		n.innovative++
-		if m != nil {
-			m.Innovative.Inc()
-			m.Rank.Add(1)
-		}
+		m.Innovative.Inc()
+		m.Rank.Add(1)
 	} else {
 		n.redundant++
-		if m != nil {
-			m.Redundant.Inc()
-		}
+		m.Redundant.Inc()
 	}
 	n.links.ObservePacket(j.from, innovative)
 	gs := &n.gens[j.slot]
@@ -848,9 +843,7 @@ func (n *Node) absorb(ctx context.Context, j *decodeJob, r *rand.Rand) {
 	if closed {
 		n.done[j.slot>>6] |= 1 << (j.slot & 63)
 		n.gensDone++
-		if m != nil {
-			m.GensDone.Set(int64(n.gensDone))
-		}
+		m.GensDone.Set(int64(n.gensDone))
 		if n.gensDone == n.totalGens && !n.complete {
 			n.complete = true
 			justCompleted = true
@@ -951,8 +944,8 @@ func (n *Node) holdsLocked(th int) bool {
 // required, only enough innovative ones. The bound is ctx's deadline, or
 // transport.QueueWait for the receive path's deadline-free context.
 func (n *Node) sendData(ctx context.Context, to string, frame []byte) {
-	if m := n.cfg.Obs; m != nil && IsData(frame) {
-		m.Emitted.Inc()
+	if IsData(frame) {
+		n.cfg.Obs.Emitted.Inc()
 	}
 	_ = n.ep.Send(ctx, to, frame) //nolint:errcheck // lossy data plane
 }
@@ -1322,9 +1315,7 @@ func (n *Node) checkComplaints(ctx context.Context) {
 	n.complaintsSent += uint64(len(complaints))
 	n.mu.Unlock()
 	for _, c := range complaints {
-		if m := n.cfg.Obs; m != nil {
-			m.Complaints.Inc()
-		}
+		n.cfg.Obs.Complaints.Inc()
 		_ = n.toTracker(ctx, MsgComplaint, c) //nolint:errcheck // best-effort
 	}
 }

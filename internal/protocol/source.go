@@ -224,6 +224,10 @@ func (s *Source) Run(ctx context.Context) error {
 			timer.Stop()
 		}
 	}()
+	m := s.Obs
+	if m == nil {
+		m = obs.NewSourceMetrics(nil)
+	}
 	next := time.Now()
 	for {
 		if err := ctx.Err(); err != nil {
@@ -238,7 +242,6 @@ func (s *Source) Run(ctx context.Context) error {
 			now = time.Now().UnixNano()
 			plan.begin(children, now)
 		}
-		m := s.Obs
 		idle := true
 		for th, child := range children {
 			g := cursor[th]
@@ -297,11 +300,9 @@ func (s *Source) Run(ctx context.Context) error {
 				// other threads; repair or drainage will fix this one.
 				continue
 			}
-			if m != nil {
-				m.Packets.Inc()
-			}
+			m.Packets.Inc()
 		}
-		if !idle && m != nil {
+		if !idle {
 			m.Rounds.Inc()
 		}
 		var wait time.Duration

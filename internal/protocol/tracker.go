@@ -144,11 +144,10 @@ func NewTracker(ep transport.Endpoint, source *Source, cfg TrackerConfig) (*Trac
 	if source != nil {
 		source.share = (source.params.GenSize + cfg.D - 1) / cfg.D
 	}
-	var traceObs *obs.TraceMetrics
-	if cfg.Obs != nil {
-		traceObs = cfg.Obs.Trace
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewTrackerMetrics(nil)
 	}
-	return &Tracker{
+	t := &Tracker{
 		ep:        ep,
 		cfg:       cfg,
 		source:    source,
@@ -159,10 +158,12 @@ func NewTracker(ep transport.Endpoint, source *Source, cfg TrackerConfig) (*Trac
 		lastSeen:  make(map[core.NodeID]time.Time),
 		reports:   make(map[core.NodeID]nodeReport),
 		genIDs:    genIDs,
-		traces:    obs.NewTraceCollector(0, traceObs),
+		traces:    obs.NewTraceCollector(0, cfg.Obs.Trace),
 		outboxes:  make(map[string]chan outMsg),
 		events:    make(chan TrackerEvent, 1024),
-	}, nil
+	}
+	cfg.Obs.OnCollect(t.refreshGauges)
+	return t, nil
 }
 
 // Events exposes the tracker's event stream.
@@ -244,11 +245,11 @@ const recvBatches = admissionBatchMax / transport.RecvBatchLen
 //
 // Hellos are admitted in batches: a burst of pending hellos that arrived
 // while the tracker was busy is coalesced into one matrix transaction
-// (one lock hold, one gauge refresh) instead of paying per-message
-// locking. Per-hello semantics are unchanged — each hello still gets its
-// own Welcome, redirects and join event, in arrival order — and any
-// non-hello message flushes the queue first, so it observes exactly the
-// matrix it would have under one-at-a-time dispatch.
+// (one lock hold) instead of paying per-message locking. Per-hello
+// semantics are unchanged — each hello still gets its own Welcome,
+// redirects and join event, in arrival order — and any non-hello message
+// flushes the queue first, so it observes exactly the matrix it would
+// have under one-at-a-time dispatch.
 func (t *Tracker) Run(ctx context.Context) error {
 	// The lease sweep runs on this loop, between dispatch rounds, so every
 	// change to M and the redirects it causes come from one goroutine: two
@@ -312,7 +313,6 @@ func (t *Tracker) Run(ctx context.Context) error {
 			}
 			pending = t.flushHellos(ctx, pending)
 		}
-		t.refreshGauges()
 	}
 }
 
@@ -424,13 +424,11 @@ func (t *Tracker) dispatch(ctx context.Context, now time.Time, from string, typ 
 	}
 }
 
-// refreshGauges re-exports the overlay gauges (rows of M, empty threads,
-// completions) after a control message may have changed them.
+// refreshGauges exports the overlay gauges (rows of M, empty threads,
+// completions). It runs as a collect hook of the tracker's registry, so
+// the gauges are computed when a snapshot or scrape reads them.
 func (t *Tracker) refreshGauges() {
 	m := t.cfg.Obs
-	if m == nil {
-		return
-	}
 	t.mu.Lock()
 	nodes := t.curtain.NumNodes()
 	empty := 0
@@ -637,9 +635,7 @@ func (t *Tracker) sendControl(ctx context.Context, to string, typ MsgType, paylo
 	case ch <- outMsg{to: to, frame: frame}:
 	default:
 		// Full outbox: drop the newest rather than block dispatch.
-		if m := t.cfg.Obs; m != nil {
-			m.OutboxDrops.Inc()
-		}
+		t.cfg.Obs.OutboxDrops.Inc()
 	}
 }
 
@@ -700,9 +696,7 @@ func (t *Tracker) deliver(ctx context.Context, w *transport.SendWindow, to strin
 		if attempt == outboxAttempts-1 {
 			break
 		}
-		if m != nil {
-			m.OutboxRetries.Inc()
-		}
+		m.OutboxRetries.Inc()
 		select {
 		case <-ctx.Done():
 			return
@@ -710,9 +704,7 @@ func (t *Tracker) deliver(ctx context.Context, w *transport.SendWindow, to strin
 		}
 		backoff *= 2
 	}
-	if m != nil {
-		m.OutboxDrops.Inc()
-	}
+	m.OutboxDrops.Inc()
 }
 
 // touchLease refreshes the sender's liveness lease, if it is a known node.
@@ -752,9 +744,7 @@ func (t *Tracker) statsMillis() int64 {
 // unknown ids (already swept, or never joined) are dropped — keeping them
 // would leak entries and resurrect departed nodes in the cluster view.
 func (t *Tracker) handleStatsReport(r StatsReport) {
-	if m := t.cfg.Obs; m != nil {
-		m.StatsReports.Inc()
-	}
+	t.cfg.Obs.StatsReports.Inc()
 	id := core.NodeID(r.ID)
 	t.mu.Lock()
 	addr, known := t.addrOf[id]
@@ -773,10 +763,8 @@ func (t *Tracker) handleStatsReport(r StatsReport) {
 	if len(r.TraceHops) > 0 {
 		t.traces.Ingest(r.ID, r.TraceHops)
 	}
-	if m := t.cfg.Obs; m != nil {
-		row := nr.linkRow(addr)
-		m.Link.Observe(&row)
-	}
+	row := nr.linkRow(addr)
+	t.cfg.Obs.Link.Observe(&row)
 }
 
 // TraceSnapshot assembles the tracker's dissemination-tracing view: the
@@ -821,9 +809,7 @@ func (t *Tracker) linkRowsLocked() ([]obs.LinkRow, map[string]uint64) {
 // node was already swept (it was partitioned past the timeout): tell it,
 // so it re-joins immediately instead of waiting to starve.
 func (t *Tracker) handleLease(ctx context.Context, now time.Time, from string, l Lease) {
-	if m := t.cfg.Obs; m != nil {
-		m.Leases.Inc()
-	}
+	t.cfg.Obs.Leases.Inc()
 	id := core.NodeID(l.ID)
 	t.mu.Lock()
 	_, known := t.addrOf[id]
@@ -874,19 +860,15 @@ func (t *Tracker) expire(ctx context.Context, id core.NodeID) {
 	if err != nil {
 		return
 	}
-	if m := t.cfg.Obs; m != nil {
-		m.LeaseExpiries.Inc()
-		m.Repairs.Inc()
-		m.RepairNanos.ObserveSince(opStart)
-	}
+	t.cfg.Obs.LeaseExpiries.Inc()
+	t.cfg.Obs.Repairs.Inc()
+	t.cfg.Obs.RepairNanos.ObserveSince(opStart)
 	t.sendControl(ctx, addr, MsgExpelled, Expelled{ID: uint64(id)})
 	t.emit(TrackerEvent{Kind: "expire", ID: id, Addr: addr})
 }
 
 func (t *Tracker) emit(ev TrackerEvent) {
-	if m := t.cfg.Obs; m != nil {
-		m.Events.Record(obs.Event{Layer: "tracker", Kind: ev.Kind, Node: uint64(ev.ID), Detail: ev.Addr})
-	}
+	t.cfg.Obs.Events.Record(obs.Event{Layer: "tracker", Kind: ev.Kind, Node: uint64(ev.ID), Detail: ev.Addr})
 	select {
 	case t.events <- ev:
 	default: // observer asleep: drop rather than block the control plane
@@ -920,9 +902,7 @@ func (t *Tracker) flushHellos(ctx context.Context, pending []pendingHello) []pen
 	out := make([]admitted, 0, len(pending))
 	t.mu.Lock()
 	for _, ph := range pending {
-		if m != nil {
-			m.Hellos.Inc()
-		}
+		m.Hellos.Inc()
 		opStart := time.Now() // also the hello's lease stamp
 		addr := ph.h.Addr
 		if addr == "" {
@@ -985,14 +965,10 @@ func (t *Tracker) flushHellos(ctx context.Context, pending []pendingHello) []pen
 				StatsMillis: t.statsMillis(),
 			},
 		})
-		if m != nil {
-			m.HelloNanos.ObserveSince(opStart)
-		}
+		m.HelloNanos.ObserveSince(opStart)
 	}
 	t.mu.Unlock()
-	if m != nil {
-		m.AdmitBatch.Observe(float64(len(pending)))
-	}
+	m.AdmitBatch.Observe(float64(len(pending)))
 
 	for _, a := range out {
 		if a.errMsg != "" {
@@ -1014,9 +990,7 @@ func (t *Tracker) flushHellos(ctx context.Context, pending []pendingHello) []pen
 
 // redirect routes thread th of owner (a node id or ServerID) to childAddr.
 func (t *Tracker) redirect(ctx context.Context, owner core.NodeID, th int, childAddr string) {
-	if m := t.cfg.Obs; m != nil {
-		m.Redirects.Inc()
-	}
+	t.cfg.Obs.Redirects.Inc()
 	if owner == core.ServerID {
 		if t.source != nil {
 			t.source.SetChild(th, childAddr)
@@ -1085,9 +1059,7 @@ func (t *Tracker) spliceOut(ctx context.Context, id core.NodeID, remove func() e
 
 // handleGoodbye performs the §3 good-bye protocol.
 func (t *Tracker) handleGoodbye(ctx context.Context, from string, g Goodbye) {
-	if m := t.cfg.Obs; m != nil {
-		m.Goodbyes.Inc()
-	}
+	t.cfg.Obs.Goodbyes.Inc()
 	id := core.NodeID(g.ID)
 	t.mu.Lock()
 	addr, ok := t.addrOf[id]
@@ -1106,9 +1078,7 @@ func (t *Tracker) handleGoodbye(ctx context.Context, from string, g Goodbye) {
 		t.sendControl(ctx, from, MsgError, ErrorMsg{Reason: err.Error()})
 		return
 	}
-	if m := t.cfg.Obs; m != nil {
-		m.GoodbyeNanos.ObserveSince(opStart)
-	}
+	t.cfg.Obs.GoodbyeNanos.ObserveSince(opStart)
 	t.sendControl(ctx, addr, MsgGoodbyeAck, GoodbyeAck{})
 	t.emit(TrackerEvent{Kind: "leave", ID: id, Addr: addr})
 }
@@ -1117,9 +1087,7 @@ func (t *Tracker) handleGoodbye(ctx context.Context, from string, g Goodbye) {
 // parent is still the complainer's parent on that thread, then splice the
 // failed node out exactly as if it had left gracefully.
 func (t *Tracker) handleComplaint(ctx context.Context, c Complaint) {
-	if m := t.cfg.Obs; m != nil {
-		m.Complaints.Inc()
-	}
+	t.cfg.Obs.Complaints.Inc()
 	childID := core.NodeID(c.ID)
 	t.mu.Lock()
 	if !t.curtain.Contains(childID) {
@@ -1173,10 +1141,8 @@ func (t *Tracker) handleComplaint(ctx context.Context, c Complaint) {
 	if err != nil {
 		return
 	}
-	if m := t.cfg.Obs; m != nil {
-		m.Repairs.Inc()
-		m.RepairNanos.ObserveSince(opStart)
-	}
+	t.cfg.Obs.Repairs.Inc()
+	t.cfg.Obs.RepairNanos.ObserveSince(opStart)
 	// Tell the expelled node, in case it is alive-but-slow: it can
 	// re-join with a fresh row (its decoded state survives).
 	t.sendControl(ctx, accusedAddr, MsgExpelled, Expelled{ID: uint64(accused)})
@@ -1221,9 +1187,7 @@ func (t *Tracker) handleCongested(ctx context.Context, c Congested) {
 	}
 	t.mu.Unlock()
 
-	if m := t.cfg.Obs; m != nil {
-		m.Congestions.Inc()
-	}
+	t.cfg.Obs.Congestions.Inc()
 	// Join the dropped thread's parent directly to its child.
 	t.redirect(ctx, parent, dropped, childAddr)
 	t.sendControl(ctx, addr, MsgThreadDropped, ThreadDropped{Thread: dropped})
@@ -1267,9 +1231,7 @@ func (t *Tracker) handleUncongested(ctx context.Context, u Uncongested) {
 	}
 	t.mu.Unlock()
 
-	if m := t.cfg.Obs; m != nil {
-		m.Uncongestions.Inc()
-	}
+	t.cfg.Obs.Uncongestions.Inc()
 	// New parent sends to the node; the node serves the displaced child.
 	t.redirect(ctx, parent, gained, addr)
 	t.sendControl(ctx, addr, MsgThreadAdded, ThreadAdded{Thread: gained, ChildAddr: childAddr})
@@ -1290,9 +1252,7 @@ func (t *Tracker) handleComplete(c Complete) {
 	t.completed[id] = true
 	t.mu.Unlock()
 	if !already {
-		if m := t.cfg.Obs; m != nil {
-			m.Completions.Inc()
-		}
+		t.cfg.Obs.Completions.Inc()
 		t.emit(TrackerEvent{Kind: "complete", ID: id, Addr: addr})
 	}
 }

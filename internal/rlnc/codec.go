@@ -115,8 +115,8 @@ func (c *codec) addLocked(p *Packet) (innovative, closed bool, err error) {
 	}
 	innovative, err = c.e.add(p)
 	closed = innovative && c.e.complete()
-	if closed && c.m != nil {
-		c.m.GensComplete.Inc()
+	if closed {
+		c.m.Closed()
 	}
 	return innovative, closed, err
 }

@@ -10,7 +10,7 @@ import (
 	"ncast/internal/obs"
 )
 
-// FaultConfig parameterises a Faulty endpoint wrapper. All probabilities
+// FaultConfig parameterises a Faulty endpoint wrapper. Both probabilities
 // are in [0,1] and evaluated independently per frame with the seeded rng,
 // so a failure scenario replays deterministically.
 type FaultConfig struct {
@@ -18,13 +18,9 @@ type FaultConfig struct {
 	SendLoss float64
 	// RecvLoss drops each inbound frame with this probability.
 	RecvLoss float64
-	// DupProb re-sends an outbound frame once with this probability
-	// (duplicate delivery, as after a spurious retransmit).
-	DupProb float64
-	// SendDelay and RecvDelay add a fixed extra delay per direction.
-	SendDelay time.Duration
+	// RecvDelay adds a fixed extra delay to each inbound frame.
 	RecvDelay time.Duration
-	// Seed drives the loss/duplication coins.
+	// Seed drives the loss coins.
 	Seed int64
 }
 
@@ -32,29 +28,23 @@ type FaultConfig struct {
 type FaultStats struct {
 	SendDropped uint64
 	RecvDropped uint64
-	Duplicated  uint64
-	Partitioned uint64
 }
 
 // Faulty wraps an Endpoint with seeded fault injection: probabilistic
-// drops and duplication, fixed extra delays, and directional partitions.
-// It exists so churn and crash scenarios can be scripted against any
-// transport (in-memory or TCP) without rebuilding the fabric. The zero
-// probabilities make it a transparent pass-through.
+// drops in either direction and a fixed extra delay on receive. It exists
+// so lossy and slow links can be scripted against any transport
+// (in-memory, UDP or TCP) without rebuilding the fabric. The zero plan
+// makes it a transparent pass-through.
 type Faulty struct {
 	inner Endpoint
 	rx    BatchReceiver // Batched(inner)
+	cfg   FaultConfig
 
-	mu          sync.Mutex
-	rng         *rand.Rand
-	cfg         FaultConfig
-	blockedSend map[string]bool
-	blockedRecv map[string]bool
+	mu  sync.Mutex // guards rng (rand.Rand is not goroutine-safe)
+	rng *rand.Rand
 
 	sendDropped atomic.Uint64
 	recvDropped atomic.Uint64
-	duplicated  atomic.Uint64
-	partitioned atomic.Uint64
 
 	// metrics mirrors the bundle forwarded to the inner endpoint so the
 	// faults injected HERE (which the inner endpoint never sees) still
@@ -71,12 +61,10 @@ var (
 // NewFaulty wraps inner with the given fault plan.
 func NewFaulty(inner Endpoint, cfg FaultConfig) *Faulty {
 	return &Faulty{
-		inner:       inner,
-		rx:          Batched(inner),
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		cfg:         cfg,
-		blockedSend: make(map[string]bool),
-		blockedRecv: make(map[string]bool),
+		inner: inner,
+		rx:    Batched(inner),
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
@@ -101,57 +89,11 @@ func (f *Faulty) Stats() FaultStats {
 	return FaultStats{
 		SendDropped: f.sendDropped.Load(),
 		RecvDropped: f.recvDropped.Load(),
-		Duplicated:  f.duplicated.Load(),
-		Partitioned: f.partitioned.Load(),
 	}
 }
 
-// Partition blocks both directions to/from the named peers.
-func (f *Faulty) Partition(peers ...string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, p := range peers {
-		f.blockedSend[p] = true
-		f.blockedRecv[p] = true
-	}
-}
-
-// PartitionOutbound blocks only frames sent to the named peers (an
-// asymmetric failure: we hear them, they do not hear us).
-func (f *Faulty) PartitionOutbound(peers ...string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, p := range peers {
-		f.blockedSend[p] = true
-	}
-}
-
-// PartitionInbound blocks only frames received from the named peers.
-func (f *Faulty) PartitionInbound(peers ...string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, p := range peers {
-		f.blockedRecv[p] = true
-	}
-}
-
-// Heal unblocks both directions for the named peers; with no arguments it
-// heals every partition.
-func (f *Faulty) Heal(peers ...string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(peers) == 0 {
-		f.blockedSend = make(map[string]bool)
-		f.blockedRecv = make(map[string]bool)
-		return
-	}
-	for _, p := range peers {
-		delete(f.blockedSend, p)
-		delete(f.blockedRecv, p)
-	}
-}
-
-// coin flips the rng under the mutex (rand.Rand is not goroutine-safe).
+// coin flips the rng under the mutex. A zero probability draws nothing,
+// so one direction's plan leaves the other's coin sequence unchanged.
 func (f *Faulty) coin(p float64) bool {
 	if p <= 0 {
 		return false
@@ -161,40 +103,20 @@ func (f *Faulty) coin(p float64) bool {
 	return f.rng.Float64() < p
 }
 
-// Send injects outbound faults, then delegates. Dropped and partitioned
-// frames report success, exactly like loss on a real link.
+// Send drops the frame on the loss coin, then delegates. A dropped frame
+// reports success, exactly like loss on a real link.
 func (f *Faulty) Send(ctx context.Context, to string, msg []byte) error {
-	f.mu.Lock()
-	blocked := f.blockedSend[to]
-	f.mu.Unlock()
-	if blocked {
-		f.partitioned.Add(1)
-		f.metrics.Load().Dropped()
-		return nil
-	}
 	if f.coin(f.cfg.SendLoss) {
 		f.sendDropped.Add(1)
 		f.metrics.Load().Dropped()
 		return nil
 	}
-	if f.cfg.SendDelay > 0 {
-		if err := sleepCtx(ctx, f.cfg.SendDelay); err != nil {
-			return err
-		}
-	}
-	if err := f.inner.Send(ctx, to, msg); err != nil {
-		return err
-	}
-	if f.coin(f.cfg.DupProb) {
-		f.duplicated.Add(1)
-		return f.inner.Send(ctx, to, msg)
-	}
-	return nil
+	return f.inner.Send(ctx, to, msg)
 }
 
-// Recv injects inbound faults: frames from partitioned peers and coin
-// losses are consumed silently, and the next surviving frame is returned.
-// It is the one-frame case of RecvBatch; the buffer is the caller's.
+// Recv injects inbound faults: coin losses are consumed silently, and the
+// next surviving frame is returned. It is the one-frame case of
+// RecvBatch; the buffer is the caller's.
 func (f *Faulty) Recv(ctx context.Context) (string, []byte, error) {
 	var fs [1]Frame
 	if _, err := f.RecvBatch(ctx, fs[:]); err != nil {
@@ -218,7 +140,9 @@ func (f *Faulty) RecvBatch(ctx context.Context, frames []Frame) (int, error) {
 		}
 		kept := 0
 		for i := 0; i < n; i++ {
-			if f.lost(frames[i].From) {
+			if f.coin(f.cfg.RecvLoss) {
+				f.recvDropped.Add(1)
+				f.metrics.Load().Dropped()
 				frames[i].Release()
 				continue
 			}
@@ -242,25 +166,6 @@ func (f *Faulty) RecvBatch(ctx context.Context, frames []Frame) (int, error) {
 		}
 		return kept, nil
 	}
-}
-
-// lost decides an inbound frame's fate: dropped when its sender is
-// partitioned or the loss coin says so, with the drop counted.
-func (f *Faulty) lost(from string) bool {
-	f.mu.Lock()
-	blocked := f.blockedRecv[from]
-	f.mu.Unlock()
-	if blocked {
-		f.partitioned.Add(1)
-		f.metrics.Load().Dropped()
-		return true
-	}
-	if f.coin(f.cfg.RecvLoss) {
-		f.recvDropped.Add(1)
-		f.metrics.Load().Dropped()
-		return true
-	}
-	return false
 }
 
 // sleepCtx waits d or until the context ends.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -322,43 +323,50 @@ func TestSenderCacheSplitAllocs(t *testing.T) {
 	}
 }
 
-// TestFaultyRecvBatchFilters checks that Faulty drops a partitioned
-// peer's frames out of a batch in place and passes the rest in order.
+// TestFaultyRecvBatchFilters checks that Faulty drops the frames its
+// seeded RecvLoss coin picks out of a batch in place and passes the rest
+// in order: the kept set is the one the same seed's coin sequence gives.
 func TestFaultyRecvBatchFilters(t *testing.T) {
 	t.Parallel()
-	f, b, net := faultyPair(t, FaultConfig{})
-	c, err := net.Endpoint("c")
-	if err != nil {
-		t.Fatal(err)
+	const n, loss, seed = RecvBatchLen, 0.5, 7
+	f, b, _ := faultyPair(t, FaultConfig{RecvLoss: loss, Seed: seed})
+	coin := rand.New(rand.NewSource(seed))
+	var want []byte
+	for i := 0; i < n; i++ {
+		if coin.Float64() >= loss {
+			want = append(want, byte(i))
+		}
 	}
-	f.PartitionInbound("c")
+	if len(want) == 0 || len(want) == n {
+		t.Fatalf("seed %d keeps %d of %d frames: pick one that drops some", seed, len(want), n)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	for i := 0; i < 6; i++ {
-		from := b
-		if i%2 == 1 {
-			from = c
-		}
-		if err := from.Send(ctx, "a", []byte{byte(i)}); err != nil {
+	for i := 0; i < n; i++ {
+		if err := b.Send(ctx, "a", []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	var got []byte
 	var fs [RecvBatchLen]Frame
-	k, err := f.RecvBatch(ctx, fs[:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 3 {
-		t.Fatalf("batch of %d, want the 3 frames from b", k)
-	}
-	for i := range fs[:k] {
-		if fs[i].From != "b" || fs[i].Msg[0] != byte(2*i) {
-			t.Fatalf("frame %d = %v from %q", i, fs[i].Msg, fs[i].From)
+	for len(got) < len(want) {
+		k, err := f.RecvBatch(ctx, fs[:])
+		if err != nil {
+			t.Fatalf("after %v: %v", got, err)
 		}
-		fs[i].Release()
+		for i := range fs[:k] {
+			if fs[i].From != "b" {
+				t.Fatalf("frame %d from %q", i, fs[i].From)
+			}
+			got = append(got, fs[i].Msg[0])
+			fs[i].Release()
+		}
 	}
-	if got := f.Stats().Partitioned; got != 3 {
-		t.Fatalf("Partitioned = %d, want 3", got)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("kept %v, want %v", got, want)
+	}
+	if got := f.Stats().RecvDropped; got != uint64(n-len(want)) {
+		t.Fatalf("RecvDropped = %d, want %d", got, n-len(want))
 	}
 }
 

@@ -116,8 +116,8 @@ type Config struct {
 	// layers so degraded receivers finish the base layer first.
 	LayerWeights []float64
 	// DisableObs turns runtime observability off: no metrics registry is
-	// created and every layer runs uninstrumented (one nil check per hot
-	// path). Snapshot then returns an empty snapshot.
+	// created and every layer runs on bundles of nil series, each call a
+	// no-op after one nil check. Snapshot then returns an empty snapshot.
 	DisableObs bool
 	// TraceCap sizes the observability trace-event ring (the diagnostic
 	// replay window served at /debug/overlay). 0 means the obs default
@@ -134,13 +134,6 @@ type Config struct {
 	// stays single-threaded. 0 or 1 decodes inline on the receive loop;
 	// values above 1 help multi-generation sessions on multi-core hosts.
 	DecodeWorkers int
-	// Systematic makes the source emit each generation's GenSize source
-	// packets uncoded (flagged on the wire) before switching to random
-	// coding. Receivers install such packets without any Gaussian
-	// elimination, so on loss-free paths decode runs at copy speed and
-	// only the repair tail pays field arithmetic. Ignored in layered
-	// mode.
-	Systematic bool
 	// DatagramData splits the session's transport into two planes: control
 	// messages (hello/goodbye/repair/stats/leases) stay on the reliable
 	// transport, while coded data frames and keepalives move to lossy
@@ -183,7 +176,6 @@ func DefaultConfig() Config {
 		Seed:             1,
 		SourceInterval:   200 * time.Microsecond,
 		StatsInterval:    time.Second,
-		Systematic:       true,
 	}
 }
 
@@ -300,7 +292,9 @@ func (s *serverCore) start(ep transport.Endpoint, content []byte, c Config) erro
 	source.RoundInterval = c.SourceInterval
 	source.Obs = obs.NewSourceMetrics(reg)
 	source.TraceRate = c.TraceRate
-	source.Systematic = c.Systematic
+	// Each generation's source packets go out uncoded first: receivers
+	// install them without elimination (ignored in layered mode).
+	source.Systematic = true
 	tracker, err := protocol.NewTracker(ep, source, protocol.TrackerConfig{
 		K:             c.K,
 		D:             c.D,
@@ -379,11 +373,9 @@ func (s *serverCore) LinkSnapshot() obs.LinkSnapshot {
 // callers add the overlay or node health.
 func registrySnapshot(reg *obs.Registry) obs.OverlaySnapshot {
 	snap := obs.OverlaySnapshot{At: time.Now()}
-	if reg != nil {
-		snap.Metrics = reg.Snapshot()
-		snap.Recent = reg.Trace().Events()
-		snap.DroppedEvents = reg.Trace().Dropped()
-	}
+	snap.Metrics = reg.Snapshot()
+	snap.Recent = reg.Trace().Events()
+	snap.DroppedEvents = reg.Trace().Dropped()
 	return snap
 }
 
@@ -405,6 +397,21 @@ func planes(reg *obs.Registry, name string, ctrl, data transport.Endpoint, kinds
 	transport.Instrument(ctrl, obs.NewTransportMetricsKind(reg, name, kinds[0]))
 	transport.Instrument(data, obs.NewTransportMetricsKind(reg, name, kinds[1]))
 	return transport.NewDual(ctrl, data, protocol.DataPlaneFrame)
+}
+
+// faults is the fault plan of an endpoint's data plane: sendLoss of its
+// outbound frames dropped, and the client's inbound loss and delay, on
+// coins seeded by seed. It is nil when the plan injects nothing, and an
+// error when the client asks for faults and there is no data plane.
+func (c clientSettings) faults(dataPlane bool, sendLoss float64, seed int64) (*transport.FaultConfig, error) {
+	f := transport.FaultConfig{SendLoss: sendLoss, RecvLoss: c.dataLoss, RecvDelay: c.dataDelay, Seed: seed}
+	switch {
+	case f == transport.FaultConfig{Seed: seed}:
+		return nil, nil
+	case !dataPlane:
+		return nil, errors.New("ncast: client data loss and delay need DatagramData (they act on the data plane only)")
+	}
+	return &f, nil
 }
 
 // clientCore is the client role both client shells share: one overlay

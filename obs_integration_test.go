@@ -103,11 +103,14 @@ func TestSnapshotConsistency(t *testing.T) {
 }
 
 // TestSnapshotDisabled checks the DisableObs path: no registry, but the
-// overlay health part of the snapshot still works.
+// overlay health part of the snapshot still works. The session also runs
+// stats reports, a §5 congestion round and a good-bye, so every tracker
+// handler records into its bundle of nil series.
 func TestSnapshotDisabled(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	cfg.DisableObs = true
+	cfg.StatsInterval = 50 * time.Millisecond
 	s, err := NewSession(testContent(512), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,11 +121,36 @@ func TestSnapshotDisabled(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	c, err := s.AddClient(ctx)
-	if err != nil {
+	var clients []*Client
+	for i := 0; i < 2; i++ {
+		c, err := s.AddClient(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, c)
+	}
+	waitFor(t, 10*time.Second, "both clients' stats reports", func() bool {
+		n := 0
+		for _, node := range s.ClusterSnapshot().Nodes {
+			if node.Complete {
+				n++
+			}
+		}
+		return n == len(clients)
+	})
+	c := clients[0]
+	if err := c.Congest(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Wait(ctx); err != nil {
+	waitFor(t, 10*time.Second, "the congested client to drop a thread", func() bool { return c.Degree() == cfg.D-1 })
+	if err := c.Uncongest(ctx); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "the client to regrow its thread", func() bool { return c.Degree() == cfg.D })
+	if err := clients[1].Leave(ctx); err != nil {
 		t.Fatal(err)
 	}
 	snap := s.Snapshot()

@@ -99,28 +99,20 @@ func NewSession(content []byte, cfg Config, opts ...SessionOption) (*Session, er
 	} else if settings.loss > 0 {
 		netOpts = append(netOpts, transport.WithLoss(settings.loss))
 	}
-	net := transport.NewNetwork(netOpts...)
-	closeNets := func() {
-		net.Close()
-		if dataNet != nil {
-			dataNet.Close()
-		}
-	}
-
 	s := &Session{
 		serverCore: serverCore{obs: cfg.registry()},
 		cfg:        cfg,
-		net:        net,
+		net:        transport.NewNetwork(netOpts...),
 		dataNet:    dataNet,
 		genSink:    settings.genSink,
 		clients:    make(map[string]*Client),
 	}
-	ep, err := s.endpoint("server", nil)
+	ep, err := s.endpoint("server", clientSettings{})
 	if err == nil {
 		err = s.start(ep, content, cfg)
 	}
 	if err != nil {
-		closeNets()
+		s.closeNets()
 		return nil, err
 	}
 	return s, nil
@@ -166,8 +158,10 @@ func WithClientSeed(seed int64) ClientOption {
 
 // WithClientDataLoss drops each of this client's inbound data-plane frames
 // with probability p — one-way loss localized to exactly this peer, the
-// lossy-peer drill behind the link-telemetry estimators. Datagram-mode
-// sessions only; single-fabric sessions ignore it (use WithLoss there).
+// lossy-peer drill behind the link-telemetry estimators. It needs a data
+// plane (Config.DatagramData), in a Session or through Dial; without one
+// AddClient and Dial return an error (use WithLoss on a single-fabric
+// session).
 func WithClientDataLoss(p float64) ClientOption {
 	return func(c *clientSettings) { c.dataLoss = p }
 }
@@ -176,7 +170,7 @@ func WithClientDataLoss(p float64) ClientOption {
 // frame deliveries, so its keepalive-probe RTT EWMAs reflect a slow link.
 // The delay is applied serially on the receive path — keep the inbound
 // frame rate well under 1/d or the injection itself becomes the
-// bottleneck. Datagram-mode sessions only.
+// bottleneck. Like WithClientDataLoss it needs a data plane.
 func WithClientDataDelay(d time.Duration) ClientOption {
 	return func(c *clientSettings) { c.dataDelay = d }
 }
@@ -191,26 +185,14 @@ func (s *Session) AddClient(ctx context.Context, opts ...ClientOption) (*Client,
 	}
 	s.nextID++
 	addr := fmt.Sprintf("client-%d", s.nextID)
-	settings := clientSettings{seed: int64(s.nextID)}
+	settings := clientSettings{seed: int64(s.nextID), genSink: s.genSink}
 	s.mu.Unlock()
 	for _, o := range opts {
 		o(&settings)
 	}
-
-	var fault *transport.FaultConfig
-	if settings.dataLoss > 0 || settings.dataDelay > 0 {
-		fault = &transport.FaultConfig{
-			RecvLoss:  settings.dataLoss,
-			RecvDelay: settings.dataDelay,
-			Seed:      settings.seed,
-		}
-	}
-	ep, err := s.endpoint(addr, fault)
+	ep, err := s.endpoint(addr, settings)
 	if err != nil {
 		return nil, err
-	}
-	if settings.genSink == nil {
-		settings.genSink = s.genSink
 	}
 	c := &Client{addr: addr, session: s}
 	if err := c.join(ctx, &s.wg, ep, "server", s.cfg, settings, s.obs); err != nil {
@@ -239,19 +221,28 @@ func (s *Session) Close() error {
 		c.cancel()
 	}
 	s.cancel()
-	s.net.Close()
-	if s.dataNet != nil {
-		s.dataNet.Close()
-	}
+	s.closeNets()
 	s.wg.Wait()
 	return nil
 }
 
+// closeNets closes the session's fabric(s).
+func (s *Session) closeNets() {
+	s.net.Close()
+	if s.dataNet != nil {
+		s.dataNet.Close()
+	}
+}
+
 // endpoint registers addr on the session fabric(s): one endpoint, or in
 // datagram mode a Dual over both fabrics whose data plane alone takes the
-// fault plan, so per-client loss/delay injection never touches control
-// traffic (exactly like real UDP loss under a TCP control channel).
-func (s *Session) endpoint(addr string, fault *transport.FaultConfig) (transport.Endpoint, error) {
+// fault plan of set, so per-client loss/delay injection never touches
+// control traffic (exactly like real UDP loss under a TCP control channel).
+func (s *Session) endpoint(addr string, set clientSettings) (transport.Endpoint, error) {
+	fault, err := set.faults(s.dataNet != nil, 0, set.seed)
+	if err != nil {
+		return nil, err
+	}
 	ctrl, err := s.net.Endpoint(addr)
 	if err != nil {
 		return nil, err

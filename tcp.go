@@ -21,9 +21,14 @@ type Server struct {
 // or — with cfg.DatagramData — a dual-plane endpoint whose control half
 // is TCP and whose data half is UDP on the same port, each instrumented
 // as its own transport kind so scrapes can tell the planes apart; the UDP
-// half drops cfg.DataLoss of its sends, on a coin seeded by cfg.Seed.
-// metricsName labels the endpoint in obs; empty means the bound address.
-func listenEndpoint(addr, metricsName string, cfg Config, reg *obs.Registry) (transport.Endpoint, error) {
+// half drops cfg.DataLoss of its sends, and set's inbound loss and delay
+// (zero for a server), on coins seeded by cfg.Seed. metricsName labels
+// the endpoint in obs; empty means the bound address.
+func listenEndpoint(addr, metricsName string, cfg Config, set clientSettings, reg *obs.Registry) (transport.Endpoint, error) {
+	fault, err := set.faults(cfg.DatagramData, cfg.DataLoss, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
 	var ctrl, data transport.Endpoint
 	if cfg.DatagramData {
 		tcp, udp, err := transport.ListenSamePort(addr, transport.UDPConfig{MTU: cfg.mtu()})
@@ -41,10 +46,6 @@ func listenEndpoint(addr, metricsName string, cfg Config, reg *obs.Registry) (tr
 	if metricsName == "" {
 		metricsName = ctrl.Addr()
 	}
-	var fault *transport.FaultConfig
-	if cfg.DataLoss > 0 {
-		fault = &transport.FaultConfig{SendLoss: cfg.DataLoss, Seed: cfg.Seed}
-	}
 	return planes(reg, metricsName, ctrl, data, [2]string{"tcp", "udp"}, fault), nil
 }
 
@@ -55,7 +56,7 @@ func ListenAndServe(addr string, content []byte, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{serverCore: serverCore{obs: cfg.registry()}}
-	ep, err := listenEndpoint(addr, "server", cfg, s.obs)
+	ep, err := listenEndpoint(addr, "server", cfg, clientSettings{}, s.obs)
 	if err != nil {
 		return nil, err
 	}
@@ -87,15 +88,19 @@ type RemoteClient struct {
 }
 
 // Dial joins the broadcast at serverAddr, listening on listenAddr
-// (typically "127.0.0.1:0" or ":0"). cfg supplies the complaint timeout;
-// opts may request a degree.
+// (typically "127.0.0.1:0" or ":0"). cfg, which must validate, supplies
+// the complaint timeout and the planes; opts may request a degree or
+// inject faults on the data plane.
 func Dial(ctx context.Context, serverAddr, listenAddr string, cfg Config, opts ...ClientOption) (*RemoteClient, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	settings := clientSettings{seed: cfg.Seed}
 	for _, o := range opts {
 		o(&settings)
 	}
 	c := &RemoteClient{obs: cfg.registry()}
-	ep, err := listenEndpoint(listenAddr, "", cfg, c.obs)
+	ep, err := listenEndpoint(listenAddr, "", cfg, settings, c.obs)
 	if err != nil {
 		return nil, err
 	}
