@@ -76,10 +76,12 @@ race:
 # completion feedback (a lying child, a child that stops probing, a
 # decoded overlay gone quiet without a complaint), the node's telemetry
 # under its one lock (stats reports while two decode workers judge traced
-# frames), the outbox's retry ladder on a full queue, and the §5
+# frames), the outbox's retry ladder on a full queue, the §5
 # congestion episode, whose congested/uncongested messages no other suite
-# sends. Each suite's -run pattern is defined once; poison composes them.
-CHURN_RUN := Churn|Lease|Stalled|Faulty|Goodbye|SendDeadline|LeafCrash|Telemetry|Timeline|ClusterSnapshot|TraceLive|Rejoin|Footprint|Clamp|FirstHello|Feedback|Congest
+# sends, and the node's thread records (beats in record order, a redirect
+# that overtakes the welcome, sequence numbers across a thread drop and a
+# re-join). Each suite's -run pattern is defined once; poison composes them.
+CHURN_RUN := Churn|Lease|Stalled|Faulty|Goodbye|SendDeadline|LeafCrash|Telemetry|Timeline|ClusterSnapshot|TraceLive|Rejoin|Footprint|Clamp|FirstHello|Feedback|Congest|HeldThread
 churn:
 	$(GO) test -race -run '$(CHURN_RUN)' ./internal/protocol ./internal/transport .
 

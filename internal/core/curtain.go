@@ -368,56 +368,31 @@ func (c *Curtain) IncreaseDegree(id NodeID) (int, error) {
 	panic("core: unreachable thread selection")
 }
 
-// Parents returns, per thread the node is clipped to, the id of the stream
-// provider on that thread (ServerID when the node is the topmost clip).
-// The slice is ordered by thread index and may repeat ids.
-func (c *Curtain) Parents(id NodeID) ([]NodeID, error) {
-	r, ok := c.index[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, id)
-	}
-	out := make([]NodeID, 0, len(r.threads))
-	for _, slot := range r.slots {
-		if p := tprev(slot); p != nil {
-			out = append(out, p.r.id)
-		} else {
-			out = append(out, ServerID)
-		}
-	}
-	return out, nil
+// Clip is one of a node's clips: on Thread it receives the stream from
+// Parent (ServerID when it is the top clip) and passes it on to Child (0
+// when it is the bottom clip).
+type Clip struct {
+	Thread        int
+	Parent, Child NodeID
 }
 
-// Children returns, per thread, the id of the node receiving this node's
-// stream on that thread. Threads on which the node is the bottom clip
-// contribute nothing.
-func (c *Curtain) Children(id NodeID) ([]NodeID, error) {
+// Clips returns id's clips in thread order, built in one walk of its
+// row's slots at O(d·log N). It is the one neighbour query the control
+// plane needs: hello, good-bye, repair and the §5 degree changes are all
+// per-thread redirects between a clip's parent and child.
+func (c *Curtain) Clips(id NodeID) ([]Clip, error) {
 	r, ok := c.index[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
-	out := make([]NodeID, 0, len(r.threads))
-	for _, slot := range r.slots {
-		if s := tnext(slot); s != nil {
-			out = append(out, s.r.id)
-		}
-	}
-	return out, nil
-}
-
-// ThreadChildren returns, aligned with Threads(id), the id of the node
-// receiving this node's stream on each of its threads, with 0 marking
-// threads on which the node is the bottom clip. This is the O(d·log N)
-// accessor the control plane uses to hand a departing node's streams over
-// without reconstructing the neighborhood from Children+Parents.
-func (c *Curtain) ThreadChildren(id NodeID) ([]NodeID, error) {
-	r, ok := c.index[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, id)
-	}
-	out := make([]NodeID, len(r.threads))
+	out := make([]Clip, len(r.slots))
 	for i, slot := range r.slots {
+		out[i].Thread = r.threads[i]
+		if p := tprev(slot); p != nil {
+			out[i].Parent = p.r.id
+		}
 		if s := tnext(slot); s != nil {
-			out[i] = s.r.id
+			out[i].Child = s.r.id
 		}
 	}
 	return out, nil

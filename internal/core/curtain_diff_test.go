@@ -6,8 +6,8 @@ package core
 // the full matrix state must be byte-identical and the indexed side must
 // satisfy CheckInvariants. This pins two contracts at once:
 //
-//  1. topology semantics — row order, occupancy, parents/children,
-//     hanging threads all agree with the original implementation;
+//  1. topology semantics — row order, occupancy, each clip's parent and
+//     child, hanging threads all agree with the original implementation;
 //  2. rng consumption — any extra or missing draw on either side desyncs
 //     every subsequent placement and the matrices diverge immediately.
 
@@ -189,33 +189,26 @@ func (h *diffHarness) verify(t *testing.T, step int) {
 	if h.ind.NumFailed() != h.ref.NumFailed() {
 		t.Fatalf("step %d: failed count %d vs %d", step, h.ind.NumFailed(), h.ref.NumFailed())
 	}
-	// Spot-check the neighborhood accessors for one random live node.
+	// Spot-check one random live node's clips against the reference's
+	// threads, parents and children: a clip's parent is the reference's
+	// parent on its thread, and the clips' children, bottom clips left out,
+	// are the reference's children.
 	if id, ok := h.pick(); ok {
-		pa, errA := h.ind.Parents(id)
+		clips, errA := h.ind.Clips(id)
 		pb, errB := h.ref.Parents(id)
-		sameErr(t, step, "parents", errA, errB)
-		if fmt.Sprint(pa) != fmt.Sprint(pb) {
-			t.Fatalf("step %d: parents of %d: %v vs %v", step, id, pa, pb)
-		}
-		ca, errA := h.ind.Children(id)
-		cb, errB := h.ref.Children(id)
-		sameErr(t, step, "children", errA, errB)
-		if fmt.Sprint(ca) != fmt.Sprint(cb) {
-			t.Fatalf("step %d: children of %d: %v vs %v", step, id, ca, cb)
-		}
-		// ThreadChildren must be Children with bottom clips kept as zeros.
-		tc, err := h.ind.ThreadChildren(id)
-		if err != nil {
-			t.Fatalf("step %d: thread children of %d: %v", step, id, err)
-		}
-		compact := make([]NodeID, 0, len(tc))
-		for _, cid := range tc {
-			if cid != 0 {
-				compact = append(compact, cid)
+		sameErr(t, step, "clips", errA, errB)
+		cb, _ := h.ref.Children(id)
+		tb, _ := h.ref.Threads(id)
+		var ta []int
+		var pa, ca []NodeID
+		for _, cl := range clips {
+			ta, pa = append(ta, cl.Thread), append(pa, cl.Parent)
+			if cl.Child != 0 {
+				ca = append(ca, cl.Child)
 			}
 		}
-		if fmt.Sprint(compact) != fmt.Sprint(ca) {
-			t.Fatalf("step %d: thread children %v inconsistent with children %v", step, tc, ca)
+		if fmt.Sprint(ta, pa, ca) != fmt.Sprint(tb, pb, cb) {
+			t.Fatalf("step %d: clips of %d: %v vs threads %v, parents %v, children %v", step, id, clips, tb, pb, cb)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ncast/internal/graph"
@@ -71,14 +72,14 @@ func TestJoinBasics(t *testing.T) {
 			t.Fatal("threads not sorted distinct")
 		}
 	}
-	// First node's parents are all the server.
-	parents, err := c.Parents(id)
+	// First node's parents are all the server, and it has no children.
+	clips, err := c.Clips(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range parents {
-		if p != ServerID {
-			t.Fatalf("first node parent = %d, want server", p)
+	for i, cl := range clips {
+		if cl.Thread != th[i] || cl.Parent != ServerID || cl.Child != 0 {
+			t.Fatalf("first node clip %d = %+v, want thread %d under the server", i, cl, th[i])
 		}
 	}
 	if err := c.Validate(); err != nil {
@@ -92,21 +93,13 @@ func TestParentsChildrenChain(t *testing.T) {
 	c := newCurtain(t, 2, 2, 2)
 	a := c.Join()
 	b := c.Join()
-	pa, _ := c.Parents(a)
-	pb, _ := c.Parents(b)
-	if pa[0] != ServerID || pa[1] != ServerID {
-		t.Fatalf("a parents = %v", pa)
+	ca, _ := c.Clips(a)
+	if want := []Clip{{0, ServerID, b}, {1, ServerID, b}}; !slices.Equal(ca, want) {
+		t.Fatalf("a clips = %v, want %v", ca, want)
 	}
-	if pb[0] != a || pb[1] != a {
-		t.Fatalf("b parents = %v, want [a a]", pb)
-	}
-	ca, _ := c.Children(a)
-	if len(ca) != 2 || ca[0] != b || ca[1] != b {
-		t.Fatalf("a children = %v, want [b b]", ca)
-	}
-	cb, _ := c.Children(b)
-	if len(cb) != 0 {
-		t.Fatalf("b children = %v, want none", cb)
+	cb, _ := c.Clips(b)
+	if want := []Clip{{0, a, 0}, {1, a, 0}}; !slices.Equal(cb, want) {
+		t.Fatalf("b clips = %v, want %v", cb, want)
 	}
 	hang := c.HangingThreads()
 	for _, h := range hang {
@@ -129,9 +122,8 @@ func TestLeaveReconnects(t *testing.T) {
 	if c.Contains(b) {
 		t.Fatal("b still present after leave")
 	}
-	px, _ := c.Parents(x)
-	if px[0] != a || px[1] != a {
-		t.Fatalf("x parents after leave = %v, want [a a]", px)
+	if cx, _ := c.Clips(x); cx[0].Parent != a || cx[1].Parent != a {
+		t.Fatalf("x clips after leave = %v, want parent a on both", cx)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
@@ -474,11 +466,8 @@ func TestUnknownNodeErrors(t *testing.T) {
 	if _, err := c.Threads(ghost); !errors.Is(err, ErrUnknownNode) {
 		t.Error("Threads")
 	}
-	if _, err := c.Parents(ghost); !errors.Is(err, ErrUnknownNode) {
-		t.Error("Parents")
-	}
-	if _, err := c.Children(ghost); !errors.Is(err, ErrUnknownNode) {
-		t.Error("Children")
+	if _, err := c.Clips(ghost); !errors.Is(err, ErrUnknownNode) {
+		t.Error("Clips")
 	}
 	if err := c.Fail(ghost); !errors.Is(err, ErrUnknownNode) {
 		t.Error("Fail")

@@ -47,29 +47,30 @@ func TestQuickCurtainInvariants(t *testing.T) {
 				return false
 			}
 		}
-		// Parent/child duality over the survivors.
+		// Parent/child duality over the survivors: a clip's parent has the
+		// clip's node as its child on the same thread.
 		for _, id := range alive {
-			parents, err := c.Parents(id)
+			clips, err := c.Clips(id)
 			if err != nil {
 				return false
 			}
-			for _, p := range parents {
-				if p == ServerID {
+			for _, cl := range clips {
+				if cl.Parent == ServerID {
 					continue
 				}
-				kids, err := c.Children(p)
+				above, err := c.Clips(cl.Parent)
 				if err != nil {
 					return false
 				}
 				found := false
-				for _, kid := range kids {
-					if kid == id {
-						found = true
+				for _, a := range above {
+					if a.Thread == cl.Thread {
+						found = a.Child == id
 						break
 					}
 				}
 				if !found {
-					t.Logf("duality broken: %d has parent %d but is not its child", id, p)
+					t.Logf("duality broken: %d has parent %d on thread %d but is not its child there", id, cl.Parent, cl.Thread)
 					return false
 				}
 			}

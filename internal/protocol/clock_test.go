@@ -28,8 +28,9 @@ func joinScripted(t *testing.T, net *transport.Network, cfg NodeConfig) (node *N
 	return joinScriptedWith(t, net, cfg, scriptedWelcome)
 }
 
-// joinScriptedWith is joinScripted with the welcome w.
-func joinScriptedWith(t *testing.T, net *transport.Network, cfg NodeConfig, w Welcome) (node *Node, tracker transport.Endpoint, stop func()) {
+// joinScriptedWith is joinScripted with the welcome w, sent after the
+// redirects pre.
+func joinScriptedWith(t *testing.T, net *transport.Network, cfg NodeConfig, w Welcome, pre ...Redirect) (node *Node, tracker transport.Endpoint, stop func()) {
 	t.Helper()
 	tracker, err := net.Endpoint("tracker")
 	if err != nil {
@@ -48,6 +49,9 @@ func joinScriptedWith(t *testing.T, net *transport.Network, cfg NodeConfig, w We
 	t.Cleanup(stop)
 
 	nextControl(t, tracker, MsgHello)
+	for _, r := range pre {
+		sendControl(t, tracker, "node", MsgRedirect, r)
+	}
 	sendControl(t, tracker, "node", MsgWelcome, w)
 	select {
 	case err := <-node.Joined():

@@ -152,12 +152,12 @@ func TestLossyDecodeWorkersRecodeConcurrently(t *testing.T) {
 		waitFor(t, 10*time.Second, fmt.Sprintf("worker%d to have a child on every thread", i), func() bool {
 			n.mu.Lock()
 			defer n.mu.Unlock()
-			for _, th := range n.threads {
-				if n.childOf[th] == "" {
+			for _, r := range n.table {
+				if r.held && r.down.child == "" {
 					return false
 				}
 			}
-			return len(n.threads) > 0
+			return n.degreeLocked() > 0
 		})
 	}
 	for i, n := range s.nodes {

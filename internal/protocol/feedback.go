@@ -29,6 +29,49 @@ const (
 // or whose bitmap runs past reportBitmapCap.
 var errReportTail = errors.New("protocol: malformed completion report")
 
+// downstream is one thread's downstream end as its sender, the source or
+// a node, sees it: the child the thread's stream goes to ("" while it
+// hangs) and the completion report that child last sent up on its probe.
+// It keeps the one rule both senders follow: a new child resets the
+// report, which described the old subtree; only the current child's
+// probe is heard; and a generation the report marks full is not sent
+// (wants, and the source's schedule, which skips by full).
+type downstream struct {
+	child string
+	full  genSet
+}
+
+// set routes the thread to child ("" hangs it) with no report yet.
+func (d *downstream) set(child string) { *d = downstream{child: child} }
+
+// hear takes a keepalive from addr: it reports whether addr is the
+// current child and, when the keepalive is a probe, keeps rep, the report
+// on it. From anyone else it changes nothing.
+func (d *downstream) hear(addr string, rep genSet, probe bool) bool {
+	if d.child == "" || addr != d.child {
+		return false
+	}
+	if probe {
+		d.full = rep
+	}
+	return true
+}
+
+// wants reports whether the generation at slot goes down the thread: it
+// has a child whose report does not mark slot full.
+func (d *downstream) wants(slot int) bool { return d.child != "" && !d.full.full(slot) }
+
+// below returns, as one bit word over slots [64w, 64w+64), what the
+// thread's subtree below the sender holds in full: what the child's report
+// marks, or every slot when the thread has no child, so that the sender's
+// own decoded slots, masked by it, are what it reports up the thread.
+func (d *downstream) below(w int) uint64 {
+	if d.child == "" {
+		return ^uint64(0)
+	}
+	return d.full.word(w)
+}
+
 // genSet is a completion report over generation slots: every slot below
 // low is full, slot low+i is full when bit i of bits is set, and every
 // other slot is not. The zero genSet reports nothing full. A genSet is

@@ -330,7 +330,7 @@ func TestFeedbackSourceSkipsFullGenerations(t *testing.T) {
 
 	// Everything full on every thread: the source sends nothing and idles.
 	for th := 0; th < 3; th++ {
-		source.observeProbe(source.Children()[th], th, reportFrame(th, gens, func(int) bool { return true }))
+		source.observeProbe(source.down[th].child, th, reportFrame(th, gens, func(int) bool { return true }))
 	}
 	rec.sent = nil
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -416,7 +416,7 @@ func TestFeedbackNodeSkipsAndFolds(t *testing.T) {
 	feed()
 	waitFor(t, 5*time.Second, "the next frame", func() bool { n, _ := node.Stats(); return n > received })
 	node.mu.Lock()
-	heard := !node.childFull[0].empty()
+	heard := !node.threadLocked(0).down.full.empty()
 	node.mu.Unlock()
 	if heard {
 		t.Fatal("the node took a report from a peer that is not its child")
@@ -430,7 +430,7 @@ func TestFeedbackNodeSkipsAndFolds(t *testing.T) {
 	waitFor(t, 5*time.Second, "the child's report", func() bool {
 		node.mu.Lock()
 		defer node.mu.Unlock()
-		return node.childFull[0].full(0)
+		return node.threadLocked(0).down.full.full(0)
 	})
 	// Flush what went out before the report took effect. The clock sends
 	// beats in order, and the first beat after the report is a probe.
@@ -483,7 +483,13 @@ func TestStalledChildBeatsStayBounded(t *testing.T) {
 	waitFor(t, 5*time.Second, "three children", func() bool {
 		node.mu.Lock()
 		defer node.mu.Unlock()
-		return len(node.childOf) == 3
+		children := 0
+		for _, r := range node.table {
+			if r.down.child != "" {
+				children++
+			}
+		}
+		return children == 3
 	})
 	fillQueue(t, newEndpoint(t, net, "filler"), "stalled")
 	ctx, cancel := context.WithCancel(context.Background())
@@ -572,16 +578,16 @@ func requireContent(t *testing.T, s *session, nodes []*Node, skip map[int]bool) 
 func coveredBy(nodes []*Node, i int) []int {
 	held := map[int]bool{}
 	nodes[i].mu.Lock()
-	for _, th := range nodes[i].threads {
-		held[th] = true
+	for _, r := range nodes[i].table {
+		held[r.th] = r.held
 	}
 	nodes[i].mu.Unlock()
 	var out []int
 	for j := i + 1; j < len(nodes); j++ {
 		nodes[j].mu.Lock()
-		all := len(nodes[j].threads) > 0
-		for _, th := range nodes[j].threads {
-			all = all && held[th]
+		all := nodes[j].degreeLocked() > 0
+		for _, r := range nodes[j].table {
+			all = all && (!r.held || held[r.th])
 		}
 		nodes[j].mu.Unlock()
 		if all {
@@ -785,7 +791,8 @@ func TestFeedbackEarlyProbeRule(t *testing.T) {
 	n := NewNode(&emitCounter{}, NodeConfig{})
 	n.joined, n.totalGens = true, 256
 	n.done = make([]uint64, 4)
-	n.parentOf[0] = "parent"
+	n.table = []heldThread{{th: 0, held: true, parent: "parent"}}
+	r := &n.table[0]
 	decode := func(slots ...int) {
 		for _, slot := range slots {
 			n.done[slot>>6] |= 1 << (slot & 63)
@@ -811,14 +818,13 @@ func TestFeedbackEarlyProbeRule(t *testing.T) {
 		{"one slot above the mark", func() { decode(40) }, false},
 		{"the mark rises to the next gap", func() { decode(33) }, true},
 		{"a child that holds everything", func() {
-			n.childOf[0] = "child"
-			n.childFull[0] = genSet{low: ^uint32(0)}
+			r.down = downstream{child: "child", full: genSet{low: ^uint32(0)}}
 		}, false},
-		{"the child's report reset", func() { delete(n.childFull, 0) }, true},
-		{"the child's report back", func() { n.childFull[0] = genSet{low: ^uint32(0)} }, true},
+		{"the child's report reset", func() { r.down.full = genSet{} }, true},
+		{"the child's report back", func() { r.down.full = genSet{low: ^uint32(0)} }, true},
 		{"down to 3 open", func() { decode(span(34, 253)...) }, true},
 		{"one more of 3", func() { decode(253) }, true},
-		{"a new parent", func() { n.parentOf[0] = "parent-2" }, true},
+		{"a new parent", func() { r.parent = "parent-2" }, true},
 	}
 	for _, s := range steps {
 		s.do()

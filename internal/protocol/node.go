@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -72,35 +73,27 @@ type Node struct {
 	// decoded, and its lifecycle record.
 	slots    genIndex
 	gens     []genSlot
-	threads  []int
 	gensDone int
 	// done marks, by slot, the generations this node has decoded: its own
 	// part of the completion report it sends up every thread.
-	done    []uint64
-	childOf map[int]string
-	// childFull is, per thread, the completion report the thread's child
-	// last sent on its probe: the child's subtree holds every generation
-	// it marks full, so the node forwards none of those to it. A redirect,
-	// a thread drop or an expulsion resets it.
-	childFull map[int]genSet
-	// reported is, per thread, the last completion report this node sent
-	// up it and the parent it went to; foldBuf is foldLocked's scratch.
-	reported   map[int]sentReport
+	done []uint64
+	// table holds the node's thread records in the order they were made
+	// (see heldThread); beats and probes go out in that order. foldBuf is
+	// foldLocked's scratch.
+	table      []heldThread
 	foldBuf    []uint64
-	parentOf   map[int]string
-	lastRecv   map[int]time.Time
 	complete   bool
 	innovative int
 	redundant  int
 	received   int
 	hbGen      int
-	// seqOf is the next outbound sequence number per thread; links scores
-	// every inbound peer — loss from sequence gaps, RTT from keepalive
-	// echoes, innovation per parent. hops holds the traced arrivals since
-	// the last stats report, one cell per (trace, generation, hop depth).
-	// n.mu guards all of the node's telemetry: neither recorder has a
-	// lock of its own.
-	seqOf map[int]uint32
+	// seqs holds the next outbound sequence number of every thread the
+	// node has sent data on; links scores every inbound peer — loss from
+	// sequence gaps, RTT from keepalive echoes, innovation per parent.
+	// hops holds the traced arrivals since the last stats report, one cell
+	// per (trace, generation, hop depth). n.mu guards all of the node's
+	// telemetry: neither recorder has a lock of its own.
+	seqs  []threadSeq
 	links *obs.LinkTracker
 	hops  obs.HopCells
 	// complaintsSent and leaseSent count control messages this node has
@@ -133,8 +126,9 @@ type Node struct {
 // decodeJob carries one received packet from handleData to absorb,
 // inline or through a decode worker, with everything absorb needs that
 // handleData read under n.mu: the session field, the generation's slot
-// and recoder, the thread's child ("" when it has none), the arrival time
-// and the frame's trace context and source-emission stamp.
+// and recoder, the child to forward to ("" when the thread has none or
+// its report marks the generation full), the arrival time and the frame's
+// trace context and source-emission stamp.
 type decodeJob struct {
 	f       gf.Field
 	th      int
@@ -146,6 +140,37 @@ type decodeJob struct {
 	tc      TraceContext
 	rc      *rlnc.Recoder
 	p       *rlnc.Packet
+}
+
+// heldThread is the node's record of one thread. A welcome leaves the
+// records of exactly the threads it gives, keeping what the node knew of
+// each; a ThreadAdded makes one or takes one over; a redirect that arrives
+// before the welcome or ThreadAdded giving its thread (a lost or late
+// control message) makes one not yet held, so the child it names is
+// served once the thread is. A ThreadDropped removes the thread's record
+// and an expulsion removes them all. The thread's outbound sequence
+// numbers outlive its record (Node.seqs).
+type heldThread struct {
+	th int
+	// held marks a thread the node holds. Only on a held thread does the
+	// node track a parent, complain and probe: a frame still in flight on
+	// a dropped thread must not make its sender a parent again, or the
+	// node would keep probing a former parent that now counts the probes
+	// as upstream liveness.
+	held bool
+	// parent is the peer the node last heard from on the thread, and heard
+	// when (or when the thread was given): the complaint clock.
+	parent string
+	heard  time.Time
+	down   downstream
+	// sent is the last completion report the node sent up the thread.
+	sent sentReport
+}
+
+// threadSeq is the next outbound sequence number on one thread.
+type threadSeq struct {
+	th   int
+	next uint32
 }
 
 // sentReport is the completion report a node last sent up a thread, the
@@ -238,12 +263,6 @@ func NewNode(ep transport.Endpoint, cfg NodeConfig) *Node {
 		ep:         ep,
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		childOf:    make(map[int]string),
-		childFull:  make(map[int]genSet),
-		reported:   make(map[int]sentReport),
-		parentOf:   make(map[int]string),
-		lastRecv:   make(map[int]time.Time),
-		seqOf:      make(map[int]uint32),
 		links:      obs.NewLinkTracker(0),
 		hops:       obs.HopCells{Max: maxTraceHopsPerReport},
 		joinedCh:   make(chan error, 1),
@@ -304,7 +323,7 @@ func (n *Node) Health() obs.NodeHealth {
 	h := obs.NodeHealth{
 		ID:         n.id,
 		Joined:     n.joined,
-		Degree:     len(n.threads),
+		Degree:     n.degreeLocked(),
 		Rank:       rank,
 		MaxRank:    n.totalGens * n.params.GenSize,
 		GensDone:   n.gensDone,
@@ -516,7 +535,7 @@ func (n *Node) handleControl(ctx context.Context, typ MsgType, body []byte) (don
 		}
 	case MsgRedirect:
 		var r Redirect
-		if err := UnmarshalControl(typ, body, &r); err != nil {
+		if err := UnmarshalControl(typ, body, &r); err != nil || !validThread(r.Thread) {
 			return false, nil
 		}
 		n.applyRedirect(ctx, r)
@@ -542,11 +561,7 @@ func (n *Node) handleControl(ctx context.Context, typ MsgType, body []byte) (don
 		// decoded generations survive, only the overlay position resets.
 		n.mu.Lock()
 		n.joined = false
-		n.threads = nil
-		n.childOf = make(map[int]string)
-		n.childFull = make(map[int]genSet)
-		n.parentOf = make(map[int]string)
-		n.lastRecv = make(map[int]time.Time)
+		n.table = nil
 		n.mu.Unlock()
 		_ = n.sendHello(ctx) //nolint:errcheck // the clock retries while un-joined
 	case MsgThreadDropped:
@@ -555,30 +570,16 @@ func (n *Node) handleControl(ctx context.Context, typ MsgType, body []byte) (don
 			return false, nil
 		}
 		n.mu.Lock()
-		for i, th := range n.threads {
-			if th == td.Thread {
-				n.threads = append(n.threads[:i], n.threads[i+1:]...)
-				break
-			}
-		}
-		delete(n.childOf, td.Thread)
-		delete(n.childFull, td.Thread)
-		delete(n.lastRecv, td.Thread)
-		delete(n.parentOf, td.Thread)
+		n.table = slices.DeleteFunc(n.table, func(r heldThread) bool { return r.th == td.Thread })
 		n.mu.Unlock()
 	case MsgThreadAdded:
 		var ta ThreadAdded
-		if err := UnmarshalControl(typ, body, &ta); err != nil {
+		if err := UnmarshalControl(typ, body, &ta); err != nil || !validThread(ta.Thread) {
 			return false, nil
 		}
 		n.mu.Lock()
-		if !n.holdsLocked(ta.Thread) {
-			n.threads = append(n.threads, ta.Thread)
-		}
-		n.lastRecv[ta.Thread] = time.Now()
-		if ta.ChildAddr != "" {
-			n.childOf[ta.Thread] = ta.ChildAddr
-		}
+		r := n.addThreadLocked(ta.Thread)
+		r.held, r.heard = true, time.Now()
 		n.mu.Unlock()
 		if ta.ChildAddr != "" {
 			// Serve the displaced child immediately with a catch-up burst.
@@ -616,6 +617,11 @@ func (n *Node) applyWelcome(w Welcome) error {
 	if err != nil {
 		return err
 	}
+	for _, th := range w.Threads {
+		if !validThread(th) {
+			return fmt.Errorf("protocol: welcome thread %d out of range", th)
+		}
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.id = w.ID
@@ -635,11 +641,17 @@ func (n *Node) applyWelcome(w Welcome) error {
 	}
 	n.leaseEvery = time.Duration(w.LeaseMillis) * time.Millisecond
 	n.statsEvery = time.Duration(w.StatsMillis) * time.Millisecond
-	n.threads = append([]int(nil), w.Threads...)
 	now := time.Now()
+	table := make([]heldThread, 0, len(w.Threads))
 	for _, th := range w.Threads {
-		n.lastRecv[th] = now
+		r := heldThread{th: th}
+		if known := n.threadLocked(th); known != nil {
+			r = *known
+		}
+		r.held, r.heard = true, now
+		table = append(table, r)
 	}
+	n.table = table
 	return nil
 }
 
@@ -673,14 +685,16 @@ func sessionGenIDs(sp SessionParams, params rlnc.Params) ([]uint32, error) {
 
 func (n *Node) applyRedirect(ctx context.Context, r Redirect) {
 	n.mu.Lock()
-	// Whatever the old child reported described the old subtree.
-	delete(n.childFull, r.Thread)
 	if r.ChildAddr == "" {
-		delete(n.childOf, r.Thread)
+		if rec := n.threadLocked(r.Thread); rec != nil {
+			rec.down.set("")
+		}
 		n.mu.Unlock()
 		return
 	}
-	n.childOf[r.Thread] = r.ChildAddr
+	// The child is kept even on a thread the node does not hold yet: over
+	// a lossy control plane a redirect can overtake the welcome.
+	n.addThreadLocked(r.Thread).down.set(r.ChildAddr)
 	// Catch-up burst: one fresh combination per generation we already
 	// hold, so a late joiner is not starved until the round-robin source
 	// cycles back.
@@ -732,9 +746,14 @@ func (n *Node) handleData(ctx context.Context, from string, frame []byte, r *ran
 		p.Release()
 		return
 	}
-	if n.holdsLocked(th) {
-		n.lastRecv[th] = now
-		n.parentOf[th] = from
+	var child string
+	if r := n.threadLocked(th); r != nil {
+		if r.held {
+			r.parent, r.heard = from, now
+		}
+		if r.down.wants(slot) {
+			child = r.down.child
+		}
 	}
 	gs := &n.gens[slot]
 	if gs.rc == nil {
@@ -748,11 +767,8 @@ func (n *Node) handleData(ctx context.Context, from string, frame []byte, r *ran
 		rc.Instrument(n.cfg.Obs.Codec)
 		gs.rc = rc
 	}
-	j := decodeJob{f: n.field, th: th, slot: slot, from: from, child: n.childOf[th],
+	j := decodeJob{f: n.field, th: th, slot: slot, from: from, child: child,
 		emit: emit, arrival: arrival, tc: tc, rc: gs.rc, p: p}
-	if j.child != "" && n.childFull[th].full(slot) {
-		j.child = "" // the child's subtree holds the generation: no recode, no forward
-	}
 	n.mu.Unlock()
 
 	if n.decodeQ == nil {
@@ -916,26 +932,59 @@ func (n *Node) forwardTraceLocked(slot int) TraceContext {
 }
 
 // nextSeqLocked returns the next outbound sequence number for thread th,
-// advancing the per-thread counter (wrapping in 24-bit space). Callers
-// hold n.mu.
+// advancing the per-thread counter (wrapping in 24-bit space). The
+// counter never resets: a thread dropped and added again, or lost to an
+// expulsion and given back by the re-join, continues where it stopped,
+// so its child's link tracker reads a gap as loss, not as reordering.
+// Callers hold n.mu.
 func (n *Node) nextSeqLocked(th int) int32 {
-	s := n.seqOf[th]
-	n.seqOf[th] = (s + 1) % SeqMod
-	return int32(s)
-}
-
-// holdsLocked reports whether th is one of the node's threads. Only a
-// held thread has a parent whose liveness the node tracks: a frame still
-// in flight on a dropped thread must not resurrect its parent entry, or
-// the node would keep probing a former parent that now counts the probes
-// as upstream liveness. Callers hold n.mu.
-func (n *Node) holdsLocked(th int) bool {
-	for _, t := range n.threads {
-		if t == th {
-			return true
+	for i := range n.seqs {
+		if s := &n.seqs[i]; s.th == th {
+			seq := s.next
+			s.next = (seq + 1) % SeqMod
+			return int32(seq)
 		}
 	}
-	return false
+	n.seqs = append(n.seqs, threadSeq{th: th, next: 1})
+	return 0
+}
+
+// validThread reports whether th fits a data frame's 15-bit thread field.
+// The node makes no record for a thread outside it: nothing could be sent
+// on it, and a negative one would index the keepalive's generation
+// rotation out of range.
+func validThread(th int) bool { return th >= 0 && th < int(tracedFlag) }
+
+// threadLocked returns the node's record of thread th, or nil. Callers
+// hold n.mu.
+func (n *Node) threadLocked(th int) *heldThread {
+	for i := range n.table {
+		if n.table[i].th == th {
+			return &n.table[i]
+		}
+	}
+	return nil
+}
+
+// addThreadLocked returns the record of thread th, made not held when
+// there is none. Callers hold n.mu.
+func (n *Node) addThreadLocked(th int) *heldThread {
+	if r := n.threadLocked(th); r != nil {
+		return r
+	}
+	n.table = append(n.table, heldThread{th: th})
+	return &n.table[len(n.table)-1]
+}
+
+// degreeLocked counts the threads the node holds. Callers hold n.mu.
+func (n *Node) degreeLocked() int {
+	d := 0
+	for i := range n.table {
+		if n.table[i].held {
+			d++
+		}
+	}
+	return d
 }
 
 // sendData forwards a data frame with a bounded wait: when the child's
@@ -975,13 +1024,8 @@ func (n *Node) handleKeepalive(ctx context.Context, from string, frame []byte, n
 	// the parents they measure); only a frame from upstream may refresh
 	// the thread's liveness clock, or a probing child would mask its
 	// parent's death from the complaint protocol.
-	if n.childOf[th] != from {
-		if n.holdsLocked(th) {
-			n.lastRecv[th] = now
-			n.parentOf[th] = from
-		}
-	} else if ki.IsProbe() {
-		n.childFull[th] = rep
+	if r := n.threadLocked(th); r != nil && !r.down.hear(from, rep, ki.IsProbe()) && r.held {
+		r.parent, r.heard = from, now
 	}
 	if ki.IsEcho() {
 		if rtt := now.UnixNano() - ki.EchoNanos - ki.HoldNanos; rtt > 0 {
@@ -1142,15 +1186,19 @@ type beat struct {
 // whose tail reports what the thread's subtree below it holds.
 func (n *Node) keepalive(ctx context.Context) {
 	n.mu.Lock()
-	beats := make([]beat, 0, len(n.childOf)+len(n.parentOf))
-	for th, child := range n.childOf {
-		b := beat{th: th, to: child}
+	beats := make([]beat, 0, 2*len(n.table))
+	for i := range n.table {
+		r := &n.table[i]
+		if r.down.child == "" {
+			continue
+		}
+		b := beat{th: r.th, to: r.down.child}
 		if len(n.gens) > 0 {
-			i := (n.hbGen + th) % len(n.gens)
-			if gs := &n.gens[i]; gs.rc != nil && !n.childFull[th].full(i) {
+			g := (n.hbGen + r.th) % len(n.gens)
+			if gs := &n.gens[g]; gs.rc != nil && r.down.wants(g) {
 				if p, ok := gs.rc.Packet(n.rng); ok {
-					b.frame = EncodeDataSeq(n.field, th, n.nextSeqLocked(th),
-						gs.life.EmitNanos(), n.forwardTraceLocked(i), p)
+					b.frame = EncodeDataSeq(n.field, r.th, n.nextSeqLocked(r.th),
+						gs.life.EmitNanos(), n.forwardTraceLocked(g), p)
 					p.Release()
 				}
 			}
@@ -1187,19 +1235,20 @@ func (n *Node) probesLocked(beats []beat, changed bool) []beat {
 	if !n.joined {
 		return beats
 	}
-	for th, parent := range n.parentOf {
-		if parent == "" {
+	for i := range n.table {
+		r := &n.table[i]
+		if r.parent == "" {
 			continue
 		}
-		words, open := n.foldLocked(th)
+		words, open := n.foldLocked(r)
 		first := firstOpen(words)
-		if last, ok := n.reported[th]; changed && ok && last.to == parent && last.set.within(words) &&
+		if last := r.sent; changed && last.to == r.parent && last.set.within(words) &&
 			first <= last.first && last.open-open < max(1, last.open/reportShare) {
 			continue
 		}
 		rep := foldWords(words)
-		n.reported[th] = sentReport{to: parent, set: rep, open: open, first: first}
-		beats = append(beats, beat{th: th, to: parent, tail: rep})
+		r.sent = sentReport{to: r.parent, set: rep, open: open, first: first}
+		beats = append(beats, beat{th: r.th, to: r.parent, tail: rep})
 	}
 	return beats
 }
@@ -1218,17 +1267,14 @@ func (n *Node) sendBeats(ctx context.Context, beats []beat) {
 }
 
 // foldLocked returns, as bit words over the session's slots, the
-// completion report the node sends up thread th, and how many slots it
+// completion report the node sends up thread r, and how many slots it
 // leaves open: the generations the node has decoded itself, less, when it
-// has a child on th, those the child's last report does not mark full.
+// has a child on r, those the child's last report does not mark full.
 // The words are n.foldBuf, valid until the next call. Callers hold n.mu.
-func (n *Node) foldLocked(th int) ([]uint64, int) {
+func (n *Node) foldLocked(r *heldThread) ([]uint64, int) {
 	n.foldBuf = append(n.foldBuf[:0], n.done...)
-	if _, ok := n.childOf[th]; ok {
-		child := n.childFull[th]
-		for w := range n.foldBuf {
-			n.foldBuf[w] &= child.word(w)
-		}
+	for w := range n.foldBuf {
+		n.foldBuf[w] &= r.down.below(w)
 	}
 	open := n.totalGens
 	for _, w := range n.foldBuf {
@@ -1306,10 +1352,10 @@ func (n *Node) checkComplaints(ctx context.Context) {
 	}
 	now := time.Now()
 	var complaints []Complaint
-	for _, th := range n.threads {
-		if now.Sub(n.lastRecv[th]) > n.cfg.ComplaintTimeout {
-			complaints = append(complaints, Complaint{ID: n.id, Thread: th, ParentAddr: n.parentOf[th]})
-			n.lastRecv[th] = now // rate-limit: one complaint per timeout
+	for i := range n.table {
+		if r := &n.table[i]; r.held && now.Sub(r.heard) > n.cfg.ComplaintTimeout {
+			complaints = append(complaints, Complaint{ID: n.id, Thread: r.th, ParentAddr: r.parent})
+			r.heard = now // rate-limit: one complaint per timeout
 		}
 	}
 	n.complaintsSent += uint64(len(complaints))
@@ -1349,7 +1395,7 @@ func (n *Node) Uncongest(ctx context.Context) error {
 func (n *Node) Degree() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.threads)
+	return n.degreeLocked()
 }
 
 // Leave performs the good-bye protocol; Run returns once the ack arrives.

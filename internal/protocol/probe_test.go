@@ -16,8 +16,11 @@ import (
 // frame still in flight from the old parent on that thread must not bring
 // the parent entry back — the old parent, redirected elsewhere, would
 // count the probes as upstream liveness and mask a dead parent of its
-// own — while probes on the held thread 0 continue. The tracker and the
-// parent are scripted endpoints.
+// own — while probes on the held thread 0 continue. Thread numbers on
+// frames are the sender's to choose: a data frame and a probe keepalive on
+// thread 0x7fff, the largest the 15-bit field carries, and on thread 5,
+// which the node never held, make no thread record, draw no probe and do
+// not panic. The tracker and the parent are scripted endpoints.
 func TestLinkProbesFollowHeldThreads(t *testing.T) {
 	t.Parallel()
 	net := transport.NewNetwork()
@@ -122,9 +125,13 @@ func TestLinkProbesFollowHeldThreads(t *testing.T) {
 	send(tracker, dropped)
 	send(parent, EncodeKeepaliveEcho(1, time.Now().UnixNano(), 0, 0))
 	sendData(1)
-	waitFor(t, 5*time.Second, "the stale frame to be absorbed", func() bool {
+	for _, th := range []int{0x7fff, 5} {
+		send(parent, EncodeKeepaliveEcho(th, time.Now().UnixNano(), 0, 0))
+		sendData(th)
+	}
+	waitFor(t, 5*time.Second, "the stale and foreign frames to be absorbed", func() bool {
 		n, _ := node.Stats()
-		return n > received
+		return n >= received+3
 	})
 	absorbed := time.Now().UnixNano()
 
@@ -140,9 +147,16 @@ func TestLinkProbesFollowHeldThreads(t *testing.T) {
 			rounds++
 		case ki.Thread == 1:
 			stale++
+		default:
+			t.Fatalf("node probed the parent on thread %#x, which it never held", ki.Thread)
 		}
 	}
 	if stale > 1 {
 		t.Fatalf("node kept probing its former parent on dropped thread 1: %d probes", stale)
+	}
+	node.mu.Lock()
+	defer node.mu.Unlock()
+	if len(node.table) != 1 || node.table[0].th != 0 {
+		t.Fatalf("thread records %+v, want thread 0's alone", node.table)
 	}
 }

@@ -20,18 +20,16 @@ import (
 // full. The tracker updates thread-to-child routing via SetChild as
 // nodes join, leave, and get repaired.
 type Source struct {
-	ep      transport.Endpoint
-	params  rlnc.Params
-	fe      *rlnc.FileEncoder
-	le      *rlnc.LayeredEncoder // non-nil in layered mode
-	length  int
-	rng     *rand.Rand
-	mu      sync.Mutex
-	childOf []string // thread -> child addr ("" = hanging)
-	// full is, per thread, the completion report of the thread's subtree
-	// that the thread's child last sent on its probe; Run skips the
-	// generations it marks full. SetChild resets it.
-	full []genSet
+	ep     transport.Endpoint
+	params rlnc.Params
+	fe     *rlnc.FileEncoder
+	le     *rlnc.LayeredEncoder // non-nil in layered mode
+	length int
+	rng    *rand.Rand
+	mu     sync.Mutex
+	// down is, per thread, its child and the completion report of the
+	// child's subtree; Run skips the generations the report marks full.
+	down []downstream
 	// slots maps the session's generation ids onto the slots of gens.
 	slots genIndex
 	// gens is Run's per-generation table, by slot; only Run touches it.
@@ -110,8 +108,7 @@ func newSource(s *Source, k int, seed int64) (*Source, error) {
 	}
 	s.rng = rand.New(rand.NewSource(seed))
 	s.traceSeed = seed
-	s.childOf = make([]string, k)
-	s.full = make([]genSet, k)
+	s.down = make([]downstream, k)
 	s.seq = make([]uint32, k)
 	s.slots = newGenIndex(ids)
 	s.gens = make([]sourceGen, len(ids))
@@ -164,9 +161,8 @@ func (s *Source) traceID(gen uint32) uint64 {
 func (s *Source) SetChild(th int, addr string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if th >= 0 && th < len(s.childOf) {
-		s.childOf[th] = addr
-		s.full[th] = genSet{}
+	if th >= 0 && th < len(s.down) {
+		s.down[th].set(addr)
 	}
 }
 
@@ -177,16 +173,9 @@ func (s *Source) observeProbe(from string, th int, frame []byte) {
 	rep, _ := decodeReport(frame) // a malformed tail reports nothing full
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if th < len(s.childOf) && s.childOf[th] == from {
-		s.full[th] = rep
+	if th < len(s.down) {
+		s.down[th].hear(from, rep, true)
 	}
-}
-
-// Children returns a copy of the routing table.
-func (s *Source) Children() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.childOf...)
 }
 
 // Run pumps packets until the context is cancelled. In flat mode, an
@@ -206,17 +195,16 @@ func (s *Source) Run(ctx context.Context) error {
 	if s.fe != nil {
 		gens = s.fe.NumGenerations()
 	}
-	// Run's own buffers: the routing table and the reports, copied under
+	// Run's own buffers: the routing table with its reports, copied under
 	// s.mu once per round, and the per-thread cursors or, paced, the plan.
-	children := make([]string, len(s.childOf))
-	full := make([]genSet, len(s.childOf))
-	cursor := make([]int, len(s.childOf))
+	down := make([]downstream, len(s.down))
+	cursor := make([]int, len(s.down))
 	for th := range cursor {
 		cursor[th] = th % gens
 	}
 	var plan *streamPlan
 	if s.RoundInterval > 0 && s.le == nil {
-		plan = newStreamPlan(len(s.childOf), gens, s.share)
+		plan = newStreamPlan(len(s.down), gens, s.share)
 	}
 	var timer *time.Timer
 	defer func() {
@@ -234,28 +222,27 @@ func (s *Source) Run(ctx context.Context) error {
 			return err
 		}
 		s.mu.Lock()
-		copy(children, s.childOf)
-		copy(full, s.full)
+		copy(down, s.down)
 		s.mu.Unlock()
 		var now int64
 		if plan != nil {
 			now = time.Now().UnixNano()
-			plan.begin(children, now)
+			plan.begin(down, now)
 		}
 		idle := true
-		for th, child := range children {
+		for th, d := range down {
 			g := cursor[th]
 			switch {
-			case child == "":
+			case d.child == "":
 				cursor[th] = (g + 1) % gens
 				continue
 			case s.le != nil:
 			case plan != nil:
-				if g = plan.next(th, full[th], now); g < 0 {
+				if g = plan.next(th, d.full, now); g < 0 {
 					continue
 				}
 			default:
-				if g = full[th].nextOpen(g, gens); g < 0 {
+				if g = d.full.nextOpen(g, gens); g < 0 {
 					continue // the thread's whole subtree holds everything
 				}
 				cursor[th] = (g + 1) % gens
@@ -290,7 +277,7 @@ func (s *Source) Run(ctx context.Context) error {
 			buf := rlnc.GetFrameBuf()
 			*buf = AppendDataSeq(*buf, s.params.Field, th, int32(seq), sg.emitAt, tc, p)
 			p.Release()
-			err = s.ep.Send(ctx, child, *buf)
+			err = s.ep.Send(ctx, d.child, *buf)
 			rlnc.PutFrameBuf(buf)
 			if err != nil {
 				if ctx.Err() != nil {
@@ -422,10 +409,10 @@ func newStreamPlan(threads, gens, share int) *streamPlan {
 // begin starts a round at now with the given routing: it sets the
 // lockstep floor from the threads with a child, and brings every hanging
 // thread up to it. With no child anywhere nothing moves.
-func (p *streamPlan) begin(children []string, now int64) {
+func (p *streamPlan) begin(down []downstream, now int64) {
 	floor := -1
-	for th, child := range children {
-		if f := p.threads[th].fresh; child != "" && (floor < 0 || f < floor) {
+	for th, d := range down {
+		if f := p.threads[th].fresh; d.child != "" && (floor < 0 || f < floor) {
 			floor = f
 		}
 	}
@@ -433,9 +420,9 @@ func (p *streamPlan) begin(children []string, now int64) {
 		return
 	}
 	p.floor = floor
-	for th, child := range children {
+	for th, d := range down {
 		t := &p.threads[th]
-		if child != "" || t.fresh >= floor {
+		if d.child != "" || t.fresh >= floor {
 			continue
 		}
 		for ; t.fresh < floor; t.fresh++ {

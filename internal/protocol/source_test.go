@@ -104,7 +104,11 @@ func TestNextRound(t *testing.T) {
 // (nanoseconds) with the given routing, returning every thread's pick
 // (-1 for a hanging thread).
 func planStep(p *streamPlan, children []string, reps []genSet, now int64) []int {
-	p.begin(children, now)
+	down := make([]downstream, len(children))
+	for th := range down {
+		down[th] = downstream{child: children[th], full: reps[th]}
+	}
+	p.begin(down, now)
 	picks := make([]int, len(p.threads))
 	for th := range picks {
 		picks[th] = -1

@@ -878,14 +878,13 @@ func (t *Tracker) emit(ev TrackerEvent) {
 // admitted is one hello's outcome computed inside the batch transaction;
 // the sends and events happen after the lock is released.
 type admitted struct {
-	from    string
-	addr    string
-	id      core.NodeID
-	threads []int
-	parents []core.NodeID
-	w       Welcome
-	dup     bool   // welcome retry: no redirects, no join event
-	errMsg  string // join rejection: MsgError instead of a welcome
+	from   string
+	addr   string
+	id     core.NodeID
+	clips  []core.Clip
+	w      Welcome
+	dup    bool   // welcome retry: no redirects, no join event
+	errMsg string // join rejection: MsgError instead of a welcome
 }
 
 // flushHellos performs the §3 hello protocol for every queued hello in
@@ -945,16 +944,15 @@ func (t *Tracker) flushHellos(ctx context.Context, pending []pendingHello) []pen
 		t.idOf[addr] = id
 		t.lastSeen[id] = opStart
 		threads, terr := t.curtain.Threads(id)
-		parents, perr := t.curtain.Parents(id)
-		if terr != nil || perr != nil {
+		clips, cerr := t.curtain.Clips(id)
+		if terr != nil || cerr != nil {
 			continue // unreachable given a successful join
 		}
 		out = append(out, admitted{
-			from:    ph.from,
-			addr:    addr,
-			id:      id,
-			threads: threads,
-			parents: parents,
+			from:  ph.from,
+			addr:  addr,
+			id:    id,
+			clips: clips,
 			w: Welcome{
 				ID:          uint64(id),
 				K:           t.cfg.K,
@@ -980,8 +978,8 @@ func (t *Tracker) flushHellos(ctx context.Context, pending []pendingHello) []pen
 			continue
 		}
 		// Redirect each parent's stream on the shared thread to the new node.
-		for i, th := range a.threads {
-			t.redirect(ctx, a.parents[i], th, a.addr)
+		for _, cl := range a.clips {
+			t.redirect(ctx, cl.Parent, cl.Thread, a.addr)
 		}
 		t.emit(TrackerEvent{Kind: "join", ID: a.id, Addr: a.addr})
 	}
@@ -1011,28 +1009,16 @@ func (t *Tracker) redirect(ctx context.Context, owner core.NodeID, th int, child
 // deletion appropriate to the caller (Leave or Fail+Repair).
 func (t *Tracker) spliceOut(ctx context.Context, id core.NodeID, remove func() error) error {
 	t.mu.Lock()
-	threads, err := t.curtain.Threads(id)
+	clips, err := t.curtain.Clips(id)
 	if err != nil {
 		t.mu.Unlock()
 		return err
 	}
-	parents, err := t.curtain.Parents(id)
-	if err != nil {
-		t.mu.Unlock()
-		return err
-	}
-	// Per-thread children BEFORE the row disappears: the successor on
-	// each thread (may be absent when this node is the bottom clip).
-	childAddrs := make([]string, len(threads))
-	children, err := t.curtain.ThreadChildren(id)
-	if err != nil {
-		t.mu.Unlock()
-		return err
-	}
-	for i, ch := range children {
-		if ch != 0 {
-			childAddrs[i] = t.addrOf[ch]
-		}
+	// Each clip's child's address BEFORE the row disappears ("" on the
+	// threads where this node is the bottom clip: 0 has no address).
+	childAddrs := make([]string, len(clips))
+	for i, cl := range clips {
+		childAddrs[i] = t.addrOf[cl.Child]
 	}
 	if err := remove(); err != nil {
 		t.mu.Unlock()
@@ -1051,8 +1037,8 @@ func (t *Tracker) spliceOut(ctx context.Context, id core.NodeID, remove func() e
 	delete(t.reports, id)
 	t.mu.Unlock()
 
-	for i, th := range threads {
-		t.redirect(ctx, parents[i], th, childAddrs[i])
+	for i, cl := range clips {
+		t.redirect(ctx, cl.Parent, cl.Thread, childAddrs[i])
 	}
 	return nil
 }
@@ -1090,29 +1076,13 @@ func (t *Tracker) handleComplaint(ctx context.Context, c Complaint) {
 	t.cfg.Obs.Complaints.Inc()
 	childID := core.NodeID(c.ID)
 	t.mu.Lock()
-	if !t.curtain.Contains(childID) {
-		t.mu.Unlock()
-		return
-	}
-	threads, err := t.curtain.Threads(childID)
+	clips, err := t.curtain.Clips(childID)
 	if err != nil {
 		t.mu.Unlock()
 		return
 	}
-	parents, err := t.curtain.Parents(childID)
-	if err != nil {
-		t.mu.Unlock()
-		return
-	}
-	var accused core.NodeID
-	found := false
-	for i, th := range threads {
-		if th == c.Thread {
-			accused = parents[i]
-			found = true
-			break
-		}
-	}
+	clip, found := clipOn(clips, c.Thread)
+	accused := clip.Parent
 	if !found || accused == core.ServerID {
 		// Not the child's thread, or the source itself (trusted): stale.
 		t.mu.Unlock()
@@ -1160,10 +1130,8 @@ func (t *Tracker) handleCongested(ctx context.Context, c Congested) {
 		t.mu.Unlock()
 		return
 	}
-	threads, terr := t.curtain.Threads(id)
-	parents, perr := t.curtain.Parents(id)
-	children, cerr := t.curtain.ThreadChildren(id)
-	if terr != nil || perr != nil || cerr != nil {
+	clips, err := t.curtain.Clips(id)
+	if err != nil {
 		t.mu.Unlock()
 		return
 	}
@@ -1174,22 +1142,13 @@ func (t *Tracker) handleCongested(ctx context.Context, c Congested) {
 		t.emit(TrackerEvent{Kind: "congest-rejected", ID: id, Addr: addr})
 		return
 	}
-	var parent, child core.NodeID
-	for i, th := range threads {
-		if th == dropped {
-			parent, child = parents[i], children[i]
-			break
-		}
-	}
-	childAddr := ""
-	if child != 0 {
-		childAddr = t.addrOf[child]
-	}
+	clip, _ := clipOn(clips, dropped)
+	childAddr := t.addrOf[clip.Child]
 	t.mu.Unlock()
 
 	t.cfg.Obs.Congestions.Inc()
 	// Join the dropped thread's parent directly to its child.
-	t.redirect(ctx, parent, dropped, childAddr)
+	t.redirect(ctx, clip.Parent, dropped, childAddr)
 	t.sendControl(ctx, addr, MsgThreadDropped, ThreadDropped{Thread: dropped})
 	t.emit(TrackerEvent{Kind: "congested", ID: id, Addr: addr})
 }
@@ -1211,31 +1170,31 @@ func (t *Tracker) handleUncongested(ctx context.Context, u Uncongested) {
 		return
 	}
 	// Locate the node's new parent and child on the gained thread.
-	threads, terr := t.curtain.Threads(id)
-	parents, perr := t.curtain.Parents(id)
-	children, cerr := t.curtain.ThreadChildren(id)
-	if terr != nil || perr != nil || cerr != nil {
+	clips, err := t.curtain.Clips(id)
+	if err != nil {
 		t.mu.Unlock()
 		return
 	}
-	var parent, child core.NodeID
-	for i, th := range threads {
-		if th == gained {
-			parent, child = parents[i], children[i]
-			break
-		}
-	}
-	childAddr := ""
-	if child != 0 {
-		childAddr = t.addrOf[child]
-	}
+	clip, _ := clipOn(clips, gained)
+	childAddr := t.addrOf[clip.Child]
 	t.mu.Unlock()
 
 	t.cfg.Obs.Uncongestions.Inc()
 	// New parent sends to the node; the node serves the displaced child.
-	t.redirect(ctx, parent, gained, addr)
+	t.redirect(ctx, clip.Parent, gained, addr)
 	t.sendControl(ctx, addr, MsgThreadAdded, ThreadAdded{Thread: gained, ChildAddr: childAddr})
 	t.emit(TrackerEvent{Kind: "uncongested", ID: id, Addr: addr})
+}
+
+// clipOn returns the clip on thread th among clips, and whether there is
+// one.
+func clipOn(clips []core.Clip, th int) (core.Clip, bool) {
+	for _, cl := range clips {
+		if cl.Thread == th {
+			return cl, true
+		}
+	}
+	return core.Clip{}, false
 }
 
 func (t *Tracker) handleComplete(c Complete) {

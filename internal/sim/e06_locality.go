@@ -100,13 +100,13 @@ func RunE6(cfg E6Config) (E6Result, error) {
 				if lost {
 					loss++
 				}
-				parents, err := c.Parents(id)
+				clips, err := c.Clips(id)
 				if err != nil {
 					return E6Result{}, err
 				}
 				hasFailedParent := false
-				for _, pid := range parents {
-					if pid != core.ServerID && c.IsFailed(pid) {
+				for _, cl := range clips {
+					if cl.Parent != core.ServerID && c.IsFailed(cl.Parent) {
 						hasFailedParent = true
 						break
 					}

@@ -82,13 +82,13 @@ func RunE14(cfg E14Config) (E14Result, error) {
 				conn = cfg.D
 			}
 			deficitCount[cfg.D-conn]++
-			parents, err := c.Parents(id)
+			clips, err := c.Clips(id)
 			if err != nil {
 				return E14Result{}, err
 			}
 			failed := 0
-			for _, pid := range parents {
-				if pid != core.ServerID && c.IsFailed(pid) {
+			for _, cl := range clips {
+				if cl.Parent != core.ServerID && c.IsFailed(cl.Parent) {
 					failed++
 				}
 			}
