@@ -130,9 +130,12 @@ fuzz:
 # beyond its encoded frame (at most 0.01 objects: one send window per
 # loop, no per-message context), a frame over loopback UDP or TCP, or the
 # in-memory fabric, must allocate about nothing when its receiver
-# releases it and exactly its one buffer when it does not, and a
+# releases it and exactly its one buffer when it does not, a
 # hello+welcome round trip through the control codec must allocate only
-# its two frames, the address and the thread list.
+# its two frames, the address and the thread list, and the decoders of
+# the generations a node starts must cost four objects per chunk of 64
+# generations (rlnc.NewRecoders: the recoders and the three slabs they
+# share), not four per generation.
 allocguard:
 	$(GO) test ./internal/protocol -run TestTracedHotPathAllocs -count=1
 	$(GO) test ./internal/protocol -run TestLinkHotPathAllocs -count=1
@@ -142,6 +145,7 @@ allocguard:
 	$(GO) test ./internal/transport -run 'TestUDPRecvBatchAllocs|TestTCPRecvBatchAllocs|TestMemRecvBatchAllocs|TestMemRecvWithoutReleaseAllocatesOnce' -count=1
 	$(GO) test ./internal/protocol -run TestControlCodecAllocs -count=1
 	$(GO) test ./internal/rlnc -run TestDecodeHotPathAllocs -count=1
+	$(GO) test ./internal/protocol -run TestDecoderChunkAllocs -count=1
 
 # Perf regression gate: emit paths and the fused four-row gf.Dot stay
 # zero-alloc, and a 64 B GF(2^8) AddMulSlice costs at most half a 1 KiB

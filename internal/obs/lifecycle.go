@@ -76,9 +76,11 @@ func (g *GenLife) overheadPermille(need int) int { return g.received * 1000 / ne
 // source emit stamp the frame carried (0 when unstamped). It appends
 // every lifecycle transition the packet crossed to events, in order, so
 // sinks always see monotone phase sequences, and on decode feeds m's
-// decode-delay and overhead histograms (m may be nil). Only a packet that
-// crosses a transition reads the clock.
-func (g *GenLife) Observe(node string, gen uint32, need int, emitNanos int64, rank int, m *NodeMetrics, events []GenEvent) []GenEvent {
+// decode-delay and overhead histograms (m may be nil). nowNanos is the
+// caller's clock reading in unix nanoseconds, the time of every event
+// and the end of the decode delay; zero makes a packet that crosses a
+// transition read the clock itself.
+func (g *GenLife) Observe(node string, gen uint32, need int, emitNanos int64, rank int, nowNanos int64, m *NodeMetrics, events []GenEvent) []GenEvent {
 	g.received++
 	if emitNanos > 0 && (g.emitNanos == 0 || emitNanos < g.emitNanos) {
 		g.emitNanos = emitNanos
@@ -91,7 +93,10 @@ func (g *GenLife) Observe(node string, gen uint32, need int, emitNanos int64, ra
 	if g.received > 1 && (g.Decoded() || g.rank*100 < need*(g.milestone+25)) {
 		return events
 	}
-	now := time.Now()
+	now := time.Unix(0, nowNanos)
+	if nowNanos == 0 {
+		now = time.Now()
+	}
 	ev := func(phase string) GenEvent {
 		return GenEvent{
 			At: now, Node: node, Gen: gen, Phase: phase,

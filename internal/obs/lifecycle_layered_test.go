@@ -20,7 +20,7 @@ func TestGenTrackerLayeredSlots(t *testing.T) {
 	var events []obs.GenEvent
 	observe := func(gen uint32, emit int64, rank int) int64 {
 		g := &gens[slot(gen)]
-		events = g.Observe("n", gen, 1, emit, rank, nil, events)
+		events = g.Observe("n", gen, 1, emit, rank, 0, nil, events)
 		return g.EmitNanos()
 	}
 

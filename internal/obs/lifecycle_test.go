@@ -35,7 +35,7 @@ func newLifeTable(node string, need, gens int, m *NodeMetrics) *lifeTable {
 // observe records one absorbed packet of gen and returns its emit stamp.
 func (t *lifeTable) observe(gen uint32, emit int64, rank int) int64 {
 	g := &t.gens[gen]
-	t.events = g.Observe(t.node, gen, t.need, emit, rank, t.m, t.events)
+	t.events = g.Observe(t.node, gen, t.need, emit, rank, 0, t.m, t.events)
 	return g.EmitNanos()
 }
 
@@ -101,6 +101,48 @@ func TestGenTrackerLifecycle(t *testing.T) {
 	lt.observe(7, emit, 8)
 	if len(lt.events) != seen {
 		t.Fatalf("decoded generation re-emitted: %+v", lt.events[seen:])
+	}
+}
+
+// TestGenTrackerObserveClock pins Observe's clock contract. With the
+// caller's reading, every event is stamped with it and the decode delay
+// ends at it; with zero, Observe reads the clock itself.
+func TestGenTrackerObserveClock(t *testing.T) {
+	t.Parallel()
+	const need = 4
+	emit := time.Now().Add(-time.Hour).UnixNano()
+	now := emit + (250 * time.Millisecond).Nanoseconds()
+	var g GenLife
+	var events []GenEvent
+	for rank := 1; rank <= need; rank++ {
+		events = g.Observe("n", 3, need, emit, rank, now, nil, events)
+	}
+	if len(events) != 5 {
+		t.Fatalf("events = %+v, want all five phases", events)
+	}
+	for _, ev := range events {
+		if ev.At.UnixNano() != now {
+			t.Fatalf("%s at %v, want the given reading %v", ev.Phase, ev.At, time.Unix(0, now))
+		}
+	}
+	if d := events[4].DelayNanos; d != now-emit {
+		t.Fatalf("delay = %d ns, want the reading minus the stamp, %d ns", d, now-emit)
+	}
+
+	var z GenLife
+	before := time.Now()
+	events = z.Observe("n", 3, 1, emit, 1, 0, nil, nil)
+	after := time.Now()
+	if len(events) != 2 {
+		t.Fatalf("events = %+v, want first packet and decoded", events)
+	}
+	for _, ev := range events {
+		if ev.At.Before(before) || ev.At.After(after) {
+			t.Fatalf("%s at %v, want the clock's reading in [%v, %v]", ev.Phase, ev.At, before, after)
+		}
+	}
+	if d := events[1].DelayNanos; d < before.UnixNano()-emit || d > after.UnixNano()-emit {
+		t.Fatalf("delay = %d ns, want the clock's reading minus the stamp", d)
 	}
 }
 

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -144,5 +145,63 @@ func TestForwardPathAllocs(t *testing.T) {
 	}) / runs
 	if perFrame > 0.01 {
 		t.Fatalf("forwarding allocates %.3f objects per frame, want <= 0.01", perFrame)
+	}
+}
+
+// TestDecoderChunkAllocs pins what a node allocates for the decoders of
+// the generations it starts: the recoders of recoderChunk slots at a
+// time, four objects a chunk (the recoders and the three slabs their
+// arenas, pivot maps and step logs are carved from), where one recoder
+// per generation cost four objects a generation.
+func TestDecoderChunkAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates on instrumented paths")
+	}
+	const h, size, gens = 8, 64, 10 * recoderChunk
+	w := Welcome{ID: 1, K: 1, Degree: 1, Threads: []int{0},
+		Session: SessionParams{FieldBits: 8, GenSize: h, PacketSize: size, ContentLen: gens * h * size}}
+	r := rand.New(rand.NewSource(1))
+	frame := func(gen uint32) []byte {
+		p := &rlnc.Packet{Gen: gen, Coeff: make([]byte, h), Payload: make([]byte, size)}
+		r.Read(p.Coeff)
+		r.Read(p.Payload)
+		return EncodeDataSeq(gf.F256, 0, 0, 1, TraceContext{}, p)
+	}
+	frames := make([][]byte, gens)
+	for g := range frames {
+		frames[g] = frame(uint32(g))
+	}
+	foreign := frame(gens) // outside the session: scores the link, starts nothing
+
+	net := transport.NewNetwork()
+	defer net.Close()
+	ctx := context.Background()
+	var nodes [2]*Node
+	for i := range nodes {
+		nodes[i] = NewNode(newEndpoint(t, net, fmt.Sprintf("node%d", i)), NodeConfig{Seed: 1})
+		if err := nodes[i].applyWelcome(w); err != nil {
+			t.Fatal(err)
+		}
+		nodes[i].handleData(ctx, "parent", foreign, nil, time.Now())
+	}
+	// AllocsPerRun calls its function once to warm up, on nodes[0], then
+	// once measured, on nodes[1].
+	run := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		n := nodes[run]
+		run++
+		for _, f := range frames {
+			n.handleData(ctx, "parent", f, nil, time.Now())
+		}
+	})
+	for i, n := range nodes {
+		if got := n.gens[gens-1].rc; got == nil || got.Rank() != 1 {
+			t.Fatalf("node %d did not start every generation", i)
+		}
+	}
+	chunks := (gens + recoderChunk - 1) / recoderChunk
+	if allocs > float64(4*chunks) {
+		t.Fatalf("starting %d generations allocates %v objects, want at most %d (four per chunk of %d)",
+			gens, allocs, 4*chunks, recoderChunk)
 	}
 }

@@ -183,9 +183,10 @@ type sentReport struct {
 	first int
 }
 
-// genSlot is the node's state for one generation: its recoder, nil until
-// the generation's first packet, its lifecycle record and its trace merge
-// state.
+// genSlot is the node's state for one generation: its recoder, its
+// lifecycle record and its trace merge state. The recoders come in
+// chunks of recoderChunk slots (startChunkLocked): rc is nil until some
+// generation of its chunk gets its first packet.
 type genSlot struct {
 	rc *rlnc.Recoder
 	// life records the generation's lifecycle spans: first packet, rank
@@ -212,11 +213,15 @@ type traceState struct {
 
 // genIndex maps a session's generation ids onto dense slots: layer l's
 // generation g sits at base[l]+g, below base[l+1]. A flat session is the
-// one layer [0, G), and the zero index rejects every id.
-type genIndex struct{ base []int }
+// one layer [0, G), and the zero index rejects every id. ids maps the
+// other way, slot to id.
+type genIndex struct {
+	base []int
+	ids  []uint32
+}
 
 // newGenIndex indexes ids as sessionGenIDs orders them: layer by layer,
-// each layer's generations numbered from 0.
+// each layer's generations numbered from 0. It keeps ids.
 func newGenIndex(ids []uint32) genIndex {
 	base := []int{0}
 	for i, id := range ids {
@@ -224,7 +229,7 @@ func newGenIndex(ids []uint32) genIndex {
 			base = append(base, i)
 		}
 	}
-	return genIndex{base: append(base, len(ids))}
+	return genIndex{base: append(base, len(ids)), ids: ids}
 }
 
 // slot returns gen's slot, or false for an id outside the session.
@@ -477,8 +482,9 @@ func (n *Node) Run(ctx context.Context) error {
 	// The loop takes frames in batches and reads the clock once per batch:
 	// every frame in it arrived by then. Neither the data nor the
 	// keepalive handler keeps its frame (the packet and the report are
-	// copies), so both frames go back to the transport as soon as their
-	// handler returns; a control frame is not released.
+	// copies), so the whole batch goes back to the transport in one
+	// release once its last frame is handled; a control frame is cleared
+	// from the batch instead, as its handler may keep the body.
 	rx := transport.Batched(n.ep)
 	var batch [transport.RecvBatchLen]transport.Frame
 	for {
@@ -491,12 +497,10 @@ func (n *Node) Run(ctx context.Context) error {
 			f := &batch[i]
 			if IsKeepalive(f.Msg) {
 				n.handleKeepalive(ctx, f.From, f.Msg, now)
-				f.Release()
 				continue
 			}
 			if IsData(f.Msg) {
 				n.handleData(ctx, f.From, f.Msg, fwdRng, now)
-				f.Release()
 				continue
 			}
 			typ, body, err := SplitControl(f.Msg)
@@ -512,6 +516,7 @@ func (n *Node) Run(ctx context.Context) error {
 				return nil
 			}
 		}
+		transport.ReleaseBatch(batch[:k])
 	}
 }
 
@@ -757,22 +762,20 @@ func (n *Node) handleData(ctx context.Context, from string, frame []byte, r *ran
 	}
 	gs := &n.gens[slot]
 	if gs.rc == nil {
-		rc, err := rlnc.NewRecoder(n.field, p.Gen, n.params.GenSize, n.params.PacketSize)
-		if err != nil {
+		if err := n.startChunkLocked(slot); err != nil {
 			n.receivedLocked()
 			n.mu.Unlock()
 			p.Release()
 			return
 		}
-		rc.Instrument(n.cfg.Obs.Codec)
-		gs.rc = rc
 	}
 	j := decodeJob{f: n.field, th: th, slot: slot, from: from, child: child,
 		emit: emit, arrival: arrival, tc: tc, rc: gs.rc, p: p}
 	n.mu.Unlock()
 
 	if n.decodeQ == nil {
-		n.absorb(ctx, &j, r)
+		// Inline, the batch's clock reading stands for the absorption's.
+		n.absorb(ctx, &j, r, j.arrival)
 		return
 	}
 	select {
@@ -782,6 +785,27 @@ func (n *Node) handleData(ctx context.Context, from string, frame []byte, r *ran
 		// packet is dropped, which RLNC absorbs by design.
 		n.dropUnjudged(p)
 	}
+}
+
+// recoderChunk is how many slots' recoders startChunkLocked makes at once.
+const recoderChunk = 64
+
+// startChunkLocked gives every slot of slot's chunk its recoder: one
+// rlnc.NewRecoders call, whose recoders share their memory. Slots of a
+// chunk no packet has reached yet have no recoder and cost nothing.
+// Callers hold n.mu.
+func (n *Node) startChunkLocked(slot int) error {
+	lo := slot - slot%recoderChunk
+	hi := min(lo+recoderChunk, len(n.gens))
+	rcs, err := rlnc.NewRecoders(n.field, n.slots.ids[lo:hi], n.params.GenSize, n.params.PacketSize)
+	if err != nil {
+		return err
+	}
+	for i := range rcs {
+		rcs[i].Instrument(n.cfg.Obs.Codec)
+		n.gens[lo+i].rc = &rcs[i]
+	}
+	return nil
 }
 
 // receivedLocked counts one received frame of a session generation. It
@@ -808,7 +832,8 @@ func (n *Node) dropUnjudged(p *rlnc.Packet) {
 func (n *Node) decodeWorker(ctx context.Context, q <-chan decodeJob, r *rand.Rand) {
 	defer n.decodeWG.Done()
 	for j := range q {
-		n.absorb(ctx, &j, r)
+		// A job may have waited in the queue: absorb reads the clock.
+		n.absorb(ctx, &j, r, 0)
 	}
 }
 
@@ -820,9 +845,10 @@ func (n *Node) decodeWorker(ctx context.Context, q <-chan decodeJob, r *rand.Ran
 // score, its generation's lifecycle record and, on a traced frame, its
 // hop cell. The lifecycle events go to the sink after n.mu is released,
 // and the recoded packet goes down the node's own thread, preserving unit
-// flow per thread. r is the caller's own rng. absorb consumes j.p
-// (released back to the packet pool).
-func (n *Node) absorb(ctx context.Context, j *decodeJob, r *rand.Rand) {
+// flow per thread. r is the caller's own rng, and now its clock reading
+// in unix nanoseconds (zero: the lifecycle record reads the clock if it
+// needs it). absorb consumes j.p (released back to the packet pool).
+func (n *Node) absorb(ctx context.Context, j *decodeJob, r *rand.Rand, now int64) {
 	if j.child == "" {
 		r = nil // nobody to forward to: do not recode
 	}
@@ -854,7 +880,7 @@ func (n *Node) absorb(ctx context.Context, j *decodeJob, r *rand.Rand) {
 	// frame's source-emission stamp. The generation's stamp, the earliest
 	// seen for it, is what a forwarded frame carries, so decode delay stays
 	// end-to-end however many overlay hops the data crosses.
-	events := gs.life.Observe(addr, gen, n.params.GenSize, j.emit, rank, m, evBuf[:0])
+	events := gs.life.Observe(addr, gen, n.params.GenSize, j.emit, rank, now, m, evBuf[:0])
 	justCompleted := false
 	if closed {
 		n.done[j.slot>>6] |= 1 << (j.slot & 63)

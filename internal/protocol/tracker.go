@@ -317,13 +317,14 @@ func (t *Tracker) Run(ctx context.Context) error {
 }
 
 // ingestBatch ingests one received batch in arrival order, on one clock
-// read, and releases each frame once it is ingested.
+// read, and then releases the whole batch at once: nothing ingest keeps
+// aliases a frame.
 func (t *Tracker) ingestBatch(ctx context.Context, b []transport.Frame, pending []pendingHello) []pendingHello {
 	now := time.Now()
 	for i := range b {
 		pending = t.ingest(ctx, now, b[i].From, b[i].Msg, pending)
-		b[i].Release()
 	}
+	transport.ReleaseBatch(b)
 	return pending
 }
 

@@ -187,6 +187,34 @@ func NewRecoder(f gf.Field, gen uint32, h, size int) (*Recoder, error) {
 	return rc, nil
 }
 
+// NewRecoders creates one recoder per id, each as NewRecoder would make
+// it, in one slice. Their arenas, pivot maps and step logs are carved now
+// from three allocations they share, where NewRecoder's recoder allocates
+// its own three on its first packet: a node that starts generations a run
+// at a time pays four allocations per run instead of four per generation.
+func NewRecoders(f gf.Field, ids []uint32, h, size int) ([]Recoder, error) {
+	p := Params{Field: f, GenSize: h, PacketSize: size}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	rcs := make([]Recoder, len(ids))
+	if len(ids) == 0 {
+		return rcs, nil
+	}
+	rows := h * rowStride(h*f.SymbolSize(), size)
+	arena := make([]byte, len(ids)*rows)
+	pivots := make([]int32, len(ids)*h)
+	steps := make([]elimStep, len(ids)*h)
+	for i, id := range ids {
+		rc := &rcs[i]
+		rc.init(p, id, nil)
+		a, b := i*rows, (i+1)*rows
+		c, d := i*h, (i+1)*h
+		rc.e.carve(arena[a:b:b], pivots[c:d:d], steps[c:d:d])
+	}
+	return rcs, nil
+}
+
 // Packet emits a random combination of the buffered packets. It returns
 // false when the buffer is empty. The returned packet is pooled; Release
 // it when done to keep the emit path allocation-free.

@@ -17,9 +17,10 @@ import (
 //     then zero padding to a 32-byte stride (rowStride). Elimination
 //     walks cache lines instead of chasing per-row allocations, and a
 //     row operation on payload and coefficients together is one kernel
-//     call. The arena is allocated on the first packet, so holding a
-//     decoder for a generation that has not started costs only this
-//     struct.
+//     call. A Decoder's or a FileDecoder's arena is allocated on its
+//     first packet, so holding a decoder for a generation that has not
+//     started costs only this struct; NewRecoders carves the arenas of
+//     a run of recoders from one slab instead (carve).
 //   - Coefficient-first elimination. An incoming packet's coefficients
 //     are staged in the next free row and forward-eliminated there alone,
 //     recording (slot, factor) steps; the payload — orders of magnitude
@@ -49,7 +50,7 @@ type genDecoder struct {
 	// arena holds the installed rows by slot, in arrival order, at
 	// stride bytes each: payload at [0,size), coefficients at
 	// [size,size+clen), zero pad after. Slot rank stages the incoming
-	// packet. Nil until the first packet.
+	// packet. Nil until the first packet, or until carve.
 	arena []byte
 	// pivotOf maps column -> slot (-1 when open). Rows are in echelon
 	// form: the row whose pivot is column c is zero left of c and 1 there.
@@ -71,13 +72,18 @@ func newGenDecoder(f gf.Field, h, size int) genDecoder {
 	return genDecoder{f: f, h: h, size: size, sym: sym, clen: h * sym, stride: rowStride(h*sym, size)}
 }
 
+// alloc gives the engine memory of its own, on its first packet.
 func (e *genDecoder) alloc() {
-	e.arena = make([]byte, e.h*e.stride)
-	e.pivotOf = make([]int32, e.h)
-	for i := range e.pivotOf {
-		e.pivotOf[i] = -1
+	e.carve(make([]byte, e.h*e.stride), make([]int32, e.h), make([]elimStep, e.h))
+}
+
+// carve hands the engine its memory: an arena of h*stride zero bytes, an
+// h-entry pivot map and an h-entry step log, which it owns from now on.
+func (e *genDecoder) carve(arena []byte, pivotOf []int32, steps []elimStep) {
+	e.arena, e.pivotOf, e.steps = arena, pivotOf, steps[:0]
+	for i := range pivotOf {
+		pivotOf[i] = -1
 	}
-	e.steps = make([]elimStep, 0, e.h)
 }
 
 // row returns slot s whole: payload, coefficients and pad.

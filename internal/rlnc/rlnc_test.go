@@ -314,6 +314,67 @@ func TestRecoderEmptyBuffer(t *testing.T) {
 	}
 }
 
+// TestNewRecodersShareNoRows feeds a run of recoders from NewRecoders, in
+// every field, packets of their own generations in round-robin order:
+// coded, systematic and redundant ones. Each must decode its own source,
+// so no recoder's rows, pivots or steps spill into a neighbour's share of
+// the slabs, and each must reject a packet of another generation.
+func TestNewRecodersShareNoRows(t *testing.T) {
+	t.Parallel()
+	ids := []uint32{7, 3, 11, 4}
+	for _, f := range fields {
+		t.Run(f.Name(), func(t *testing.T) {
+			t.Parallel()
+			r := rand.New(rand.NewSource(9))
+			const h, size = 6, 40
+			rcs, err := NewRecoders(f, ids, h, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			encs := make([]*Encoder, len(ids))
+			srcs := make([][][]byte, len(ids))
+			for i, id := range ids {
+				srcs[i] = randSource(r, h, size)
+				encs[i], _ = NewEncoder(f, id, srcs[i])
+				if _, ok := rcs[i].Packet(r); ok {
+					t.Fatalf("recoder %d emitted before its first packet", i)
+				}
+			}
+			for round := 0; round < 50*h; round++ {
+				i := round % len(ids)
+				p := encs[i].Packet(r)
+				if round%5 == 0 {
+					p.Release()
+					p, _ = encs[i].Systematic(round / 5 % h)
+				}
+				if _, err := rcs[i].Add(p); err != nil {
+					t.Fatal(err)
+				}
+				p.Release()
+			}
+			for i := range rcs {
+				got, err := rcs[i].Decode()
+				if err != nil {
+					t.Fatalf("recoder %d (generation %d): %v", i, ids[i], err)
+				}
+				for j := range got {
+					if !bytes.Equal(got[j], srcs[i][j]) {
+						t.Fatalf("recoder %d decoded a corrupt packet %d", i, j)
+					}
+				}
+				p := encs[(i+1)%len(ids)].Packet(r)
+				if _, err := rcs[i].Add(p); err == nil {
+					t.Fatalf("recoder %d accepted generation %d", i, p.Gen)
+				}
+				p.Release()
+			}
+		})
+	}
+	if _, err := NewRecoders(gf.F256, ids, 0, 16); err == nil {
+		t.Fatal("NewRecoders accepted a zero generation size")
+	}
+}
+
 func TestPacketMarshalRoundTrip(t *testing.T) {
 	t.Parallel()
 	for _, f := range fields {

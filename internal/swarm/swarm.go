@@ -188,6 +188,9 @@ type shard struct {
 	cmds      []command
 	spareIn   []inFrame
 	spareCmds []command
+	// inboxFrom is the capacity the pump gives the inbox and its spare on
+	// their first frame: the shard's node count, up to maxInboxStart.
+	inboxFrom int
 
 	// send is the event loop's deadline for every control send (see
 	// sendControl); only the loop touches it.
@@ -199,6 +202,14 @@ type shard struct {
 	latMu sync.Mutex
 	lats  []float64 // admission latencies (hello→welcome), nanoseconds
 }
+
+// maxInboxStart caps a shard's starting inbox capacity. A flash crowd
+// sends a shard several frames per virtual node in one burst, so an inbox
+// grown from empty reallocates all the way up; at 4096 frames the inbox
+// and its spare take 448 KiB, so a shard of a 100k-node swarm reserves
+// under half a megabyte, and grows past that only in a burst that needs
+// it.
+const maxInboxStart = 4096
 
 type inFrame struct {
 	from, to string
@@ -245,13 +256,14 @@ func New(cfg Config) (*Swarm, error) {
 			return nil, err
 		}
 		s.shards = append(s.shards, &shard{
-			s:      s,
-			idx:    i,
-			ep:     ep,
-			rng:    rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
-			notify: make(chan struct{}, 1),
-			wheel:  newWheel(cfg.Tick, 512),
-			nodes:  make(map[int32]*vnode),
+			s:         s,
+			idx:       i,
+			ep:        ep,
+			rng:       rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
+			notify:    make(chan struct{}, 1),
+			inboxFrom: min((cfg.N+cfg.Shards-1-i)/cfg.Shards, maxInboxStart),
+			wheel:     newWheel(cfg.Tick, 512),
+			nodes:     make(map[int32]*vnode),
 		})
 	}
 	return s, nil
@@ -368,6 +380,11 @@ func (sh *shard) pump(ctx context.Context) {
 			return
 		}
 		sh.inMu.Lock()
+		if cap(sh.inbox) == 0 {
+			// Reserved on first use, not in New: a swarm's set-up stays
+			// as cheap as it was.
+			sh.inbox = make([]inFrame, 0, sh.inboxFrom)
+		}
 		sh.inbox = append(sh.inbox, inFrame{from: from, to: to, msg: msg})
 		sh.inMu.Unlock()
 		sh.wake()

@@ -28,15 +28,40 @@ type Frame struct {
 // Release reads garbage and fails loudly.
 func (f *Frame) Release() {
 	if f.pool != nil {
-		if poisonReleased {
-			b := f.buf[:cap(f.buf)]
-			for i := range b {
-				b[i] = PoisonByte
-			}
-		}
+		poison(f.buf)
 		f.pool.put(f.buf)
 	}
 	*f = Frame{}
+}
+
+// ReleaseBatch releases every frame of fs as Release does, taking each
+// free list's lock once per run of consecutive frames that return to it
+// instead of once per frame. A receive loop calls it on its whole batch
+// once no handler reads the frames any more.
+func ReleaseBatch(fs []Frame) {
+	for i := 0; i < len(fs); {
+		p := fs[i].pool
+		j := i + 1
+		for j < len(fs) && fs[j].pool == p {
+			j++
+		}
+		if p != nil {
+			p.putFrames(fs[i:j])
+		}
+		clear(fs[i:j])
+		i = j
+	}
+}
+
+// poison overwrites b whole with PoisonByte in builds with -tags
+// ncastpoison, and is a no-op otherwise.
+func poison(b []byte) {
+	if poisonReleased {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = PoisonByte
+		}
+	}
 }
 
 // PoisonByte is the pattern Release writes over a released buffer in
@@ -164,6 +189,21 @@ func (p *framePool) put(b []byte) {
 	p.mu.Lock()
 	if len(p.free) < poolFrames {
 		p.free = append(p.free, b)
+	}
+	p.mu.Unlock()
+}
+
+// putFrames poisons and returns the buffers of fs, whose frames all come
+// from p, under one lock, as put would one at a time.
+func (p *framePool) putFrames(fs []Frame) {
+	for i := range fs {
+		poison(fs[i].buf)
+	}
+	p.mu.Lock()
+	for i := range fs {
+		if b := fs[i].buf; cap(b) <= maxPooledBuf && len(p.free) < poolFrames {
+			p.free = append(p.free, b)
+		}
 	}
 	p.mu.Unlock()
 }

@@ -298,6 +298,78 @@ func TestReleasePoisons(t *testing.T) {
 	}
 }
 
+// TestReleaseBatchPoisons releases, in one call, frames from two
+// endpoints' pools interleaved with a frame no endpoint recycles. Every
+// pooled buffer returns to its own pool exactly once, is poisoned under
+// -tags ncastpoison as Release poisons it and left as it was without the
+// tag; the unpooled frame's bytes are never touched; every frame is
+// cleared.
+func TestReleaseBatchPoisons(t *testing.T) {
+	t.Parallel()
+	n := NewNetwork()
+	defer n.Close()
+	a, _ := n.Endpoint("a")
+	b, _ := n.Endpoint("b")
+	c, _ := n.Endpoint("c")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	recv := func(ep Endpoint, msg string) Frame {
+		t.Helper()
+		if err := a.Send(ctx, ep.Addr(), []byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+		var fs [1]Frame
+		if _, err := Batched(ep).RecvBatch(ctx, fs[:]); err != nil {
+			t.Fatal(err)
+		}
+		return fs[0]
+	}
+	own := Frame{From: "x", Msg: []byte("caller-owned")}
+	fs := []Frame{recv(b, "b0"), recv(b, "b1"), recv(c, "c0"), own, recv(b, "b2"), recv(c, "c1")}
+	kept := make([][]byte, len(fs)) // uses after release, on purpose
+	want := make([]string, len(fs))
+	for i := range fs {
+		kept[i], want[i] = fs[i].Msg, string(fs[i].Msg)
+	}
+	ReleaseBatch(fs)
+
+	for i := range fs {
+		if fs[i].From != "" || fs[i].Msg != nil || fs[i].buf != nil || fs[i].pool != nil {
+			t.Fatalf("frame %d not cleared: %+v", i, fs[i])
+		}
+	}
+	// Each pool holds exactly its own frames' buffers, once each.
+	for _, tc := range []struct {
+		ep   Endpoint
+		want []int
+	}{{b, []int{0, 1, 4}}, {c, []int{2, 5}}} {
+		p := &tc.ep.(*memEndpoint).pool
+		p.mu.Lock()
+		free := p.free
+		p.mu.Unlock()
+		if len(free) != len(tc.want) {
+			t.Fatalf("%s's pool holds %d buffers, want %d", tc.ep.Addr(), len(free), len(tc.want))
+		}
+		for j, i := range tc.want {
+			if &free[j][:1][0] != &kept[i][:1][0] {
+				t.Fatalf("%s's pool slot %d is not frame %d's buffer", tc.ep.Addr(), j, i)
+			}
+		}
+	}
+	for i, msg := range kept {
+		switch {
+		case i == 3 || !poisonReleased:
+			if string(msg) != want[i] {
+				t.Fatalf("frame %d reads %q after release, want %q untouched", i, msg, want[i])
+			}
+		default:
+			if full := msg[:cap(msg)]; !bytes.Equal(full, bytes.Repeat([]byte{PoisonByte}, len(full))) {
+				t.Fatalf("released buffer %d reads %x, want the poison pattern", i, full)
+			}
+		}
+	}
+}
+
 // TestSenderCacheSplitAllocs pins that splitting a frame from a cached
 // sender allocates no address string, and that a new sender still splits
 // right.

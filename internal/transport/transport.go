@@ -141,19 +141,22 @@ type Endpoint interface {
 }
 
 // Network is an in-memory message fabric connecting named endpoints. A
-// send read-locks mu for the address lookup; registering and closing
-// endpoints write-lock it. The loss coin has a lock of its own, taken
-// only on a lossy fabric, so seeded loss stays replayable. loss and
-// latency are fixed by NewNetwork's options, so a send reads them
-// without a lock.
+// send takes no lock: it reads the registry, a sync.Map whose lookups
+// are lock-free, and closed, an atomic flag. Registering and closing
+// endpoints serialise on mu, which no send takes. The loss coin has a
+// lock of its own, taken only on a lossy fabric, so seeded loss stays
+// replayable. loss and latency are fixed by NewNetwork's options, so a
+// send reads them without a lock.
 type Network struct {
-	mu        sync.RWMutex
-	endpoints map[string]*memEndpoint
+	mu sync.Mutex
+	// endpoints maps an address to its *memEndpoint; it is written only
+	// under mu.
+	endpoints sync.Map
+	closed    atomic.Bool
 	coinMu    sync.Mutex
 	rng       *rand.Rand
 	loss      float64
 	latency   time.Duration
-	closed    bool
 }
 
 // NetworkOption configures a Network.
@@ -177,10 +180,7 @@ func WithSeed(seed int64) NetworkOption {
 
 // NewNetwork creates an in-memory fabric.
 func NewNetwork(opts ...NetworkOption) *Network {
-	n := &Network{
-		endpoints: make(map[string]*memEndpoint),
-		rng:       rand.New(rand.NewSource(0)),
-	}
+	n := &Network{rng: rand.New(rand.NewSource(0))}
 	for _, o := range opts {
 		o(n)
 	}
@@ -222,10 +222,10 @@ func (n *Network) register(addr string, mux bool, bufFrames int) (*memEndpoint, 
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
+	if n.closed.Load() {
 		return nil, ErrClosed
 	}
-	if _, ok := n.endpoints[addr]; ok {
+	if _, ok := n.endpoints.Load(addr); ok {
 		return nil, fmt.Errorf("transport: address %q already registered", addr)
 	}
 	ep := &memEndpoint{
@@ -235,7 +235,7 @@ func (n *Network) register(addr string, mux bool, bufFrames int) (*memEndpoint, 
 		ch:   make(chan memFrame, bufFrames),
 		done: make(chan struct{}),
 	}
-	n.endpoints[addr] = ep
+	n.endpoints.Store(addr, ep)
 	return ep, nil
 }
 
@@ -245,12 +245,12 @@ func (n *Network) register(addr string, mux bool, bufFrames int) (*memEndpoint, 
 func (n *Network) CloseEndpoint(addr string) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ep, ok := n.endpoints[addr]
+	ep, ok := n.endpoints.Load(addr)
 	if !ok {
 		return false
 	}
-	ep.closeLocked()
-	delete(n.endpoints, addr)
+	ep.(*memEndpoint).closeLocked()
+	n.endpoints.Delete(addr)
 	return true
 }
 
@@ -258,15 +258,39 @@ func (n *Network) CloseEndpoint(addr string) bool {
 func (n *Network) Close() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
+	if n.closed.Swap(true) {
 		return nil
 	}
-	n.closed = true
-	for _, ep := range n.endpoints {
-		ep.closeLocked()
+	n.endpoints.Range(func(_, ep any) bool {
+		ep.(*memEndpoint).closeLocked()
+		return true
+	})
+	return nil
+}
+
+// lookup returns the endpoint a frame to addr is delivered to, or nil.
+// A sub-address routes to its base endpoint, but only when that endpoint
+// opted into demultiplexing: a plain endpoint never sees frames for
+// addresses it did not register. Neither read takes a lock.
+func (n *Network) lookup(addr string) *memEndpoint {
+	if ep, ok := n.endpoints.Load(addr); ok {
+		return ep.(*memEndpoint)
+	}
+	if base := PeerKey(addr); base != addr {
+		if ep, ok := n.endpoints.Load(base); ok && ep.(*memEndpoint).mux {
+			return ep.(*memEndpoint)
+		}
 	}
 	return nil
 }
+
+// epoch is the fabric's monotonic time origin. A frame's due time is its
+// offset from epoch in nanoseconds, 8 bytes where a time.Time takes 24,
+// which keeps memFrame at 64 bytes: one inline copy per channel hop.
+var epoch = time.Now()
+
+// sinceEpoch reads the monotonic clock as nanoseconds since epoch.
+func sinceEpoch() int64 { return int64(time.Since(epoch)) }
 
 type memFrame struct {
 	from string
@@ -276,9 +300,9 @@ type memFrame struct {
 	to string
 	// msg lies in a buffer from the receiving endpoint's pool.
 	msg []byte
-	// due is when the frame may be delivered (enqueue time + latency);
-	// the zero value means immediately.
-	due time.Time
+	// due is when the frame may be delivered (enqueue time + latency), in
+	// nanoseconds since epoch; zero means immediately.
+	due int64
 }
 
 type memEndpoint struct {
@@ -322,25 +346,12 @@ func (e *memEndpoint) Send(ctx context.Context, to string, msg []byte) error {
 func (e *memEndpoint) sendFrom(ctx context.Context, from, to string, msg []byte) error {
 	m := e.metrics.Load()
 	n := e.net
-	n.mu.RLock()
-	if n.closed {
-		n.mu.RUnlock()
+	if n.closed.Load() {
 		return ErrClosed
 	}
-	dst, ok := n.endpoints[to]
-	if !ok {
-		// Prefix routing: a sub-address routes to its base endpoint, but
-		// only when that endpoint opted into demultiplexing — a plain
-		// endpoint never sees frames for addresses it didn't register.
-		if base := PeerKey(to); base != to {
-			if bep, bok := n.endpoints[base]; bok && bep.mux {
-				dst, ok = bep, true
-			}
-		}
-	}
-	n.mu.RUnlock()
+	dst := n.lookup(to)
 	drop := n.lost()
-	if !ok {
+	if dst == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownPeer, to)
 	}
 	if drop {
@@ -360,7 +371,7 @@ func (e *memEndpoint) sendFrom(ctx context.Context, from, to string, msg []byte)
 		// real link instead of serialising their senders. Enqueueing
 		// still waits on a full buffer, which is the backpressure that
 		// keeps fast producers honest.
-		frame.due = time.Now().Add(latency)
+		frame.due = sinceEpoch() + int64(latency)
 	}
 	select {
 	case dst.ch <- frame:
@@ -432,7 +443,7 @@ func (e *memEndpoint) recv(ctx context.Context, frames []Frame) (int, error) {
 	}
 	frames[0] = Frame{From: f.from, Msg: f.msg, buf: f.msg, pool: &e.pool}
 	n, bytes := 1, len(f.msg)
-	var now time.Time
+	var now int64
 	for n < len(frames) {
 		select {
 		case f = <-e.ch:
@@ -440,11 +451,11 @@ func (e *memEndpoint) recv(ctx context.Context, frames []Frame) (int, error) {
 			e.metrics.Load().ReceivedBatch(n, bytes)
 			return n, nil
 		}
-		if !f.due.IsZero() {
-			if now.IsZero() {
-				now = time.Now()
+		if f.due != 0 {
+			if now == 0 {
+				now = sinceEpoch()
 			}
-			if f.due.After(now) {
+			if f.due > now {
 				// Not yet due: hold it over for the next receive rather
 				// than deliver it early.
 				e.held, e.hasHeld = f, true
@@ -460,8 +471,12 @@ func (e *memEndpoint) recv(ctx context.Context, frames []Frame) (int, error) {
 }
 
 // recvFrame blocks for the next frame, the held-over one first, and waits
-// until it is due. It does not count the frame as received.
+// until it is due. It does not count the frame as received. A closed
+// endpoint delivers nothing, not even the frames still queued for it.
 func (e *memEndpoint) recvFrame(ctx context.Context) (memFrame, error) {
+	if e.closed.Load() {
+		return memFrame{}, ErrClosed
+	}
 	var f memFrame
 	if e.hasHeld {
 		f, e.held, e.hasHeld = e.held, memFrame{}, false
@@ -475,8 +490,8 @@ func (e *memEndpoint) recvFrame(ctx context.Context) (memFrame, error) {
 		}
 	}
 	// A fabric without latency leaves due zero: skip the clock.
-	if !f.due.IsZero() {
-		if wait := time.Until(f.due); wait > 0 {
+	if f.due != 0 {
+		if wait := time.Duration(f.due - sinceEpoch()); wait > 0 {
 			timer := time.NewTimer(wait)
 			defer timer.Stop()
 			select {
@@ -535,9 +550,7 @@ func (e *memEndpoint) Close() error {
 	// crash simulated via Network.CloseEndpoint plus a rejoin that
 	// re-registered the same address, closing the old endpoint must not
 	// evict its successor.
-	if e.net.endpoints[e.addr] == e {
-		delete(e.net.endpoints, e.addr)
-	}
+	e.net.endpoints.CompareAndDelete(e.addr, e)
 	return nil
 }
 

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"ncast/internal/obs"
 )
 
 func TestMemNetworkRoundTrip(t *testing.T) {
@@ -160,7 +165,7 @@ func TestSendToClosedEndpointDropsFrame(t *testing.T) {
 	// Close b's receive side without unregistering (simulates crash
 	// before repair): close via the network-held reference.
 	n.mu.Lock()
-	n.endpoints["b"].closeLocked()
+	n.lookup("b").closeLocked()
 	n.mu.Unlock()
 	if err := a.Send(context.Background(), "b", []byte("x")); err != nil {
 		t.Fatalf("send to crashed endpoint: %v", err)
@@ -198,6 +203,146 @@ func TestCrashThenRejoinSurvivesOldClose(t *testing.T) {
 	defer cancel()
 	if _, msg, err := fresh.Recv(ctx); err != nil || string(msg) != "post-rejoin" {
 		t.Fatalf("rejoined endpoint unreachable: %q, %v", msg, err)
+	}
+}
+
+// TestMemRegistryRaces races sends, plain and to a mux sub-address,
+// against every write to the fabric's registry: registration, Close,
+// CloseEndpoint, re-registration of the same address (plain or mux) and
+// Network.Close. Every send delivers, fails with ErrUnknownPeer or
+// ErrClosed, or counts a drop; a send issued after a re-registration
+// reaches the new endpoint, and the closed one delivers nothing; after
+// Network.Close no endpoint delivers anything and none can be added. Run
+// under -race, the detector checks the rest.
+func TestMemRegistryRaces(t *testing.T) {
+	t.Parallel()
+	n := NewNetwork()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer n.Close() // a failed round still ends every sender
+	const senders, rounds = 3, 120
+	newEndpoint := func(addr string) Endpoint {
+		ep, err := n.Endpoint(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+
+	// Each sender floods "peer" and one of its sub-addresses until the
+	// fabric closes, and tallies what Send returned.
+	type tally struct {
+		ep          Endpoint
+		m           *obs.TransportMetrics
+		ok, unknown uint64
+	}
+	tallies := make([]tally, senders)
+	for i := range tallies {
+		tl := &tallies[i]
+		tl.ep = newEndpoint(fmt.Sprintf("s%d", i))
+		tl.m = obs.NewTransportMetrics(obs.NewRegistry(), tl.ep.Addr())
+		Instrument(tl.ep, tl.m)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; ; k++ {
+				to := "peer"
+				if k%2 == 1 {
+					to += string(MuxSep) + "v"
+				}
+				err := tl.ep.Send(ctx, to, []byte("noise"))
+				switch {
+				case err == nil:
+					tl.ok++
+				case errors.Is(err, ErrUnknownPeer):
+					tl.unknown++
+				case errors.Is(err, ErrClosed):
+					return
+				default:
+					t.Errorf("send to %s: %v", to, err)
+					return
+				}
+			}
+		}()
+	}
+
+	// drain reads ep until it has delivered want and a frame from every
+	// sender, so every round overlaps with all of them; a probe of
+	// another round is a frame that reached the wrong endpoint.
+	drain := func(ep Endpoint, want string) error {
+		heard := map[string]bool{}
+		for seen := false; !seen || len(heard) < senders; {
+			from, msg, err := ep.Recv(ctx)
+			switch {
+			case err != nil:
+				return err
+			case string(msg) == want:
+				seen = true
+			case strings.HasPrefix(string(msg), "probe"):
+				return fmt.Errorf("got %q waiting for %q", msg, want)
+			default:
+				heard[from] = true
+			}
+		}
+		return nil
+	}
+	probe := newEndpoint("probe")
+	var prev Endpoint
+	for r := 0; r < rounds; r++ {
+		var peer Endpoint
+		to := "peer"
+		if r%3 == 2 {
+			mux, err := n.MuxEndpoint("peer", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peer, to = mux, "peer"+string(MuxSep)+"probe"
+		} else {
+			peer = newEndpoint("peer")
+		}
+		if prev != nil {
+			if _, _, err := prev.Recv(ctx); !errors.Is(err, ErrClosed) {
+				t.Fatalf("round %d: closed endpoint Recv = %v, want ErrClosed", r, err)
+			}
+		}
+		want := fmt.Sprintf("probe %d", r)
+		got := make(chan error, 1)
+		go func() { got <- drain(peer, want) }()
+		if err := probe.Send(ctx, to, []byte(want)); err != nil {
+			t.Fatalf("round %d: probe: %v", r, err)
+		}
+		if err := <-got; err != nil {
+			t.Fatalf("round %d: re-registered endpoint: %v", r, err)
+		}
+		if r == rounds-1 {
+			prev = peer // left registered for Network.Close
+			break
+		}
+		if r%2 == 0 {
+			peer.Close()
+		} else if !n.CloseEndpoint("peer") {
+			t.Fatalf("round %d: CloseEndpoint found nothing", r)
+		}
+		prev = peer
+	}
+
+	n.Close()
+	wg.Wait() // every sender ends on ErrClosed
+	for _, ep := range []Endpoint{prev, probe, tallies[0].ep} {
+		if _, _, err := ep.Recv(ctx); !errors.Is(err, ErrClosed) {
+			t.Fatalf("%s delivers after Network.Close: %v", ep.Addr(), err)
+		}
+	}
+	if _, err := n.Endpoint("late"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Endpoint after Network.Close: %v", err)
+	}
+	for _, tl := range tallies {
+		sent, dropped := tl.m.FramesSent.Value(), tl.m.Drops.Value()
+		if sent+dropped != tl.ok {
+			t.Fatalf("%s: %d sends returned nil, but %d were sent and %d dropped", tl.ep.Addr(), tl.ok, sent, dropped)
+		}
 	}
 }
 

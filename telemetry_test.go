@@ -34,7 +34,7 @@ func TestMetricNameLint(t *testing.T) {
 	// A generation's lifecycle record feeds the decode-delay and overhead
 	// histograms on its decode; force both.
 	var life obs.GenLife
-	life.Observe("lint-node", 0, 1, time.Now().Add(-time.Millisecond).UnixNano(), 1, nm, nil)
+	life.Observe("lint-node", 0, 1, time.Now().Add(-time.Millisecond).UnixNano(), 1, 0, nm, nil)
 
 	points := reg.Snapshot()
 	if len(points) == 0 {
